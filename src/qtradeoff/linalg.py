@@ -1,21 +1,18 @@
 """Dense complex linear algebra on small Hilbert spaces (dimension <= 16).
 
-Tensor products, partial traces, a cyclic-Jacobi Hermitian eigensolver and
+Tensor products, partial traces, a LAPACK-backed Hermitian eigensolver and
 spectral matrix functions, plus the DensityMatrix container used everywhere
-else in the package.
+else in the package.  Partial traces, eigendecompositions, spectral functions
+and density-matrix checks also work on (..., n, n) stacks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
-
-# Jacobi convergence: off-diagonal Frobenius norm below this, at most 100 sweeps.
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def _as_complex(m):
@@ -28,6 +25,26 @@ def _as_complex(m):
 def kron(a, b):
     """Kronecker product of two matrices."""
     return np.kron(_as_complex(a), _as_complex(b))
+
+
+def _dagger(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def density_spectrum(mats):
+    """Ascending eigenvalues of each matrix of a (..., n, n) stack, after
+    checking that each is a density matrix: Hermitian within 1e-10, unit trace
+    within 1e-10, and no eigenvalue below -1e-9."""
+    a = _as_complex(mats)
+    if np.max(np.abs(a - _dagger(a))) > HERM_TOL:
+        raise ValueError("density matrix not Hermitian within 1e-10")
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    if np.max(np.abs(tr.real - 1.0)) > TRACE_TOL or np.max(np.abs(tr.imag)) > TRACE_TOL:
+        raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+    w = np.linalg.eigvalsh((a + _dagger(a)) / 2)
+    if np.min(w) < EIG_FLOOR:
+        raise ValueError("density matrix has eigenvalue below -1e-9")
+    return w
 
 
 @dataclass(frozen=True)
@@ -47,34 +64,35 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if int(np.prod(dims)) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-        if np.max(np.abs(a - a.conj().T)) > HERM_TOL:
-            raise ValueError("density matrix not Hermitian within 1e-10")
-        if abs(np.trace(a).real - 1.0) > TRACE_TOL or abs(np.trace(a).imag) > TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if np.min(np.linalg.eigvalsh((a + a.conj().T) / 2)) < EIG_FLOOR:
-            raise ValueError("density matrix has eigenvalue below -1e-9")
+        density_spectrum(a)
 
     @property
     def dim(self):
         return self.mat.shape[0]
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept tensor factors (indices into rho.dims)."""
-    dims = rho.dims
+def partial_trace_stack(mats, dims, keep):
+    """Reduced states over the kept tensor factors (indices into dims) of each
+    matrix in a (..., d, d) stack; returns the stack and the kept dims."""
+    dims = tuple(dims)
     n = len(dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"invalid subsystem index set {keep} for dims {dims}")
-    t = rho.mat.reshape(dims + dims)
+    t = mats.reshape(mats.shape[:-2] + dims + dims)
     row = list(range(n))
     col = [i if i not in keep else n + i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
-    red = np.einsum(t, row + col, out)
-    d = int(np.prod([dims[i] for i in keep]))
-    red = red.reshape(d, d)
-    red = (red + red.conj().T) / 2
-    return DensityMatrix(red, tuple(dims[i] for i in keep))
+    red = np.einsum(t, [Ellipsis] + row + col, [Ellipsis] + out)
+    kept = tuple(dims[i] for i in keep)
+    d = int(np.prod(kept))
+    red = red.reshape(red.shape[: red.ndim - 2 * len(keep)] + (d, d))
+    return (red + _dagger(red)) / 2, kept
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state over the kept tensor factors (indices into rho.dims)."""
+    return DensityMatrix(*partial_trace_stack(rho.mat, rho.dims, keep))
 
 
 @dataclass(frozen=True)
@@ -85,90 +103,39 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotate(a, v, p, q):
-    apq = a[p, q]
-    r = abs(apq)
-    u = apq / r
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    su = s * u
-    # Left-multiply by J^dagger (rows), then right-multiply by J (columns),
-    # with J the identity except J[p,p]=J[q,q]=c, J[p,q]=s*u, J[q,p]=-s*conj(u).
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - su * rq
-    a[q, :] = np.conj(su) * rp + c * rq
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - np.conj(su) * cq
-    a[:, q] = su * cp + c * cq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - np.conj(su) * vq
-    v[:, q] = su * vp + c * vq
-
-
 def herm_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    (..., n, n) stack, by LAPACK.
 
     Ordering is deterministic: eigenvalues descending, each eigenvector's first
     component of significant magnitude made real and positive.
     """
     a = _as_complex(m)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.conj().T)) > 1e-8:
+    if np.max(np.abs(a - _dagger(a))) > 1e-8:
         raise ValueError("matrix not Hermitian within 1e-8")
-    a = (a + a.conj().T) / 2  # absorb float drift from products
-    v = np.eye(n, dtype=complex)
-    skip = JACOBI_OFF_TOL / (10.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, v, p, q)
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):
-        col = v[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12)
-        piv = col[idx]
-        if abs(piv) > 1e-12:
-            v[:, j] = col * (np.conj(piv) / abs(piv))
-    return EigenDecomposition(w, v)
+    w, v = np.linalg.eigh((a + _dagger(a)) / 2)  # absorb float drift from products
+    w, v = w[..., ::-1], v[..., ::-1]
+    first = np.argmax(np.abs(v) > 1e-12, axis=-2)
+    piv = np.take_along_axis(v, first[..., None, :], axis=-2)
+    return EigenDecomposition(w, v * (np.conj(piv) / np.abs(piv)))
 
 
 def spectral_fn(m, f):
-    """Apply a real function to a Hermitian matrix through its spectrum.
+    """Apply a real function to a Hermitian matrix (or a stack of them)
+    through its spectrum; `f` is called once on the eigenvalue array.
 
     Eigenvalues in [-1e-9, 0) are clamped to 0 so reconstruction noise cannot
     poison entropy or square-root evaluations.
     """
     dec = herm_eig(m)
-    w = dec.eigenvalues.copy()
-    w[(w < 0) & (w >= EIG_FLOOR)] = 0.0
-    fw = np.array([f(x) for x in w], dtype=float)
+    w = np.where((dec.eigenvalues < 0) & (dec.eigenvalues >= EIG_FLOOR), 0.0, dec.eigenvalues)
+    fw = np.asarray(f(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("function undefined at an eigenvalue of the input")
     v = dec.eigenvectors
-    return (v * fw) @ v.conj().T
+    return (v * fw[..., None, :]) @ _dagger(v)
 
 
 def clamp_spectrum(w, floor=EIG_FLOOR):

@@ -1,18 +1,26 @@
 """Correlation and entanglement quantifiers.
 
 All entropies are in natural log (nats).  Concurrence follows the spin-flip
-construction with sigma = -|1><0| + |0><1|; the eigenvalues of the spin-flipped
-product are obtained from the similar Hermitian form
-sqrt(rho) (sigma x sigma) rho* (sigma x sigma) sqrt(rho).
+construction with sigma = -|1><0| + |0><1|; the square roots of the eigenvalues
+of the spin-flipped product are the singular values of
+sqrt(rho) (sigma x sigma) sqrt(rho)*.  Entropies, mutual information and
+concurrence also run on (..., d, d) stacks of states (cut_measures).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, clamp_spectrum, herm_eig, kron, partial_trace, spectral_fn
+from .linalg import (
+    DensityMatrix,
+    clamp_spectrum,
+    density_spectrum,
+    partial_trace_stack,
+    spectral_fn,
+)
 
 SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+_SS = np.kron(SPIN_FLIP, SPIN_FLIP)
 
 
 def spectrum_tuple(values):
@@ -29,6 +37,8 @@ def spectrum_tuple(values):
 
 @dataclass(frozen=True)
 class MeasureReport:
+    """Measures of one state (floats) or of a stack of states (arrays)."""
+
     mutual_information: float
     concurrence: float
     entropy_A: float
@@ -36,56 +46,86 @@ class MeasureReport:
     entropy_AB: float
 
 
-def _safe_sqrt(x):
-    return np.sqrt(x) if x > 0 else 0.0
+def _safe_sqrt(w):
+    # Values below 1e-14 of the largest are float noise of a null eigenvalue,
+    # which the square root would magnify (1e-17 -> 3e-9).
+    return np.sqrt(np.where(w > np.max(w, axis=-1, keepdims=True) * 1e-14, w, 0.0))
+
+
+def _entropy(w):
+    """-sum p ln p in nats over the last axis, with 0 ln 0 = 0."""
+    p = clamp_spectrum(w)
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
 
 
 def shannon_entropy(probs):
     """-sum p ln p in nats, with 0 ln 0 = 0."""
-    p = clamp_spectrum(np.asarray(probs, dtype=float))
+    p = np.asarray(probs, dtype=float)
     if abs(np.sum(p) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1 within 1e-9")
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(_entropy(p))
 
 
 def von_neumann_entropy(rho: DensityMatrix):
-    w = clamp_spectrum(herm_eig(rho.mat).eigenvalues)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(_entropy(density_spectrum(rho.mat)))
+
+
+def _cut_entropies(mats, dims, cut):
+    """(I, S_A, S_B, S_AB, (rho_A, dims_A)) for each state of a (..., d, d)
+    stack, with every state and both reduced stacks checked as density
+    matrices."""
+    side_a = tuple(sorted(set(int(i) for i in cut)))
+    side_b = tuple(i for i in range(len(dims)) if i not in side_a)
+    if not side_a or not side_b:
+        raise ValueError("cut must split the factors into two nonempty groups")
+    rho_a, dims_a = partial_trace_stack(mats, dims, side_a)
+    rho_b, _ = partial_trace_stack(mats, dims, side_b)
+    s_a, s_b, s_ab = (_entropy(density_spectrum(m)) for m in (rho_a, rho_b, mats))
+    i = s_a + s_b - s_ab  # >= 0; values in [-1e-12, 0) are float noise
+    if np.min(i) < -1e-12:
+        raise ValueError(f"mutual information {np.min(i)} below -1e-12")
+    return np.where(i < 0.0, 0.0, i), s_a, s_b, s_ab, (rho_a, dims_a)
 
 
 def mutual_information(rho: DensityMatrix, cut):
     """S(rho_A) + S(rho_B) - S(rho) across the bipartition given by the factor
     indices in `cut` (side A); the complement is side B."""
-    side_a = tuple(sorted(set(int(i) for i in cut)))
-    side_b = tuple(i for i in range(len(rho.dims)) if i not in side_a)
-    if not side_a or not side_b:
-        raise ValueError("cut must split the factors into two nonempty groups")
-    s_a = von_neumann_entropy(partial_trace(rho, side_a))
-    s_b = von_neumann_entropy(partial_trace(rho, side_b))
-    s_ab = von_neumann_entropy(rho)
-    return s_a + s_b - s_ab
+    return float(_cut_entropies(rho.mat, rho.dims, cut)[0])
+
+
+def cut_measures(mats, dims, cut) -> MeasureReport:
+    """Mutual information across `cut`, the concurrence of the reduced state
+    on side A (which must consist of two qubit factors) and the three
+    entropies, for each state of a (..., d, d) stack with factor dims `dims`.
+    The report's fields are arrays of the stack's shape."""
+    i, s_a, s_b, s_ab, (rho_a, dims_a) = _cut_entropies(mats, dims, cut)
+    if dims_a != (2, 2):
+        raise ValueError("concurrence is defined for two-qubit states")
+    return MeasureReport(i, _concurrence(_spin_flip_roots(rho_a)), s_a, s_b, s_ab)
+
+
+def _spin_flip_roots(mats):
+    """sqrt(mu_i), descending.  rho (s x s) rho* (s x s) is similar to A A^dagger
+    with A = sqrt(rho) (s x s) sqrt(rho)*, so these are the singular values of
+    A, which an SVD gets to absolute accuracy even where mu_i is tiny."""
+    sq = spectral_fn(mats, _safe_sqrt)
+    return np.linalg.svd(sq @ _SS @ sq.conj(), compute_uv=False)
+
+
+def _concurrence(r):
+    return np.maximum(0.0, 2.0 * np.max(r, axis=-1) - np.sum(r, axis=-1))
 
 
 def spin_flip_eigenvalues(rho_a: DensityMatrix):
     """Eigenvalues mu_i of rho (s x s) rho* (s x s), descending, clamped at 0."""
     if rho_a.dims != (2, 2):
         raise ValueError("concurrence is defined for two-qubit states")
-    ss = kron(SPIN_FLIP, SPIN_FLIP)
-    sq = spectral_fn(rho_a.mat, _safe_sqrt)
-    herm = sq @ ss @ rho_a.mat.conj() @ ss @ sq
-    mu = clamp_spectrum(herm_eig(herm).eigenvalues)
-    # Float noise in the product leaves spurious eigenvalues ~1e-17 whose
-    # square roots would pollute the concurrence; floor them relative to max.
-    mu[mu < np.max(mu) * 1e-14] = 0.0
-    return mu
+    return _spin_flip_roots(rho_a.mat) ** 2
 
 
 def concurrence(rho_a: DensityMatrix):
     """Wootters concurrence max{0, 2 max_i sqrt(mu_i) - sum_i sqrt(mu_i)}."""
-    r = np.sqrt(spin_flip_eigenvalues(rho_a))
-    return float(max(0.0, 2.0 * np.max(r) - np.sum(r)))
+    return float(_concurrence(np.sqrt(spin_flip_eigenvalues(rho_a))))
 
 
 def _h2(p):
@@ -111,14 +151,12 @@ def closed_form_E(p, q):
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, computed as the
+    squared trace norm (sum of singular values) of sqrt(rho) sqrt(sigma)."""
     if rho.dims != sigma.dims:
         raise ValueError("fidelity requires states with identical dims")
-    sq = spectral_fn(rho.mat, _safe_sqrt)
-    inner = sq @ sigma.mat @ sq
-    w = clamp_spectrum(herm_eig(inner).eigenvalues, floor=-1e-8)
-    w[w < np.max(w) * 1e-14] = 0.0  # spurious near-null values, see concurrence
-    f = float(np.sum(np.sqrt(w)) ** 2)
+    prod = spectral_fn(rho.mat, _safe_sqrt) @ spectral_fn(sigma.mat, _safe_sqrt)
+    f = float(np.sum(np.linalg.svd(prod, compute_uv=False)) ** 2)
     if f > 1.0 + 1e-9:
         raise ValueError(f"fidelity {f} exceeds 1 beyond tolerance")
     return min(f, 1.0)
@@ -128,21 +166,3 @@ def k_function(lam):
     """k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4)."""
     lam = spectrum_tuple(lam)
     return float(lam[0] - lam[2] - 2.0 * np.sqrt(lam[1] * lam[3]))
-
-
-def report(rho: DensityMatrix, cut) -> MeasureReport:
-    """Mutual information across `cut` plus the concurrence of the reduced
-    state on side A (which must consist of two qubit factors)."""
-    side_a = tuple(sorted(set(int(i) for i in cut)))
-    side_b = tuple(i for i in range(len(rho.dims)) if i not in side_a)
-    s_a = von_neumann_entropy(partial_trace(rho, side_a))
-    s_b = von_neumann_entropy(partial_trace(rho, side_b))
-    s_ab = von_neumann_entropy(rho)
-    e = concurrence(partial_trace(rho, side_a))
-    return MeasureReport(
-        mutual_information=s_a + s_b - s_ab,
-        concurrence=e,
-        entropy_A=s_a,
-        entropy_B=s_b,
-        entropy_AB=s_ab,
-    )

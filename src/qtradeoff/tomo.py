@@ -8,7 +8,7 @@ evaluation order.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -182,8 +182,12 @@ def _build_inversion_tables():
                 letter = setting[i] if (mask >> (3 - i)) & 1 else "I"
                 k = 4 * k + code[letter]
             pauli_idx[s_i, mask] = k
-    mult = np.zeros(256)
-    np.add.at(mult, pauli_idx.ravel(), 1.0)
+    # Every string is estimated at least once, so grouping the flattened
+    # (setting, subset) estimates by string gives 256 contiguous runs.
+    flat_idx = pauli_idx.ravel()
+    by_string = np.argsort(flat_idx, kind="stable")
+    starts = np.searchsorted(flat_idx[by_string], np.arange(256))
+    mult = np.bincount(flat_idx, minlength=256).astype(float)
     # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k.
     flat = np.zeros((256, 256), dtype=complex)
     letters = "IXYZ"
@@ -193,40 +197,38 @@ def _build_inversion_tables():
         for d in digits[1:]:
             m = np.kron(m, PAULI[letters[d]])
         flat[k] = m.ravel()
-    return signs, pauli_idx, mult, flat
+    return signs, by_string, starts, mult, flat
 
 
-_SIGNS, _PAULI_IDX, _PAULI_MULT, _PAULI_FLAT = _build_inversion_tables()
+_SIGNS, _BY_STRING, _STRING_START, _PAULI_MULT, _PAULI_FLAT = _build_inversion_tables()
 
 
-def _frequencies(record: TomographyRecord):
-    c = np.asarray(record.counts, dtype=float)
-    total = np.sum(c)
-    return c / total if total > 0 else c
+def _count_table(records):
+    """(81, 16) counts and (81,) shot totals in SETTINGS order."""
+    by_setting = {rec.setting: rec for rec in records}
+    if unknown := set(by_setting) - set(SETTINGS):
+        raise ValueError(f"unknown setting {min(unknown)!r}")
+    if len(by_setting) != len(SETTINGS):
+        raise ValueError(f"incomplete tomography: {len(by_setting)} of {len(SETTINGS)} settings")
+    recs = [by_setting[s] for s in SETTINGS]
+    return np.array([r.counts for r in recs], dtype=float), np.array([r.total_shots for r in recs])
+
+
+def _correlators(counts):
+    """Per-(setting, subset) correlators of a (..., 81, 16) count stack,
+    grouped by the Pauli string they estimate: shape (..., 1296)."""
+    total = np.sum(counts, axis=-1, keepdims=True)
+    corr = (counts / np.where(total > 0, total, 1.0)) @ _SIGNS
+    return corr.reshape(corr.shape[:-2] + (-1,))[..., _BY_STRING]
 
 
 def pauli_expectations(records):
     """Averaged Pauli-string expectation estimates plus the maximum spread
     between the individual per-setting estimates of the same string."""
-    order = {s: i for i, s in enumerate(SETTINGS)}
-    freqs = np.zeros((len(SETTINGS), N_OUT))
-    seen = set()
-    for rec in records:
-        if rec.setting not in order:
-            raise ValueError(f"unknown setting {rec.setting!r}")
-        freqs[order[rec.setting]] = _frequencies(rec)
-        seen.add(rec.setting)
-    if len(seen) != len(SETTINGS):
-        raise ValueError(f"incomplete tomography: {len(seen)} of {len(SETTINGS)} settings")
-    corr = freqs @ _SIGNS  # per setting, per qubit-subset correlator
-    sums = np.zeros(256)
-    np.add.at(sums, _PAULI_IDX.ravel(), corr.ravel())
-    exps = sums / _PAULI_MULT
-    lo = np.full(256, np.inf)
-    hi = np.full(256, -np.inf)
-    np.minimum.at(lo, _PAULI_IDX.ravel(), corr.ravel())
-    np.maximum.at(hi, _PAULI_IDX.ravel(), corr.ravel())
-    return exps, float(np.max(hi - lo))
+    corr = _correlators(_count_table(records)[0])
+    exps = np.add.reduceat(corr, _STRING_START) / _PAULI_MULT
+    spread = np.maximum.reduceat(corr, _STRING_START) - np.minimum.reduceat(corr, _STRING_START)
+    return exps, float(np.max(spread))
 
 
 def project_to_simplex(w):
@@ -240,55 +242,66 @@ def project_to_simplex(w):
     return np.clip(w + shift, 0.0, None)
 
 
+SPECTRUM_TIE_TOL = 1e-12
+
+
 def physical_spectrum(w):
-    """Noise-adaptive projection of a linear-inversion spectrum onto the
-    probability simplex.
+    """Noise-adaptive projection of a linear-inversion spectrum (or of each
+    row of a stack of spectra) onto the probability simplex.
 
     The most negative eigenvalue of the unconstrained estimate is a pure noise
     sample, so its magnitude sets the noise floor; eigenvalues at or below the
     floor are zeroed and the remainder renormalized.  On exact data the floor
     is at machine precision and the spectrum passes through unchanged.
+    Eigenvalues within SPECTRUM_TIE_TOL above the floor count as at it: the
+    thresholded expansion often has exact +-x pairs, whose order is rounding.
     """
     w = np.asarray(w, dtype=float)
-    floor = max(0.0, -np.min(w))
-    kept = np.where(w > floor, w, 0.0)
-    total = np.sum(kept)
-    if total <= 0.0:
-        return np.full_like(w, 1.0 / len(w))
-    return kept / total
+    floor = np.maximum(0.0, -np.min(w, axis=-1, keepdims=True))
+    kept = np.where(w > floor + SPECTRUM_TIE_TOL, w, 0.0)
+    total = np.sum(kept, axis=-1, keepdims=True)
+    return np.where(total > 0.0, kept / np.where(total > 0.0, total, 1.0), 1.0 / w.shape[-1])
 
 
 COEFF_THRESHOLD_SIGMAS = 3.0
+FOUR_QUBITS = (2, 2, 2, 2)
 
 
-def reconstruct(records, target: DensityMatrix = None) -> ReconstructionResult:
-    """Linear inversion from the complete 81-setting record set, with sparse
-    denoising of the Pauli coefficients, then projection to a physical
-    spectrum, measures, and fidelity to the target.
+def _invert(counts, shots):
+    """(B, 81, 16) count stack, with (81,) shot totals, -> (B, 16, 16) stack of
+    physical estimates: linear inversion, sparse denoising of the Pauli
+    coefficients, then physical_spectrum.
 
     Denoising: a coefficient estimated from m settings of N shots has standard
     error sqrt((1-e^2)/(N m)); estimates within 3 standard errors of zero are
     zeroed.  Most true coefficients of the target families are exactly zero,
-    so this removes the bulk of the shot-noise power.  Exact (infinite-shot)
-    records are never thresholded, keeping noiseless inversion exact.
+    so this removes the bulk of the shot-noise power.  Only settings sharing
+    one positive shot total are thresholded, keeping noiseless inversion exact.
     """
-    exps, _ = pauli_expectations(records)
-    assert abs(exps[0] - 1.0) < 1e-9  # identity expectation from any setting
-    shots = {int(r.total_shots) for r in records}
-    if len(shots) == 1 and (n_shots := shots.pop()) > 0:
-        sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (n_shots * _PAULI_MULT))
+    exps = np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
+    if np.max(np.abs(exps[:, 0] - 1.0)) >= 1e-9:
+        raise ValueError("identity expectation differs from 1: a setting has no counts")
+    if np.all(shots == shots[0]) and shots[0] > 0:
+        sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots[0] * _PAULI_MULT))
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
-        small[0] = False
+        small[:, 0] = False
         exps = np.where(small, 0.0, exps)
-    rho_lin = (exps @ _PAULI_FLAT).reshape(16, 16) / 16.0
-    rho_lin = (rho_lin + rho_lin.conj().T) / 2.0
+    rho_lin = (exps @ _PAULI_FLAT).reshape(-1, 16, 16) / 16.0
+    rho_lin = (rho_lin + rho_lin.conj().swapaxes(-1, -2)) / 2.0
     dec = herm_eig(rho_lin)
-    w = physical_spectrum(dec.eigenvalues)
     v = dec.eigenvectors
-    rho_hat = DensityMatrix((v * w) @ v.conj().T, (2, 2, 2, 2))
-    rep = measures.report(rho_hat, cut=(0, 1))
+    return (v * physical_spectrum(dec.eigenvalues)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def reconstruct(records, target: DensityMatrix = None) -> ReconstructionResult:
+    """Physical estimate from the complete 81-setting record set (see
+    _invert), its measures, and its fidelity to the target."""
+    counts, shots = _count_table(records)
+    rho_hat = _invert(counts[None], shots)
+    rep = measures.cut_measures(rho_hat, FOUR_QUBITS, (0, 1))
+    rho_hat = DensityMatrix(rho_hat[0], FOUR_QUBITS)
     fid = fidelity(rho_hat, target) if target is not None else float("nan")
-    return ReconstructionResult(rho_hat, fid, rep)
+    return ReconstructionResult(rho_hat, fid, MeasureReport(*(float(v[0]) for v in astuple(rep))))
 
 
 DEFAULT_ANGLES = (
@@ -344,23 +357,23 @@ class BootstrapResult:
 
 
 def bootstrap_measures(records, n_resamples=200, seed=0) -> BootstrapResult:
-    """Nonparametric bootstrap of (I, E) over resampled counts."""
-    sampled = [r for r in records if r.total_shots > 0]
-    if len(sampled) != len(records):
+    """Nonparametric bootstrap of (I, E) over resampled counts, reconstructed
+    as one stack.  Setting idx draws all its resamples from the stream
+    (seed, 7_000_000, idx), so a run's values prefix those of a longer run."""
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be at least 1")
+    counts, shots = _count_table(records)
+    if np.any(shots <= 0):
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
-    i_vals = np.zeros(n_resamples)
-    e_vals = np.zeros(n_resamples)
-    for b in range(n_resamples):
-        resampled = []
-        for idx, rec in enumerate(records):
-            freq = _frequencies(rec)
-            counts = sample_counts(freq, rec.total_shots, (seed, 7_000_000 + b, idx))
-            resampled.append(
-                TomographyRecord(rec.setting, counts, rec.total_shots, rec.seed, rec.noise)
-            )
-        res = reconstruct(resampled)
-        i_vals[b] = res.measures.mutual_information
-        e_vals[b] = res.measures.concurrence
+    totals = np.sum(counts, axis=-1, keepdims=True)
+    if np.min(totals) <= 0:
+        raise ValueError("a setting has no counts to resample")
+    stack = np.stack([
+        np.random.default_rng((seed, 7_000_000, idx)).multinomial(n, p, size=n_resamples)
+        for idx, (n, p) in enumerate(zip(shots, counts / totals))
+    ], axis=1)
+    rep = measures.cut_measures(_invert(stack, shots), FOUR_QUBITS, (0, 1))
+    i_vals, e_vals = rep.mutual_information, rep.concurrence
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))
 
 

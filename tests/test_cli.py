@@ -108,6 +108,16 @@ def test_experiment_sampled_with_errors(tmp_path):
     assert 0.9 < float(rows[0]["fidelity"]) <= 1.0
 
 
+@pytest.mark.parametrize("mode", [["--exact"], ["--shots", "10000", "--bootstrap", "5"]])
+def test_mutual_information_nonnegative_at_half_pi(tmp_path, mode):
+    out = tmp_path / "exp.csv"
+    code = cli.main(["--command", "experiment", "--theta", "1/2", "--visibility", "0.96",
+                     "--seed", "0", "--out", str(out)] + mode)
+    assert code == 0
+    _, rows = read_rows(out)
+    assert float(rows[0]["I_hat"]) >= 0.0
+
+
 def test_output_byte_identical_across_runs(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from qtradeoff.linalg import (
     DensityMatrix,
+    density_spectrum,
     herm_eig,
     kron,
     partial_trace,
@@ -128,6 +129,49 @@ def test_herm_eig_matches_lapack_on_random_hermitian():
         recon = (v * dec.eigenvalues) @ v.conj().T
         assert np.max(np.abs(recon - h)) < 1e-9
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-9
+
+
+def _degenerate_4x4():
+    u = random_unitary(np.random.default_rng(23), 4)
+    return (u * np.array([0.4, 0.25, 0.25, 0.1])) @ u.conj().T
+
+
+def _random_16x16():
+    a = np.random.default_rng(29).normal(size=(16, 16, 2)) @ np.array([1.0, 1j])
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("make", [_degenerate_4x4, _random_16x16])
+def test_herm_eig_order_phase_and_reconstruction(make):
+    m = make()
+    dec = herm_eig(m)
+    w, v = dec.eigenvalues, dec.eigenvectors
+    assert np.all(np.diff(w) <= 0.0)
+    for j in range(len(w)):
+        col = v[:, j]
+        piv = col[np.argmax(np.abs(col) > 1e-12)]
+        assert piv.real > 0.0 and piv.imag == 0.0
+    assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-12
+
+
+def test_herm_eig_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(31)
+    stack = np.array([random_density(rng, (2, 2)).mat for _ in range(3)])
+    dec = herm_eig(stack)
+    for k in range(3):
+        one = herm_eig(stack[k])
+        assert np.max(np.abs(dec.eigenvalues[k] - one.eigenvalues)) < 1e-15
+        assert np.max(np.abs(dec.eigenvectors[k] - one.eigenvectors)) < 1e-12
+
+
+def test_density_spectrum_checks_every_matrix_of_a_stack():
+    good = np.eye(4) / 4
+    w = density_spectrum(np.array([good, np.diag([0.7, 0.1, 0.1, 0.1])]))
+    assert w.shape == (2, 4) and np.allclose(np.sum(w, axis=-1), 1.0)
+    not_hermitian = good + 0.1j * np.triu(np.ones((4, 4)), 1)
+    for bad in (np.eye(4) / 2, np.diag([1.1, 0.0, 0.0, -0.1]), not_hermitian):
+        with pytest.raises(ValueError):
+            density_spectrum(np.array([good, bad]))
 
 
 def test_herm_eig_rejects_non_hermitian():

@@ -203,6 +203,44 @@ def test_k_function_rejects_unsorted():
 
 def test_report_consistency():
     rho = states.cc_family(0.35, 0.55)
-    rep = measures.report(rho, cut=(0, 1))
+    rep = measures.cut_measures(rho.mat, rho.dims, cut=(0, 1))
     assert abs(rep.mutual_information - (rep.entropy_A + rep.entropy_B - rep.entropy_AB)) < 1e-10
     assert 0.0 <= rep.concurrence <= 1.0
+
+
+def test_cut_measures_on_a_stack_match_the_state_functions():
+    rng = np.random.default_rng(37)
+    rhos = [states.cc_family(p, q) for p, q in rng.random((4, 2))]
+    rep = measures.cut_measures(np.array([r.mat for r in rhos]), rhos[0].dims, cut=(0, 1))
+    for k, rho in enumerate(rhos):
+        assert abs(rep.mutual_information[k] - mutual_information(rho, cut=[0, 1])) < 1e-14
+        assert abs(rep.concurrence[k] - concurrence(partial_trace(rho, keep=[0, 1]))) < 1e-14
+        assert abs(rep.entropy_AB[k] - von_neumann_entropy(rho)) < 1e-14
+
+
+def test_cut_measures_needs_a_two_qubit_side_a():
+    rho = states.cc_family(0.3, 0.6)
+    with pytest.raises(ValueError):
+        measures.cut_measures(rho.mat[None], rho.dims, cut=(0,))
+
+
+def test_concurrence_accurate_at_tiny_spin_flip_eigenvalues():
+    # mu ~ p^3 here; square roots of eigenvalues carry an absolute error of
+    # ~1e-16 / sqrt(mu), singular values do not.
+    for p in (1e-5, 1e-4, 1e-3):
+        rho_a = partial_trace(states.cc_family(p, 1.0 - p), keep=[0, 1])
+        assert abs(concurrence(rho_a) - closed_form_E(p, 1.0 - p)) < 1e-13
+
+
+def test_fidelity_of_rank_deficient_commuting_states():
+    # Null-space noise of one state must not pick up the other's support.
+    u = random_unitary(np.random.default_rng(41), 16)
+    p = np.zeros(16)
+    p[:3] = (0.5, 0.3, 0.2)
+    q = np.zeros(16)
+    q[1:5] = (0.1, 0.2, 0.3, 0.4)
+    rho = DensityMatrix((u * p) @ u.conj().T, (2, 2, 2, 2))
+    sigma = DensityMatrix((u * q) @ u.conj().T, (2, 2, 2, 2))
+    exact = np.sum(np.sqrt(p * q)) ** 2
+    assert abs(fidelity(rho, sigma) - exact) < 1e-12
+    assert abs(fidelity(sigma, rho) - exact) < 1e-12

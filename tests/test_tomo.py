@@ -7,6 +7,7 @@ from qtradeoff.measures import closed_form_E, closed_form_I
 from qtradeoff.tomo import (
     NoiseParams,
     SETTINGS,
+    TomographyRecord,
     apply_noise,
     bootstrap_measures,
     born_probabilities,
@@ -219,6 +220,16 @@ def test_physical_spectrum_examples():
     assert np.allclose(out[:2], np.array([0.8, 0.25]) / 1.05, atol=1e-12)
 
 
+def test_physical_spectrum_ties_and_rows():
+    # +x one ulp above the floor set by -x is the same noise sample: zeroed.
+    w = np.array([0.6, 0.4, np.nextafter(0.001, 1.0), -0.001])
+    assert np.array_equal(physical_spectrum(w), [0.6, 0.4, 0.0, 0.0])
+    rows = np.array([[0.8, 0.25, 0.005, -0.01], [0.7, 0.2, 0.1, 0.0]])
+    out = physical_spectrum(rows)
+    for row, expected in zip(out, rows):
+        assert np.array_equal(row, physical_spectrum(expected))
+
+
 def test_reconstruction_spectrum_is_clean():
     run = run_experiment(np.pi / 4, shots=10000, seed=2)
     w = np.linalg.eigvalsh(run.result.rho_hat.mat)
@@ -235,6 +246,72 @@ def test_bootstrap_errors_shrink_with_shots():
         errs.append((boot.i_err, boot.e_err))
     assert errs[1][0] < errs[0][0]
     assert errs[1][1] < errs[0][1]
+
+
+def _resamples(records, n_resamples, seed, shots=None):
+    """The bootstrap's resampled record sets, drawn one setting at a time from
+    the documented streams (seed, 7_000_000, setting index)."""
+    draws = []
+    for idx, rec in enumerate(records):
+        freq = rec.counts / np.sum(rec.counts)
+        rng = np.random.default_rng((seed, 7_000_000, idx))
+        draws.append(rng.multinomial(rec.total_shots, freq, size=n_resamples))
+    return [
+        [TomographyRecord(rec.setting, d[b], rec.total_shots if shots is None else shots,
+                          rec.seed, rec.noise) for rec, d in zip(records, draws)]
+        for b in range(n_resamples)
+    ]
+
+
+@pytest.mark.parametrize("theta", [np.pi / 8, 9 * np.pi / 32, 7 * np.pi / 16])
+@pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(visibility=0.96, depolarizing=0.02)])
+def test_bootstrap_matches_reconstruct_per_resample(theta, noise):
+    run = run_experiment(theta, shots=2000, seed=13, noise=noise)
+    boot = bootstrap_measures(run.records, n_resamples=4, seed=13)
+    for b, recs in enumerate(_resamples(run.records, 4, 13)):
+        m = reconstruct(recs).measures
+        assert abs(boot.i_values[b] - m.mutual_information) < 1e-12
+        assert abs(boot.e_values[b] - m.concurrence) < 1e-12
+
+
+def test_bootstrap_streams_are_per_setting_prefixes():
+    run = run_experiment(3 * np.pi / 16, shots=2000, seed=21)
+    short = bootstrap_measures(run.records, n_resamples=10, seed=21)
+    long = bootstrap_measures(run.records, n_resamples=25, seed=21)
+    assert np.array_equal(short.i_values, long.i_values[:10])
+    assert np.array_equal(short.e_values, long.e_values[:10])
+
+
+def test_mixed_shot_totals_skip_thresholding():
+    theta = np.pi / 4
+    run = run_experiment(theta, shots=2000, seed=5)
+    # Thresholding is active when every setting shares one shot total.
+    unthresholded = reconstruct([TomographyRecord(r.setting, r.counts, 0, r.seed, r.noise)
+                                 for r in run.records])
+    assert np.max(np.abs(run.result.rho_hat.mat - unthresholded.rho_hat.mat)) > 1e-6
+    rho = apply_noise(target_state(theta), NoiseParams())
+    extra = sample_counts(born_probabilities(rho, SETTINGS[0]), 3000, (5, 0))
+    mixed = [TomographyRecord(SETTINGS[0], extra, 3000, 5, NoiseParams())] + run.records[1:]
+    as_exact = [TomographyRecord(r.setting, r.counts, 0, r.seed, r.noise) for r in mixed]
+    assert np.max(np.abs(reconstruct(mixed).rho_hat.mat
+                         - reconstruct(as_exact).rho_hat.mat)) < 1e-12
+    boot = bootstrap_measures(mixed, n_resamples=3, seed=5)
+    for b, recs in enumerate(_resamples(mixed, 3, 5, shots=0)):
+        m = reconstruct(recs).measures
+        assert abs(boot.i_values[b] - m.mutual_information) < 1e-12
+        assert abs(boot.e_values[b] - m.concurrence) < 1e-12
+
+
+def test_reconstruct_rejects_setting_without_counts():
+    run = run_experiment(np.pi / 8, shots=1000, seed=3)
+    rec = run.records[40]
+    records = list(run.records)
+    records[40] = TomographyRecord(rec.setting, np.zeros(16, dtype=int), rec.total_shots,
+                                   rec.seed, rec.noise)
+    with pytest.raises(ValueError, match="no counts"):
+        reconstruct(records)
+    with pytest.raises(ValueError, match="no counts"):
+        bootstrap_measures(records, n_resamples=2)
 
 
 def test_bootstrap_skips_exact_records():
