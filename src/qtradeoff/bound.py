@@ -81,47 +81,110 @@ def zeta(c):
     return out if out.ndim else float(out)
 
 
+def _expand(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i, in
+    order, with the index i of each entry."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return starts[owner] + np.arange(owner.size) - offsets[owner], owner
+
+
 def simplex_grid(resolution):
     """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
-    divided by `resolution`: exact coverage of the ordered 4-simplex."""
+    divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
+    in lexicographic order of (l1, l2, l3)."""
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     n = int(resolution)
-    rows = []
-    for l1 in range((n + 3) // 4, n + 1):
-        r1 = n - l1
-        for l2 in range((r1 + 2) // 3, min(l1, r1) + 1):
-            r2 = r1 - l2
-            for l3 in range((r2 + 1) // 2, min(l2, r2) + 1):
-                rows.append((l1, l2, l3, r2 - l3))
-    return np.array(rows, dtype=float) / n
+    l1 = np.arange((n + 3) // 4, n + 1)
+    r1 = n - l1
+    l2, i1 = _expand((r1 + 2) // 3, np.minimum(l1, r1) - (r1 + 2) // 3 + 1)
+    l1 = l1[i1]
+    r2 = n - l1 - l2
+    l3, i2 = _expand((r2 + 1) // 2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1)
+    grid = np.empty((l3.size, 4))
+    grid[:, 0] = l1[i2]
+    grid[:, 1] = l2[i2]
+    grid[:, 2] = l3
+    grid[:, 3] = r2[i2] - l3
+    grid /= n
+    return grid
 
 
 _GRID_CACHE = {}
 
 
 def grid_h_k(resolution):
-    """(lambda grid, h values, k values) for the given resolution, cached."""
+    """(lambda grid, h values, k values) for the given resolution, cached, all
+    three ordered by ascending entropy h (tuples of equal entropy in no
+    particular order)."""
     if resolution not in _GRID_CACHE:
         lam = simplex_grid(resolution)
         h = -np.sum(_xlogx(lam), axis=1)
         k = lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3])
-        _GRID_CACHE[resolution] = (lam, h, k)
+        order = np.argsort(h)
+        _GRID_CACHE[resolution] = tuple(np.take(a, order, axis=0) for a in (lam, h, k))
     return _GRID_CACHE[resolution]
 
 
-def oracle_zeta(c, resolution=200, band=0.01):
-    """Brute-force zeta: max over grid tuples with |h(lambda) - c| <= band of
-    max{0, k(lambda)}."""
+def _band_edges(h, c, band):
+    """[lo, hi) index ranges of sorted h holding exactly the entries with
+    |h - c| <= band, per query.  The in-band entries are contiguous because
+    the rounded |h - c| is monotone on either side of c; searchsorted on
+    c -+ band can miss it by a few entries at each edge, which the loops fix."""
+    n = len(h)
+
+    def inside(i):
+        j = np.clip(i, 0, n - 1)
+        return (i >= 0) & (i < n) & (np.abs(h[j] - c) <= band)
+
+    lo = np.searchsorted(h, c - band, side="left")
+    hi = np.searchsorted(h, c + band, side="right")
+    while np.any(step := inside(lo - 1)):
+        lo = lo - step
+    while np.any(step := (lo < hi) & ~inside(lo)):
+        lo = lo + step
+    while np.any(step := inside(hi)):
+        hi = hi + step
+    while np.any(step := (lo < hi) & ~inside(hi - 1)):
+        hi = hi - step
+    return lo, hi
+
+
+def oracle_scan(c, resolution=200, band=0.01):
+    """(oracle values, widened mask) for entropies c: the max of max{0,
+    k(lambda)} over grid tuples with |h(lambda) - c| <= band.  A band that
+    holds no grid tuple is widened to the nearest grid entropy (both
+    neighbours on a tie), and the mask marks those queries."""
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
     if band <= 0:
         raise ValueError("band must be positive")
+    c = np.asarray(c, dtype=float).ravel()
+    if not np.all(np.isfinite(c)):
+        raise ValueError("oracle entropies must be finite")
     _, h, k = grid_h_k(resolution)
-    mask = np.abs(h - c) <= band
-    if not np.any(mask):
-        raise ValueError(f"no grid tuple within band {band} of entropy {c}")
-    return float(max(0.0, np.max(k[mask])))
+    bands = np.full(c.shape, float(band))
+    lo, hi = _band_edges(h, c, bands)
+    widened = lo == hi
+    if np.any(widened):
+        below = np.where(lo > 0, np.abs(h[np.maximum(lo - 1, 0)] - c), np.inf)
+        above = np.where(lo < len(h), np.abs(h[np.minimum(lo, len(h) - 1)] - c), np.inf)
+        bands = np.where(widened, np.minimum(below, above), bands)
+        lo, hi = _band_edges(h, c, bands)
+    # reduceat over the pairs (lo, hi - 1) gives max k[lo:hi - 1] at the even
+    # positions (k[lo] when hi - 1 == lo); k[hi - 1] completes the range.
+    best = np.maximum(np.maximum.reduceat(k, np.stack([lo, hi - 1], axis=1).ravel())[::2],
+                      k[hi - 1])
+    return np.maximum(0.0, best), widened
+
+
+def oracle_zeta(c, resolution=200, band=0.01):
+    """Brute-force zeta: max over grid tuples with |h(lambda) - c| <= band of
+    max{0, k(lambda)}; see oracle_scan for bands without a grid tuple."""
+    shape = np.shape(c)
+    out = oracle_scan(c, resolution, band)[0].reshape(shape)
+    return out if out.ndim else float(out)
 
 
 def chi(e, resolution=400, band=0.01):
@@ -155,16 +218,12 @@ def region_check(points, tolerance=1e-9):
     c values outside [0, 2 ln 2] (e.g. from noisy estimates) are clamped into
     the domain before evaluating zeta.
     """
-    pts = [(float(c), float(e)) for c, e in points]
-    if not all(np.isfinite(c) and np.isfinite(e) for c, e in pts):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    cs = np.clip(np.array([c for c, _ in pts]), 0.0, TWO_LN2)
-    zs = np.asarray(zeta(cs))
-    out = []
-    for (c, e), z in zip(pts, np.atleast_1d(zs)):
-        margin = float(z - e)
-        out.append(RegionVerdict((c, e), margin >= -tolerance, margin))
-    return out
+    margins = np.asarray(zeta(np.clip(pts[:, 0], 0.0, TWO_LN2))) - pts[:, 1]
+    return [RegionVerdict((c, e), m >= -tolerance, m)
+            for (c, e), m in zip(pts.tolist(), margins.tolist())]
 
 
 @dataclass(frozen=True)
@@ -184,8 +243,8 @@ def closed_form_curve(n_samples=200) -> BoundCurve:
 
 def oracle_curve(n_samples=50, resolution=200, band=0.01) -> BoundCurve:
     cs = np.linspace(0.0, TWO_LN2, n_samples)
-    es = [oracle_zeta(c, resolution, band) for c in cs]
-    return BoundCurve(tuple(zip(cs.tolist(), es)), "oracle", resolution)
+    es = oracle_zeta(cs, resolution, band)
+    return BoundCurve(tuple(zip(cs.tolist(), es.tolist())), "oracle", resolution)
 
 
 def validate_bound_curve(curve: BoundCurve, tolerance=1e-9):

@@ -129,25 +129,35 @@ def concurrence(rho_a: DensityMatrix):
 
 
 def _h2(p):
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log(p) - (1 - p) * np.log(1 - p))
+    """Binary entropy in nats, 0 at p = 0 and p = 1."""
+    inside = (p > 0.0) & (p < 1.0)
+    s = np.where(inside, p, 0.5)
+    return np.where(inside, -s * np.log(s) - (1 - s) * np.log(1 - s), 0.0)
+
+
+def _family_args(p, q):
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)):
+        raise ValueError("p and q must lie in [0,1]")
+    return p, q
 
 
 def closed_form_I(p, q):
-    """Mutual information of the two-parameter classical-classical family."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("p and q must lie in [0,1]")
-    return _h2(p) + _h2(q)
+    """Mutual information of the two-parameter classical-classical family;
+    broadcasts over arrays of p and q."""
+    p, q = _family_args(p, q)
+    out = _h2(p) + _h2(q)
+    return out if out.ndim else float(out)
 
 
 def closed_form_E(p, q):
     """Concurrence of the reduced A state of the two-parameter family:
-    max{0, (1-2q~)(1-p) - 2p sqrt(q~(1-q~))} with q~ = min{q, 1-q}."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("p and q must lie in [0,1]")
-    qt = min(q, 1.0 - q)
-    return float(max(0.0, (1 - 2 * qt) * (1 - p) - 2 * p * np.sqrt(qt * (1 - qt))))
+    max{0, (1-2q~)(1-p) - 2p sqrt(q~(1-q~))} with q~ = min{q, 1-q};
+    broadcasts over arrays of p and q."""
+    p, q = _family_args(p, q)
+    qt = np.minimum(q, 1.0 - q)
+    out = np.maximum(0.0, (1 - 2 * qt) * (1 - p) - 2 * p * np.sqrt(qt * (1 - qt)))
+    return out if out.ndim else float(out)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix):

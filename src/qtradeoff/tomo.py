@@ -163,40 +163,32 @@ def exact_records(rho, noise=NoiseParams()):
 
 
 def _build_inversion_tables():
-    # Sign of outcome z for each qubit subset mask (bit 3-i selects qubit i).
-    z = np.arange(N_OUT)
-    signs = np.ones((N_OUT, 16), dtype=float)
-    for mask in range(16):
-        s = np.ones(N_OUT)
-        for i in range(N_QUBITS):
-            if (mask >> (3 - i)) & 1:
-                s = s * (1.0 - 2.0 * ((z >> (3 - i)) & 1))
-        signs[:, mask] = s
-    # Pauli index (base 4 over I,X,Y,Z) estimated by (setting, subset).
-    code = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-    pauli_idx = np.zeros((len(SETTINGS), 16), dtype=int)
-    for s_i, setting in enumerate(SETTINGS):
-        for mask in range(16):
-            k = 0
-            for i in range(N_QUBITS):
-                letter = setting[i] if (mask >> (3 - i)) & 1 else "I"
-                k = 4 * k + code[letter]
-            pauli_idx[s_i, mask] = k
+    place = np.arange(N_QUBITS - 1, -1, -1)  # qubit i is digit 3-i
+    bits = (np.arange(16)[:, None] >> place) & 1  # outcome z or subset mask, per qubit
+    # Sign of outcome z for each subset mask: -1 per selected qubit reading 1.
+    signs = np.prod(1.0 - 2.0 * (bits[:, None, :] & bits[None, :, :]), axis=-1)
+    # Pauli index (base 4 over I,X,Y,Z) estimated by (setting, subset): the
+    # setting's letter on the subset's qubits, I elsewhere.  SETTINGS runs
+    # over XYZ^4 in base-3 order.
+    letters = (np.arange(len(SETTINGS))[:, None] // 3 ** place) % 3 + 1
+    pauli_idx = (letters[:, None, :] * bits[None, :, :]) @ 4 ** place
     # Every string is estimated at least once, so grouping the flattened
     # (setting, subset) estimates by string gives 256 contiguous runs.
     flat_idx = pauli_idx.ravel()
     by_string = np.argsort(flat_idx, kind="stable")
     starts = np.searchsorted(flat_idx[by_string], np.arange(256))
     mult = np.bincount(flat_idx, minlength=256).astype(float)
-    # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k.
-    flat = np.zeros((256, 256), dtype=complex)
-    letters = "IXYZ"
-    for k in range(256):
-        digits = [(k >> (2 * (3 - i))) & 3 for i in range(4)]
-        m = PAULI[letters[digits[0]]]
-        for d in digits[1:]:
-            m = np.kron(m, PAULI[letters[d]])
-        flat[k] = m.ravel()
+    # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
+    # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled,
+    # built one factor at a time by broadcasting, so that every entry, signed
+    # zeros included, is the product the kron chain forms.
+    p = np.stack([PAULI[ch] for ch in "IXYZ"])
+    flat = p
+    for _ in range(N_QUBITS - 1):
+        m = flat.shape[-1]
+        flat = (flat[:, None, :, None, :, None] * p[None, :, None, :, None, :]).reshape(
+            -1, 2 * m, 2 * m)
+    flat = flat.reshape(256, 256)
     return signs, by_string, starts, mult, flat
 
 

@@ -85,10 +85,12 @@ def test_zeta_roundtrip():
 
 
 def test_zeta_vectorized_matches_scalar():
-    cs = np.linspace(0.0, TWO_LN2, 37)
+    # Bit for bit: the CLI tables make one array call where they made one
+    # scalar call per row, and their bytes must not change.
+    rng = np.random.default_rng(59)
+    cs = np.concatenate([np.linspace(0.0, TWO_LN2, 37), rng.random(40) * TWO_LN2])
     vec = np.asarray(zeta(cs))
-    for c, v in zip(cs, vec):
-        assert abs(zeta(float(c)) - v) < 1e-15
+    assert [zeta(float(c)) for c in cs] == vec.tolist()
 
 
 def test_zeta_rejects_out_of_domain():
@@ -125,6 +127,34 @@ def test_simplex_grid_small():
     assert rows == expected
 
 
+def _loop_simplex_grid(n):
+    # Reference: the triple-loop enumeration the array code replaced.
+    rows = []
+    for l1 in range((n + 3) // 4, n + 1):
+        r1 = n - l1
+        for l2 in range((r1 + 2) // 3, min(l1, r1) + 1):
+            r2 = r1 - l2
+            for l3 in range((r2 + 1) // 2, min(l2, r2) + 1):
+                rows.append((l1, l2, l3, r2 - l3))
+    return np.array(rows, dtype=float) / n
+
+
+def _partitions_into_four(n):
+    # Partitions of n into at most four parts = partitions into parts <= 4.
+    ways = [1] + [0] * n
+    for part in range(1, 5):
+        for v in range(part, n + 1):
+            ways[v] += ways[v - part]
+    return ways[n]
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [200])
+def test_simplex_grid_matches_loop_enumeration(n):
+    grid = simplex_grid(n)
+    assert np.array_equal(grid, _loop_simplex_grid(n))
+    assert grid.shape == (_partitions_into_four(n), 4)
+
+
 def test_simplex_grid_properties():
     grid = simplex_grid(30)
     assert np.allclose(np.sum(grid, axis=1), 1.0, atol=1e-12)
@@ -148,6 +178,9 @@ def test_oracle_zeta_examples():
     assert oracle_zeta(0.0, resolution=200, band=0.01) > 0.97
     # Past ln(2 sqrt 3) the maximum of k at that entropy is not positive.
     assert oracle_zeta(1.30, resolution=200, band=0.01) == 0.0
+    # Scalar in, float out; the same value as in an array query.
+    assert isinstance(oracle_zeta(0.5), float)
+    assert oracle_zeta(0.5) == oracle_zeta(np.array([0.5]))[0]
 
 
 def test_oracle_zeta_validates_arguments():
@@ -155,6 +188,8 @@ def test_oracle_zeta_validates_arguments():
         oracle_zeta(0.5, resolution=50)
     with pytest.raises(ValueError):
         oracle_zeta(0.5, band=0.0)
+    with pytest.raises(ValueError):
+        oracle_zeta(np.nan)
 
 
 def test_oracle_matches_closed_form():
@@ -164,13 +199,64 @@ def test_oracle_matches_closed_form():
 
 
 def test_grid_tuples_never_exceed_bound():
-    # Soundness: every exact probability 4-tuple obeys max{0,k} <= zeta(h).
+    # Soundness: every exact probability 4-tuple of the grid obeys
+    # max{0,k} <= zeta(h).
     lam, h, k = grid_h_k(200)
-    rng = np.random.default_rng(47)
-    idx = rng.choice(len(lam), size=5000, replace=False)
-    pts = list(zip(h[idx], np.maximum(k[idx], 0.0)))
-    verdicts = region_check(pts, tolerance=1e-9)
+    assert len(lam) == 59_823
+    verdicts = region_check(np.stack([h, np.maximum(k, 0.0)], axis=1), tolerance=1e-9)
+    assert len(verdicts) == len(lam)
     assert all(v.inside_separable_region for v in verdicts)
+
+
+def test_grid_h_k_sorted_by_entropy():
+    lam, h, k = grid_h_k(120)
+    assert np.all(np.diff(h) >= 0)
+    # The cache holds the sorted arrays only, as permutations of the grid.
+    assert sorted(map(tuple, lam.tolist())) == sorted(map(tuple, simplex_grid(120).tolist()))
+    assert np.array_equal(k, lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3]))
+
+
+def _brute_force_oracle(h, k, c, band):
+    # Reference: the exact band test over the whole grid; an empty band is
+    # widened to the distance of the nearest grid entropy.
+    mask = np.abs(h - c) <= band
+    if not np.any(mask):
+        mask = np.abs(h - c) <= np.min(np.abs(h - c))
+    return max(0.0, float(np.max(k[mask]))), not np.any(np.abs(h - c) <= band)
+
+
+def test_oracle_zeta_array_matches_brute_force_mask():
+    _, h, k = grid_h_k(200)
+    rng = np.random.default_rng(61)
+    # Queries a band's width away from grid entropies put tuples on the band
+    # edges, where rounding decides membership.
+    edges = h[rng.choice(len(h), 100)]
+    cs = np.concatenate([rng.random(200) * TWO_LN2, edges - 0.01, edges + 0.01,
+                         [0.0, 0.012, 0.015, 0.021, TWO_LN2]])
+    values, widened = bound.oracle_scan(cs, 200, 0.01)
+    expected = [_brute_force_oracle(h, k, c, 0.01) for c in cs]
+    assert values.tolist() == [v for v, _ in expected]
+    assert widened.tolist() == [w for _, w in expected]
+    assert np.count_nonzero(widened) >= 3
+    assert np.array_equal(oracle_zeta(cs), values)
+    assert oracle_zeta(cs.reshape(5, 81)).shape == (5, 81)
+
+
+def test_oracle_widens_empty_band_to_nearest_entropy():
+    # On the resolution-200 grid no entropy lies in (0, 0.0315): the band of
+    # c = 0.015 is empty and widens to h = 0, the pure tuple with k = 1.
+    values, widened = bound.oracle_scan([0.015, 0.5], 200, 0.01)
+    assert widened.tolist() == [True, False]
+    assert values[0] == 1.0
+
+
+def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
+    lam = np.array([[1.0, 0, 0, 0], [0.8, 0.2, 0, 0], [0.5, 0.5, 0, 0]])
+    h = np.array([0.0, 0.5, 1.0])
+    monkeypatch.setitem(bound._GRID_CACHE, 100, (lam, h, np.array([0.2, 0.7, -0.1])))
+    values, widened = bound.oracle_scan([0.25, 0.75, 0.1], 100, 0.01)
+    assert widened.tolist() == [True, True, True]
+    assert values.tolist() == [0.7, 0.7, 0.2]
 
 
 def test_zeta_inv_half_against_grid():

@@ -75,7 +75,45 @@ def test_oracle_command(tmp_path):
     assert len(rows) == 50
     worst = max(float(r["abs_diff"]) for r in rows)
     assert worst <= 0.02
-    assert any(c.startswith("# max_abs_diff=") for c in comments)
+    assert comments[-2].startswith("# max_abs_diff=")
+    assert comments[-1] == "# widened_bands=0"
+
+
+def test_readme_bound_oracle_example(tmp_path):
+    # At grid 200 three of the 200 oracle queries have an empty entropy band.
+    out = tmp_path / "bound.csv"
+    assert cli.main(["--command", "bound", "--resolution", "200", "--oracle",
+                     "--out", str(out)]) == 0
+    comments, rows = read_rows(out)
+    assert len(rows) == 200
+    assert comments[-1] == "# widened_bands=3"
+    assert max(abs(float(r["zeta_closed"]) - float(r["zeta_oracle"])) for r in rows) <= 0.02
+
+
+def test_oracle_small_grid_widens_empty_bands(tmp_path):
+    out = tmp_path / "oracle.csv"
+    assert cli.main(["--command", "oracle", "--resolution", "150", "--out", str(out)]) == 0
+    comments, rows = read_rows(out)
+    assert "# widened_bands=2" in comments
+    assert max(float(r["abs_diff"]) for r in rows) <= 0.02
+
+
+def test_sweep_rows_match_per_point_evaluation(tmp_path):
+    from qtradeoff.measures import closed_form_E, closed_form_I
+
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["--command", "sweep", "--p-step", "0.25", "--q-step", "0.3",
+                     "--out", str(out)]) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    expected = [("grid", p, q) for p in np.arange(0.0, 1.0 + 1e-12, 0.25)
+                for q in np.arange(0.0, 1.0 + 1e-12, 0.3)]
+    expected += [("red_line", p, 1.0 - p) for p in np.arange(0.0, 0.5 + 1e-12, 0.25)]
+    lines = []
+    for family, p, q in expected:
+        i_val, e_val = closed_form_I(p, q), closed_form_E(p, q)
+        z = bound.zeta(min(i_val, TWO_LN2))
+        lines.append(",".join([family] + [cli.fmt(x) for x in (p, q, i_val, e_val, z, z - e_val)]))
+    assert body == lines
 
 
 def test_experiment_exact_matches_closed_forms(tmp_path):

@@ -153,6 +153,38 @@ def test_closed_form_E_examples():
     assert abs(closed_form_E(0.4, 0.2) - closed_form_E(0.4, 0.8)) < 1e-12
 
 
+def _scalar_h2(p):
+    # The per-point form the closed forms had before they took arrays.
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return float(-p * np.log(p) - (1 - p) * np.log(1 - p))
+
+
+def _scalar_E(p, q):
+    qt = min(q, 1.0 - q)
+    return float(max(0.0, (1 - 2 * qt) * (1 - p) - 2 * p * np.sqrt(qt * (1 - qt))))
+
+
+def test_closed_forms_broadcast_bit_for_bit():
+    grid = np.arange(0.0, 1.0 + 1e-12, 0.02)
+    p, q = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    i_arr, e_arr = closed_form_I(p, q), closed_form_E(p, q)
+    assert i_arr.shape == e_arr.shape == p.shape
+    for k in range(len(p)):
+        assert i_arr[k] == _scalar_h2(p[k]) + _scalar_h2(q[k])
+        assert e_arr[k] == _scalar_E(p[k], q[k])
+    assert isinstance(closed_form_I(0.3, 0.4), float)
+    assert isinstance(closed_form_E(0.3, 0.4), float)
+    # p broadcasts against a column of q values.
+    assert closed_form_E(np.array([0.1, 0.2]), np.array([[0.3], [0.9]])).shape == (2, 2)
+    # One entry outside [0, 1] (or NaN) rejects the whole array.
+    for bad in (np.array([0.2, 1.5]), np.array([-0.1, 0.5]), np.array([np.nan, 0.5])):
+        with pytest.raises(ValueError):
+            closed_form_I(bad, 0.5)
+        with pytest.raises(ValueError):
+            closed_form_E(0.5, bad)
+
+
 def test_fidelity_self():
     rho = states.cc_family(0.3, 0.4)
     assert abs(fidelity(rho, rho) - 1.0) < 1e-9

@@ -137,6 +137,47 @@ def test_pauli_expectations_exact_consistency():
         assert abs(exps[k] - np.trace(rho.mat @ p_mat).real) < 1e-10
 
 
+def _loop_inversion_tables():
+    # Reference: the per-entry loop construction the array code replaced.
+    z = np.arange(16)
+    signs = np.ones((16, 16))
+    for mask in range(16):
+        s = np.ones(16)
+        for i in range(4):
+            if (mask >> (3 - i)) & 1:
+                s = s * (1.0 - 2.0 * ((z >> (3 - i)) & 1))
+        signs[:, mask] = s
+    code = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+    pauli_idx = np.zeros((81, 16), dtype=int)
+    for s_i, setting in enumerate(SETTINGS):
+        for mask in range(16):
+            k = 0
+            for i in range(4):
+                k = 4 * k + code[setting[i] if (mask >> (3 - i)) & 1 else "I"]
+            pauli_idx[s_i, mask] = k
+    flat = np.zeros((256, 256), dtype=complex)
+    for k in range(256):
+        digits = [(k >> (2 * (3 - i))) & 3 for i in range(4)]
+        m = tomo.PAULI["IXYZ"[digits[0]]]
+        for d in digits[1:]:
+            m = np.kron(m, tomo.PAULI["IXYZ"[d]])
+        flat[k] = m.ravel()
+    return signs, pauli_idx.ravel(), flat
+
+
+def test_inversion_tables_match_loop_construction():
+    signs, flat_idx, flat = _loop_inversion_tables()
+    assert np.array_equal(tomo._SIGNS, signs)
+    assert np.array_equal(tomo._BY_STRING, np.argsort(flat_idx, kind="stable"))
+    assert np.array_equal(tomo._STRING_START,
+                          np.searchsorted(np.sort(flat_idx), np.arange(256)))
+    assert np.array_equal(tomo._PAULI_MULT, np.bincount(flat_idx, minlength=256))
+    assert np.array_equal(tomo._PAULI_FLAT, flat)
+    # Signed zeros too: the linear inversion multiplies through this table.
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(tomo._PAULI_FLAT)), np.signbit(part(flat)))
+
+
 def test_pauli_expectations_rejects_incomplete():
     rho = target_state(0.5)
     with pytest.raises(ValueError):
