@@ -40,7 +40,6 @@ from .states import (
 )
 from .tomo import (
     NoiseParams,
-    TomographyRecord,
     born_probabilities,
     reconstruct,
     run_experiment,

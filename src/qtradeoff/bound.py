@@ -111,19 +111,26 @@ def simplex_grid(resolution):
     return grid
 
 
+# The grids of the two most recently used resolutions, least recent first; a
+# resolution-600 grid alone holds about 74 MB.
 _GRID_CACHE = {}
+_GRID_CACHE_SIZE = 2
 
 
 def grid_h_k(resolution):
     """(lambda grid, h values, k values) for the given resolution, cached, all
     three ordered by ascending entropy h (tuples of equal entropy in no
     particular order)."""
-    if resolution not in _GRID_CACHE:
+    if resolution in _GRID_CACHE:
+        _GRID_CACHE[resolution] = _GRID_CACHE.pop(resolution)
+    else:
         lam = simplex_grid(resolution)
         h = -np.sum(_xlogx(lam), axis=1)
         k = lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3])
         order = np.argsort(h)
         _GRID_CACHE[resolution] = tuple(np.take(a, order, axis=0) for a in (lam, h, k))
+        while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
+            del _GRID_CACHE[next(iter(_GRID_CACHE))]
     return _GRID_CACHE[resolution]
 
 

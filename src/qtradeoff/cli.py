@@ -21,8 +21,10 @@ DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
 
 def parse_theta(text):
     """Angle as a multiple of pi, given as a fraction ('9/32') or decimal."""
-    frac = Fraction(text)
-    theta = float(frac) * np.pi
+    try:
+        theta = float(Fraction(text)) * np.pi
+    except (ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"theta {text} is not a finite number") from None
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise argparse.ArgumentTypeError(f"theta {text} outside [0, pi/2]")
     return text, theta
@@ -141,21 +143,21 @@ def cmd_oracle(args):
 def cmd_experiment(args):
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
+    run = tomo.run_experiment(np.array([theta for _, theta in thetas]), shots=args.shots,
+                              seed=args.seed, noise=noise, exact=args.exact)
+    m = run.result.measures
     lines = config_header(args)
     lines.append("theta,p,I_hat,E_hat,I_err,E_err,fidelity")
-    for label, theta in thetas:
-        run = tomo.run_experiment(theta, shots=args.shots, seed=args.seed,
-                                  noise=noise, exact=args.exact)
+    for a, (label, _) in enumerate(thetas):
         if args.exact or args.bootstrap <= 0:
             i_err = e_err = 0.0
         else:
-            boot = tomo.bootstrap_measures(run.records, args.bootstrap, args.seed)
+            boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
             i_err, e_err = boot.i_err, boot.e_err
-        m = run.result.measures
         lines.append(
-            f"{label},{fmt(run.params.p)},{fmt(m.mutual_information)},"
-            f"{fmt(m.concurrence)},{fmt(i_err)},{fmt(e_err)},"
-            f"{fmt(run.result.fidelity_to_target)}"
+            f"{label},{fmt(run.params.p[a])},{fmt(m.mutual_information[a])},"
+            f"{fmt(m.concurrence[a])},{fmt(i_err)},{fmt(e_err)},"
+            f"{fmt(run.result.fidelity_to_target[a])}"
         )
     emit(args, lines)
     return 0
@@ -200,9 +202,9 @@ def invariant_suite(seed=0):
     devs = np.abs(bound.zeta(cs) - bound.oracle_zeta(cs, 150, 0.01))
     add("oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={float(np.max(devs))!r}")
 
-    probs = np.full(16, 1.0 / 16)
-    c1 = tomo.sample_counts(probs, 1000, (seed, 0))
-    c2 = tomo.sample_counts(probs, 1000, (seed, 0))
+    probs = np.full((len(tomo.SETTINGS), tomo.N_OUT), 1.0 / tomo.N_OUT)
+    c1 = tomo.sample_counts(probs, 1000, seed)
+    c2 = tomo.sample_counts(probs, 1000, seed)
     add("sampling_deterministic", np.array_equal(c1, c2))
 
     ok = True

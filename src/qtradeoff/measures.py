@@ -3,8 +3,9 @@
 All entropies are in natural log (nats).  Concurrence follows the spin-flip
 construction with sigma = -|1><0| + |0><1|; the square roots of the eigenvalues
 of the spin-flipped product are the singular values of
-sqrt(rho) (sigma x sigma) sqrt(rho)*.  Entropies, mutual information and
-concurrence also run on (..., d, d) stacks of states (cut_measures).
+sqrt(rho) (sigma x sigma) sqrt(rho)*.  Entropies, mutual information,
+concurrence and fidelity also run on (..., d, d) stacks of states
+(cut_measures, fidelities).
 """
 
 from dataclasses import dataclass
@@ -160,16 +161,22 @@ def closed_form_E(p, q):
     return out if out.ndim else float(out)
 
 
+def fidelities(rhos, sigmas):
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of each pair of
+    two (..., d, d) stacks of density matrices, computed as the squared trace
+    norm (sum of singular values) of sqrt(rho) sqrt(sigma)."""
+    prod = spectral_fn(rhos, _safe_sqrt) @ spectral_fn(sigmas, _safe_sqrt)
+    f = np.sum(np.linalg.svd(prod, compute_uv=False), axis=-1) ** 2
+    if np.max(f) > 1.0 + 1e-9:
+        raise ValueError(f"fidelity {np.max(f)} exceeds 1 beyond tolerance")
+    return np.minimum(f, 1.0)
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, computed as the
-    squared trace norm (sum of singular values) of sqrt(rho) sqrt(sigma)."""
+    """Uhlmann fidelity of two states (see fidelities)."""
     if rho.dims != sigma.dims:
         raise ValueError("fidelity requires states with identical dims")
-    prod = spectral_fn(rho.mat, _safe_sqrt) @ spectral_fn(sigma.mat, _safe_sqrt)
-    f = float(np.sum(np.linalg.svd(prod, compute_uv=False)) ** 2)
-    if f > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {f} exceeds 1 beyond tolerance")
-    return min(f, 1.0)
+    return float(fidelities(rho.mat, sigma.mat))
 
 
 def k_function(lam):

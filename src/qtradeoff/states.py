@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron
+from .linalg import DensityMatrix, density_spectrum, kron
 
 SQ2 = np.sqrt(2.0)
 
@@ -29,9 +29,15 @@ ALPHA, BETA, GAMMA, DELTA = 1, 2, 0, 3
 ISOMETRY_LABELS = ("U1", "U2", "V1", "V2")
 
 
+def _check_theta(theta):
+    if not np.all((0.0 <= theta) & (theta <= np.pi / 2 + 1e-12)):
+        raise ValueError("theta must lie in [0, pi/2]")
+
+
 @dataclass(frozen=True)
 class StateParams:
-    """Parameters (theta, p, q) selecting a member of the state families."""
+    """Parameters (theta, p, q) selecting a member of the state families; the
+    fields are arrays when built from an array of angles."""
 
     theta: float
     p: float
@@ -39,13 +45,12 @@ class StateParams:
 
     @classmethod
     def from_theta(cls, theta):
-        if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-            raise ValueError("theta must lie in [0, pi/2]")
+        _check_theta(theta)
         p = np.cos(theta) ** 2
         return cls(theta=theta, p=p, q=1.0 - p)
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
+        if not np.all((0.0 <= self.p) & (self.p <= 1.0) & (0.0 <= self.q) & (self.q <= 1.0)):
             raise ValueError("p and q must lie in [0,1]")
 
 
@@ -64,8 +69,7 @@ def _proj(vec):
 
 def spdc_state(theta) -> DensityMatrix:
     """Pure state cos(theta)|00> + sin(theta)|11> of the photon pair."""
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError("theta must lie in [0, pi/2]")
+    _check_theta(theta)
     psi = np.cos(theta) * np.kron(KET0, KET0) + np.sin(theta) * np.kron(KET1, KET1)
     return DensityMatrix(_proj(psi), (2, 2))
 
@@ -107,10 +111,31 @@ def timebin_mix(rho_d: DensityMatrix, p) -> DensityMatrix:
         raise ValueError("timebin_mix requires a diagonal (fully dephased) input")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
+    return DensityMatrix(_mix(rho_d.mat, p), (2, 2, 2, 2))
+
+
+def _mix(rho_d, p):
+    """The time-bin mixture of each diagonal state of a (..., 4, 4) stack with
+    its weight p (an array of the stack's shape, or a scalar)."""
+    p = np.asarray(p)[..., None, None]
     w1 = kron(isometry("U1").matrix, isometry("V1").matrix)
     w2 = kron(isometry("U2").matrix, isometry("V2").matrix)
-    out = (1.0 - p) * w1 @ rho_d.mat @ w1.conj().T + p * w2 @ rho_d.mat @ w2.conj().T
-    return DensityMatrix(out, (2, 2, 2, 2))
+    return (1.0 - p) * w1 @ rho_d @ w1.conj().T + p * w2 @ rho_d @ w2.conj().T
+
+
+def timebin_states(theta):
+    """timebin_mix(dephase(spdc_state(theta)), cos^2 theta) for an angle or for
+    each angle of an array, as one (..., 16, 16) stack of checked density
+    matrices.  The floats are the chain's: the dephased SPDC state is
+    diag(cos theta cos theta, 0, 0, sin theta sin theta)."""
+    params = StateParams.from_theta(np.asarray(theta, dtype=float))
+    c, s = np.cos(params.theta), np.sin(params.theta)
+    rho_d = np.zeros(np.shape(c) + (4, 4), dtype=complex)
+    rho_d[..., 0, 0] = c * c
+    rho_d[..., 3, 3] = s * s
+    out = _mix(rho_d, params.p)
+    density_spectrum(out)
+    return out
 
 
 def cc_family(p, q) -> DensityMatrix:

@@ -1,10 +1,11 @@
 """Shot-noise simulation of the four-qubit tomography experiment.
 
-81 local Pauli settings (X/Y/Z per qubit) with 16 outcomes each; reconstruction
-by unbiased linear inversion of Pauli expectations followed by projection of
-the spectrum onto the probability simplex.  Every setting draws from its own
-RNG stream derived from (seed, setting index), so results do not depend on
-evaluation order.
+81 local Pauli settings (X/Y/Z per qubit) with 16 outcomes each, held as an
+(81, 16) count table; reconstruction by unbiased linear inversion of Pauli
+expectations followed by projection of the spectrum onto the probability
+simplex.  An experiment runs all its angles as one stack.  Every setting draws
+from its own RNG stream derived from (seed, setting index), restarted for each
+angle, so results do not depend on evaluation order or on the other angles.
 """
 
 import itertools
@@ -13,8 +14,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import measures, states
-from .linalg import DensityMatrix, herm_eig
-from .measures import MeasureReport, fidelity
+from .linalg import DensityMatrix, density_spectrum, herm_eig
+from .measures import MeasureReport
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -55,81 +56,95 @@ def visibility_from_contrast(ratio):
 
 
 @dataclass(frozen=True)
-class TomographyRecord:
-    setting: str
-    counts: np.ndarray  # ints for sampled data, frequencies in exact mode
-    total_shots: int  # 0 marks exact (infinite-shot) frequencies
-    seed: int
-    noise: NoiseParams
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
-    rho_hat: DensityMatrix
+    """Estimates from one (81, 16) count table (floats and a 16x16 matrix) or
+    from a stack of tables (arrays with the stack's leading shape)."""
+
+    rho_hat: np.ndarray  # checked density matrices
     fidelity_to_target: float
     measures: MeasureReport
 
 
-def _setting_unitary():
-    cache = {}
-
-    def get(setting):
-        if setting not in cache:
-            w = EIGVECS[setting[0]]
-            for ch in setting[1:]:
-                w = np.kron(w, EIGVECS[ch])
-            cache[setting] = w
-        return cache[setting]
-
-    return get
-
-
-_setting_w = _setting_unitary()
+def _kron_table(factors):
+    """Every 4-fold Kronecker product of the (n, 2, 2) factors as an
+    (n^4, 16, 16) stack, row (a b c d) in base n being
+    kron(kron(kron(F_a, F_b), F_c), F_d).  Built one factor at a time by
+    broadcasting, so that every entry, signed zeros included, is the product
+    the kron chain forms."""
+    table = factors
+    for _ in range(N_QUBITS - 1):
+        m = table.shape[-1]
+        table = (table[:, None, :, None, :, None]
+                 * factors[None, :, None, :, None, :]).reshape(-1, 2 * m, 2 * m)
+    return table
 
 
-def born_probabilities(rho: DensityMatrix, setting):
-    """Probabilities of the 16 joint outcomes in the setting's product eigenbasis."""
-    if rho.dims != (2, 2, 2, 2):
-        raise ValueError("tomography expects a four-qubit state")
-    if len(setting) != 4 or any(ch not in "XYZ" for ch in setting):
-        raise ValueError(f"invalid setting {setting!r}")
-    w = _setting_w(setting)
-    p = np.real(np.sum(np.conj(w) * (rho.mat @ w), axis=0))
-    p = np.clip(p, 0.0, None)
-    return p / np.sum(p)
+# Column 16 idx + z is the eigenvector of outcome z in setting SETTINGS[idx].
+_BASIS = np.ascontiguousarray(
+    _kron_table(np.stack([EIGVECS[ch] for ch in "XYZ"])).transpose(1, 0, 2).reshape(N_OUT, -1))
+_BASIS_CONJ = np.conj(_BASIS)
 
 
-def sample_counts(probs, shots, seed, poisson=False):
-    """Seed-deterministic multinomial draw (or independent Poisson per outcome)."""
+def born_probabilities(mats):
+    """Probabilities of the 16 joint outcomes of every setting, (..., 81, 16),
+    for a four-qubit state or a (..., 16, 16) stack of them.  Each state takes
+    one product with the (16, 81 * 16) basis stack."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2:] != (N_OUT, N_OUT):
+        raise ValueError("tomography expects four-qubit states")
+    flat = mats.reshape(-1, N_OUT, N_OUT)
+    p = np.empty((len(flat), len(SETTINGS), N_OUT))
+    for a, rho in enumerate(flat):  # one (16, 1296) temporary at a time
+        p[a] = np.real(np.sum(_BASIS_CONJ * (rho @ _BASIS), axis=0)).reshape(-1, N_OUT)
+    np.clip(p, 0.0, None, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    return p.reshape(mats.shape[:-2] + p.shape[1:])
+
+
+def sample_counts(probs, shots, seed):
+    """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
+    probabilities, each row normalized to sum 1.  Setting idx of every stack
+    entry draws from the start of the stream (seed, idx), so an entry's counts
+    do not depend on the others: each setting's generator is built once and
+    rewound before each draw."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     p = np.asarray(probs, dtype=float)
-    rng = np.random.default_rng(seed)
-    if poisson:
-        return rng.poisson(p * shots)
-    return rng.multinomial(shots, p / np.sum(p))
+    flat = p.reshape((-1,) + p.shape[-2:])
+    counts = np.empty(flat.shape, dtype=np.int64)
+    for idx in range(flat.shape[1]):
+        rng = np.random.default_rng((seed, idx))
+        start = rng.bit_generator.state
+        rows = flat[:, idx] / np.sum(flat[:, idx], axis=-1, keepdims=True)
+        for a, row in enumerate(rows):
+            rng.bit_generator.state = start
+            counts[a, idx] = rng.multinomial(shots, row)
+    return counts.reshape(p.shape)
 
 
 def _depolarize_qubit(mat, i, p):
-    t = mat.reshape([2] * 8)
+    t = mat.reshape(mat.shape[:-2] + (2,) * 8)
     row = list(range(4))
     col = list(range(4, 8))
     col_tr = list(col)
     col_tr[i] = row[i]
-    traced = np.einsum(t, row + col_tr)  # 3-qubit marginal, qubit i traced out
     out_row = [a for j, a in enumerate(row) if j != i]
     out_col = [a for j, a in enumerate(col) if j != i]
+    # 3-qubit marginal, qubit i traced out
+    traced = np.einsum(t, [Ellipsis] + row + col_tr, [Ellipsis] + out_row + out_col)
     eye = np.eye(2, dtype=complex) / 2.0
-    full = np.einsum(traced, out_row + out_col, eye, [row[i], col[i]], row + col)
-    return (1.0 - p) * mat + p * full.reshape(16, 16)
+    full = np.einsum(traced, [Ellipsis] + out_row + out_col, eye, [row[i], col[i]],
+                     [Ellipsis] + row + col)
+    return (1.0 - p) * mat + p * full.reshape(mat.shape)
 
 
-def apply_noise(rho: DensityMatrix, noise: NoiseParams) -> DensityMatrix:
-    """Interferometer model: path-qubit dephasing scaled by the visibility,
-    plus optional isotropic per-qubit depolarizing."""
-    if rho.dims != (2, 2, 2, 2):
-        raise ValueError("noise model expects a four-qubit state")
-    m = rho.mat.copy()
+def apply_noise(mats, noise: NoiseParams):
+    """Interferometer model on a four-qubit state or a (..., 16, 16) stack:
+    path-qubit dephasing scaled by the visibility, plus optional isotropic
+    per-qubit depolarizing.  The noisy stack is checked as density matrices."""
+    m = np.asarray(mats, dtype=complex)
+    if m.shape[-2:] != (N_OUT, N_OUT):
+        raise ValueError("noise model expects four-qubit states")
     v = noise.visibility
     if v < 1.0:
         idx = np.arange(16)
@@ -140,26 +155,8 @@ def apply_noise(rho: DensityMatrix, noise: NoiseParams) -> DensityMatrix:
     if noise.depolarizing > 0.0:
         for qubit in range(N_QUBITS):
             m = _depolarize_qubit(m, qubit, noise.depolarizing)
-    return DensityMatrix(m, (2, 2, 2, 2))
-
-
-def simulate_records(rho, shots, seed, noise=NoiseParams(), poisson=False):
-    """One full tomography run: 81 settings sampled from the noisy state."""
-    noisy = apply_noise(rho, noise)
-    records = []
-    for idx, setting in enumerate(SETTINGS):
-        probs = born_probabilities(noisy, setting)
-        counts = sample_counts(probs, shots, (seed, idx), poisson=poisson)
-        records.append(TomographyRecord(setting, counts, shots, seed, noise))
-    return records
-
-
-def exact_records(rho, noise=NoiseParams()):
-    """Infinite-shot limit: exact Born probabilities as frequencies."""
-    noisy = apply_noise(rho, noise)
-    return [
-        TomographyRecord(s, born_probabilities(noisy, s), 0, 0, noise) for s in SETTINGS
-    ]
+    density_spectrum(m)
+    return m
 
 
 def _build_inversion_tables():
@@ -179,31 +176,22 @@ def _build_inversion_tables():
     starts = np.searchsorted(flat_idx[by_string], np.arange(256))
     mult = np.bincount(flat_idx, minlength=256).astype(float)
     # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
-    # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled,
-    # built one factor at a time by broadcasting, so that every entry, signed
-    # zeros included, is the product the kron chain forms.
-    p = np.stack([PAULI[ch] for ch in "IXYZ"])
-    flat = p
-    for _ in range(N_QUBITS - 1):
-        m = flat.shape[-1]
-        flat = (flat[:, None, :, None, :, None] * p[None, :, None, :, None, :]).reshape(
-            -1, 2 * m, 2 * m)
-    flat = flat.reshape(256, 256)
+    # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled.
+    flat = _kron_table(np.stack([PAULI[ch] for ch in "IXYZ"])).reshape(256, 256)
     return signs, by_string, starts, mult, flat
 
 
 _SIGNS, _BY_STRING, _STRING_START, _PAULI_MULT, _PAULI_FLAT = _build_inversion_tables()
 
 
-def _count_table(records):
-    """(81, 16) counts and (81,) shot totals in SETTINGS order."""
-    by_setting = {rec.setting: rec for rec in records}
-    if unknown := set(by_setting) - set(SETTINGS):
-        raise ValueError(f"unknown setting {min(unknown)!r}")
-    if len(by_setting) != len(SETTINGS):
-        raise ValueError(f"incomplete tomography: {len(by_setting)} of {len(SETTINGS)} settings")
-    recs = [by_setting[s] for s in SETTINGS]
-    return np.array([r.counts for r in recs], dtype=float), np.array([r.total_shots for r in recs])
+def _count_table(counts, shots):
+    """Counts checked to be an (81, 16) table in SETTINGS order or an
+    (A, 81, 16) stack of them, and the (81,) shot totals: one total for every
+    setting, 0 marking exact (infinite-shot) frequencies, or one per setting."""
+    counts = np.asarray(counts)
+    if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
+        raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
+    return counts, np.broadcast_to(np.asarray(shots), (len(SETTINGS),))
 
 
 def _correlators(counts):
@@ -214,12 +202,14 @@ def _correlators(counts):
     return corr.reshape(corr.shape[:-2] + (-1,))[..., _BY_STRING]
 
 
-def pauli_expectations(records):
-    """Averaged Pauli-string expectation estimates plus the maximum spread
-    between the individual per-setting estimates of the same string."""
-    corr = _correlators(_count_table(records)[0])
-    exps = np.add.reduceat(corr, _STRING_START) / _PAULI_MULT
-    spread = np.maximum.reduceat(corr, _STRING_START) - np.minimum.reduceat(corr, _STRING_START)
+def pauli_expectations(counts):
+    """Averaged Pauli-string expectation estimates of an (81, 16) count table
+    plus the maximum spread between the individual per-setting estimates of
+    the same string."""
+    corr = _correlators(_count_table(counts, 0)[0])
+    exps = np.add.reduceat(corr, _STRING_START, axis=-1) / _PAULI_MULT
+    spread = (np.maximum.reduceat(corr, _STRING_START, axis=-1)
+              - np.minimum.reduceat(corr, _STRING_START, axis=-1))
     return exps, float(np.max(spread))
 
 
@@ -260,8 +250,8 @@ FOUR_QUBITS = (2, 2, 2, 2)
 
 
 def _invert(counts, shots):
-    """(B, 81, 16) count stack, with (81,) shot totals, -> (B, 16, 16) stack of
-    physical estimates: linear inversion, sparse denoising of the Pauli
+    """(..., B, 81, 16) count stack, with (81,) shot totals, -> (..., B, 16, 16)
+    stack of physical estimates: linear inversion, sparse denoising of the Pauli
     coefficients, then physical_spectrum.
 
     Denoising: a coefficient estimated from m settings of N shots has standard
@@ -271,29 +261,36 @@ def _invert(counts, shots):
     one positive shot total are thresholded, keeping noiseless inversion exact.
     """
     exps = np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
-    if np.max(np.abs(exps[:, 0] - 1.0)) >= 1e-9:
+    if np.max(np.abs(exps[..., 0] - 1.0)) >= 1e-9:
         raise ValueError("identity expectation differs from 1: a setting has no counts")
     if np.all(shots == shots[0]) and shots[0] > 0:
         sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots[0] * _PAULI_MULT))
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
-        small[:, 0] = False
+        small[..., 0] = False
         exps = np.where(small, 0.0, exps)
-    rho_lin = (exps @ _PAULI_FLAT).reshape(-1, 16, 16) / 16.0
+    rho_lin = (exps @ _PAULI_FLAT).reshape(exps.shape[:-1] + (16, 16)) / 16.0
     rho_lin = (rho_lin + rho_lin.conj().swapaxes(-1, -2)) / 2.0
     dec = herm_eig(rho_lin)
     v = dec.eigenvectors
-    return (v * physical_spectrum(dec.eigenvalues)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * physical_spectrum(dec.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def reconstruct(records, target: DensityMatrix = None) -> ReconstructionResult:
-    """Physical estimate from the complete 81-setting record set (see
-    _invert), its measures, and its fidelity to the target."""
-    counts, shots = _count_table(records)
-    rho_hat = _invert(counts[None], shots)
+def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
+    """Physical estimate (see _invert) from an (81, 16) count table, with its
+    shot totals as in _count_table, its measures, and its fidelity to the
+    target state when one is given (NaN otherwise).  For an (A, 81, 16) stack,
+    with A targets, every table is inverted on its own and the result holds
+    arrays with a leading axis of length A."""
+    counts, shots = _count_table(counts, shots)
+    stack = counts.reshape(-1, len(SETTINGS), N_OUT)
+    rho_hat = _invert(stack[:, None], shots)[:, 0]
     rep = measures.cut_measures(rho_hat, FOUR_QUBITS, (0, 1))
-    rho_hat = DensityMatrix(rho_hat[0], FOUR_QUBITS)
-    fid = fidelity(rho_hat, target) if target is not None else float("nan")
-    return ReconstructionResult(rho_hat, fid, MeasureReport(*(float(v[0]) for v in astuple(rep))))
+    fid = (np.full(len(stack), np.nan) if targets is None
+           else measures.fidelities(rho_hat, np.reshape(targets, rho_hat.shape)))
+    if counts.ndim == 2:
+        return ReconstructionResult(rho_hat[0], float(fid[0]),
+                                    MeasureReport(*(float(v[0]) for v in astuple(rep))))
+    return ReconstructionResult(rho_hat, fid, rep)
 
 
 DEFAULT_ANGLES = (
@@ -315,29 +312,33 @@ DEFAULT_ANGLES = (
 def target_state(theta) -> DensityMatrix:
     """Ideal prepared state for angle theta: spdc -> dephase -> time-bin mix
     with p = cos^2(theta)."""
-    params = states.StateParams.from_theta(theta)
-    return states.timebin_mix(states.dephase(states.spdc_state(theta)), params.p)
+    return DensityMatrix(states.timebin_states(theta), FOUR_QUBITS)
 
 
 @dataclass(frozen=True)
 class ExperimentRun:
+    """One experiment; for an array of A angles every array field holds a
+    stack along a leading axis of length A."""
+
     params: states.StateParams
-    target: DensityMatrix
-    records: list
+    counts: np.ndarray  # (81, 16) counts, or exact frequencies when shots == 0
+    shots: int  # 0 marks exact (infinite-shot) frequencies
     result: ReconstructionResult
 
 
-def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False,
-                   poisson=False) -> ExperimentRun:
-    """Full pipeline for one angle: prepare, add noise, measure, reconstruct."""
-    params = states.StateParams.from_theta(theta)
-    target = target_state(theta)
+def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False) -> ExperimentRun:
+    """Full pipeline for one angle, or as one pass over a 1-d array of angles:
+    prepare, add noise, measure every setting, reconstruct.  An angle's
+    results do not depend on the other angles of the array, because every
+    setting's stream restarts for each angle (see sample_counts)."""
+    params = states.StateParams.from_theta(np.asarray(theta, dtype=float))
+    targets = states.timebin_states(params.theta)
+    counts = born_probabilities(apply_noise(targets, noise))
     if exact:
-        records = exact_records(target, noise)
+        shots = 0
     else:
-        records = simulate_records(target, shots, seed, noise, poisson=poisson)
-    result = reconstruct(records, target)
-    return ExperimentRun(params, target, records, result)
+        counts = sample_counts(counts, shots, seed)
+    return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets))
 
 
 @dataclass(frozen=True)
@@ -348,13 +349,16 @@ class BootstrapResult:
     e_err: float
 
 
-def bootstrap_measures(records, n_resamples=200, seed=0) -> BootstrapResult:
-    """Nonparametric bootstrap of (I, E) over resampled counts, reconstructed
-    as one stack.  Setting idx draws all its resamples from the stream
-    (seed, 7_000_000, idx), so a run's values prefix those of a longer run."""
+def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResult:
+    """Nonparametric bootstrap of (I, E) over resampled counts of one (81, 16)
+    table, reconstructed as one stack.  Setting idx draws all its resamples
+    from the stream (seed, 7_000_000, idx), so a run's values prefix those of
+    a longer run.  Exact frequencies (a shot total of 0) have no resamples."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    counts, shots = _count_table(records)
+    counts, shots = _count_table(counts, shots)
+    if counts.ndim != 2:
+        raise ValueError("the bootstrap takes one (81, 16) count table")
     if np.any(shots <= 0):
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
     totals = np.sum(counts, axis=-1, keepdims=True)
@@ -369,25 +373,24 @@ def bootstrap_measures(records, n_resamples=200, seed=0) -> BootstrapResult:
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))
 
 
-def records_to_text(records, theta, p):
-    """Line-oriented serialization: one header line, then 81 count lines."""
-    if not records:
-        raise ValueError("no records to serialize")
-    r0 = records[0]
+def records_to_text(counts, theta, p, shots, seed, noise):
+    """Line-oriented serialization of one (81, 16) count table: one header
+    line, then one line per setting with its 16 counts."""
+    counts, _ = _count_table(counts, shots)
     head = (
-        f"# theta={float(theta)!r} p={float(p)!r} shots={int(r0.total_shots)} "
-        f"seed={int(r0.seed)} visibility={float(r0.noise.visibility)!r} "
-        f"depolarizing={float(r0.noise.depolarizing)!r}"
+        f"# theta={float(theta)!r} p={float(p)!r} shots={int(shots)} "
+        f"seed={int(seed)} visibility={float(noise.visibility)!r} "
+        f"depolarizing={float(noise.depolarizing)!r}"
     )
-    lines = [head]
-    for rec in records:
-        counts = " ".join(str(int(c)) for c in rec.counts)
-        lines.append(f"{rec.setting} {counts}")
+    lines = [head] + [f"{setting} {' '.join(str(int(c)) for c in row)}"
+                      for setting, row in zip(SETTINGS, counts)]
     return "\n".join(lines) + "\n"
 
 
 def records_from_text(text):
-    """Inverse of records_to_text; returns (records, header dict)."""
+    """Inverse of records_to_text; returns the (81, 16) count table in
+    SETTINGS order and the header dict.  The setting lines may come in any
+    order, but every setting must appear exactly once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing header line")
@@ -395,12 +398,17 @@ def records_from_text(text):
     for tok in lines[0].lstrip("#").split():
         key, val = tok.split("=", 1)
         meta[key] = float(val) if key in ("theta", "p", "visibility", "depolarizing") else int(val)
-    noise = NoiseParams(meta["visibility"], meta["depolarizing"])
-    records = []
+    NoiseParams(meta["visibility"], meta["depolarizing"])  # rejects out-of-range noise
+    rows = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        counts = np.array([int(x) for x in parts[1:]], dtype=int)
-        if len(counts) != N_OUT:
-            raise ValueError(f"expected 16 counts, got {len(counts)}")
-        records.append(TomographyRecord(parts[0], counts, meta["shots"], meta["seed"], noise))
-    return records, meta
+        setting, *values = ln.split()
+        if len(values) != N_OUT:
+            raise ValueError(f"expected 16 counts, got {len(values)}")
+        if setting not in SETTINGS:
+            raise ValueError(f"unknown setting {setting!r}")
+        if setting in rows:
+            raise ValueError(f"setting {setting!r} appears twice")
+        rows[setting] = [int(x) for x in values]
+    if len(rows) != len(SETTINGS):
+        raise ValueError(f"incomplete tomography: {len(rows)} of {len(SETTINGS)} settings")
+    return np.array([rows[s] for s in SETTINGS], dtype=int), meta

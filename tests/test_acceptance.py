@@ -141,7 +141,7 @@ def test_criterion_09_experimental_dot_emulation():
     worst_excess = -np.inf
     for theta in tomo.DEFAULT_ANGLES:
         run = tomo.run_experiment(theta, shots=10**4, seed=7)
-        boot = tomo.bootstrap_measures(run.records, n_resamples=200, seed=7)
+        boot = tomo.bootstrap_measures(run.counts, run.shots, n_resamples=200, seed=7)
         m = run.result.measures
         (verdict,) = bound.region_check([(m.mutual_information, m.concurrence)],
                                         tolerance=3.0 * boot.e_err + 1e-9)

@@ -208,6 +208,18 @@ def test_grid_tuples_never_exceed_bound():
     assert all(v.inside_separable_region for v in verdicts)
 
 
+def test_grid_cache_keeps_two_most_recent_resolutions(monkeypatch):
+    monkeypatch.setattr(bound, "_GRID_CACHE", {})
+    first = grid_h_k(10)
+    grid_h_k(11)
+    assert grid_h_k(10) is first  # a hit, which makes 10 the most recent
+    grid_h_k(12)
+    assert list(bound._GRID_CACHE) == [10, 12]
+    grid_h_k(13)
+    assert list(bound._GRID_CACHE) == [12, 13]
+    assert grid_h_k(10) is not first
+
+
 def test_grid_h_k_sorted_by_entropy():
     lam, h, k = grid_h_k(120)
     assert np.all(np.diff(h) >= 0)
@@ -253,7 +265,7 @@ def test_oracle_widens_empty_band_to_nearest_entropy():
 def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
     lam = np.array([[1.0, 0, 0, 0], [0.8, 0.2, 0, 0], [0.5, 0.5, 0, 0]])
     h = np.array([0.0, 0.5, 1.0])
-    monkeypatch.setitem(bound._GRID_CACHE, 100, (lam, h, np.array([0.2, 0.7, -0.1])))
+    monkeypatch.setattr(bound, "_GRID_CACHE", {100: (lam, h, np.array([0.2, 0.7, -0.1]))})
     values, widened = bound.oracle_scan([0.25, 0.75, 0.1], 100, 0.01)
     assert widened.tolist() == [True, True, True]
     assert values.tolist() == [0.7, 0.7, 0.2]

@@ -27,6 +27,14 @@ def test_parse_theta():
         cli.parse_theta("3/4")  # beyond pi/2
 
 
+@pytest.mark.parametrize("theta", ["1/0", "1e999"])
+def test_theta_not_finite_exits_2(theta, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", "experiment", "--exact", "--theta", theta])
+    assert exc.value.code == 2
+    assert f"theta {theta} is not a finite number" in capsys.readouterr().err
+
+
 def test_sweep_single_point_row(tmp_path):
     out = tmp_path / "sweep.csv"
     code = cli.main(["--command", "sweep", "--p-step", "1.0", "--q-step", "1.0",
@@ -164,6 +172,21 @@ def test_output_byte_identical_across_runs(tmp_path):
     assert cli.main(argv + ["--out", str(a)]) == 0
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [["--exact"], ["--bootstrap", "0"]])
+def test_experiment_row_independent_of_other_angles(tmp_path, mode):
+    # All angles run as one stack; each row equals the row of its angle alone.
+    base = ["--command", "experiment", "--shots", "10000", "--seed", "9",
+            "--visibility", "0.96", "--depolarizing", "0.02"] + mode
+    thetas = [f"{k}/128" for k in range(65)]
+    scan = tmp_path / "scan.csv"
+    assert cli.main(base + [a for t in thetas for a in ("--theta", t)] + ["--out", str(scan)]) == 0
+    rows = scan.read_text().splitlines()[-65:]
+    alone = tmp_path / "alone.csv"
+    for theta, row in zip(thetas, rows):
+        assert cli.main(base + ["--theta", theta, "--out", str(alone)]) == 0
+        assert alone.read_text().splitlines()[-1] == row
 
 
 def test_different_seeds_change_data_not_schema(tmp_path):

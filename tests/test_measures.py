@@ -217,6 +217,20 @@ def test_fidelity_symmetric_and_pure_overlap():
         assert abs(f_ab - abs(np.vdot(a, b)) ** 2) < 1e-10
 
 
+def test_fidelities_stack_matches_pairs():
+    rng = np.random.default_rng(47)
+    g = rng.normal(size=(2, 6, 4, 4)) + 1j * rng.normal(size=(2, 6, 4, 4))
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
+    f = measures.fidelities(mats[0], mats[1])
+    assert f.shape == (6,)
+    for k in range(6):
+        ra, rb = (DensityMatrix(m[k], (2, 2)) for m in mats)
+        assert abs(f[k] - fidelity(ra, rb)) < 1e-15
+    with pytest.raises(ValueError, match="exceeds 1"):
+        measures.fidelities(np.eye(2) * 0.6, np.eye(2) * 0.6)
+
+
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
         fidelity(DensityMatrix(np.eye(2) / 2, (2,)), DensityMatrix(np.eye(4) / 4, (2, 2)))

@@ -190,3 +190,21 @@ def test_state_params_from_theta():
     assert abs(sp.q - 0.75) < 1e-12
     with pytest.raises(ValueError):
         states.StateParams(theta=0.0, p=1.2, q=0.0)
+
+
+def test_timebin_states_match_chain():
+    # The stack has the floats of spdc -> dephase -> timebin_mix, signed zeros
+    # included, whether an angle comes alone or in an array.
+    thetas = np.concatenate([np.arange(65) * np.pi / 128,
+                             np.random.default_rng(31).random(40) * np.pi / 2])
+    stack = states.timebin_states(thetas)
+    assert stack.shape == (len(thetas), 16, 16)
+    for theta, mat in zip(thetas, stack):
+        p = states.StateParams.from_theta(float(theta)).p
+        chain = states.timebin_mix(states.dephase(states.spdc_state(float(theta))), p).mat
+        for a, b in ((chain, mat), (chain, states.timebin_states(float(theta)))):
+            assert np.array_equal(a, b)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+    with pytest.raises(ValueError):
+        states.timebin_states([0.1, 2.0])

@@ -5,13 +5,12 @@ from qtradeoff import states, tomo
 from qtradeoff.linalg import DensityMatrix
 from qtradeoff.measures import closed_form_E, closed_form_I
 from qtradeoff.tomo import (
+    EIGVECS,
     NoiseParams,
     SETTINGS,
-    TomographyRecord,
     apply_noise,
     bootstrap_measures,
     born_probabilities,
-    exact_records,
     pauli_expectations,
     physical_spectrum,
     project_to_simplex,
@@ -20,10 +19,27 @@ from qtradeoff.tomo import (
     records_to_text,
     run_experiment,
     sample_counts,
-    simulate_records,
     target_state,
     visibility_from_contrast,
 )
+
+SCAN_THETAS = np.arange(65) * np.pi / 128
+SCAN_NOISE = [NoiseParams(v, d) for v in (1.0, 0.96) for d in (0.0, 0.02)]
+
+
+def _setting_w(setting):
+    """The setting's product eigenbasis, built as a kron chain."""
+    w = EIGVECS[setting[0]]
+    for ch in setting[1:]:
+        w = np.kron(w, EIGVECS[ch])
+    return w
+
+
+def _born_per_setting(rho, setting):
+    """Reference: one setting's outcome probabilities as a 16x16 product."""
+    w = _setting_w(setting)
+    p = np.clip(np.real(np.sum(np.conj(w) * (rho @ w), axis=0)), 0.0, None)
+    return p / np.sum(p)
 
 
 def test_settings_enumeration():
@@ -42,7 +58,7 @@ def test_visibility_from_contrast():
 
 def test_born_probabilities_z_basis():
     rho = target_state(0.0)  # |00> (x) |01> in the fixed ordering
-    p = born_probabilities(rho, "ZZZZ")
+    p = born_probabilities(rho.mat)[SETTINGS.index("ZZZZ")]
     expected = np.zeros(16)
     expected[0b0001] = 1.0
     assert np.max(np.abs(p - expected)) < 1e-12
@@ -53,27 +69,39 @@ def test_born_probabilities_pure_state_oracle():
     psi = np.zeros(16, dtype=complex)
     psi[0b0001] = 1.0
     rho = DensityMatrix(np.outer(psi, psi.conj()), (2, 2, 2, 2))
+    probs = born_probabilities(rho.mat)
     for setting in ("XXXX", "XYZX", "ZZZZ"):
-        p = born_probabilities(rho, setting)
-        w = tomo._setting_w(setting)
+        p = probs[SETTINGS.index(setting)]
+        w = _setting_w(setting)
         oracle = np.abs(w.conj().T @ psi) ** 2
         assert np.max(np.abs(p - oracle)) < 1e-12
         assert abs(np.sum(p) - 1.0) < 1e-12
 
 
-def test_born_probabilities_rejects_bad_setting():
-    rho = target_state(0.3)
+def test_born_probabilities_rejects_non_four_qubit_state():
     with pytest.raises(ValueError):
-        born_probabilities(rho, "XXQX")
-    with pytest.raises(ValueError):
-        born_probabilities(DensityMatrix(np.eye(4) / 4, (2, 2)), "XX")
+        born_probabilities(np.eye(4) / 4)
+
+
+def test_born_probabilities_match_per_setting_products():
+    # The basis-stack product reproduces each setting's own 16x16 product bit
+    # for bit, for every scan angle and noise setting, stacked or not.
+    targets = states.timebin_states(SCAN_THETAS)
+    for noise in SCAN_NOISE:
+        noisy = apply_noise(targets, noise)
+        probs = born_probabilities(noisy)
+        assert probs.shape == (len(SCAN_THETAS), 81, 16)
+        for a, rho in enumerate(noisy):
+            assert np.array_equal(apply_noise(targets[a], noise), rho)
+            ref = np.array([_born_per_setting(rho, s) for s in SETTINGS])
+            assert np.array_equal(probs[a], ref)
 
 
 def test_sample_counts_deterministic():
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    a = sample_counts(p, 1000, (5, 0))
-    b = sample_counts(p, 1000, (5, 0))
-    c = sample_counts(p, 1000, (6, 0))
+    p = np.array([[0.1, 0.2, 0.3, 0.4]])
+    a = sample_counts(p, 1000, 5)
+    b = sample_counts(p, 1000, 5)
+    c = sample_counts(p, 1000, 6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.sum(a) == 1000
@@ -81,41 +109,50 @@ def test_sample_counts_deterministic():
 
 def test_sample_counts_converges():
     p = np.array([0.05, 0.15, 0.35, 0.45])
-    counts = sample_counts(p, 10**6, 9)
+    counts = sample_counts(p[None], 10**6, 9)[0]
     # 5-sigma band on each multinomial frequency
     err = np.abs(counts / 10**6 - p)
     assert np.all(err < 5 * np.sqrt(p * (1 - p) / 10**6))
 
 
-def test_sample_counts_poisson_mode():
-    p = np.array([0.5, 0.5])
-    counts = sample_counts(p, 10**5, 3, poisson=True)
-    assert abs(np.sum(counts) - 10**5) < 5 * np.sqrt(10**5)
+def test_sample_counts_per_setting_streams():
+    # Setting idx of every angle draws from the start of the stream (seed, idx):
+    # the rewound generators give what a fresh generator per draw gives.  The
+    # sampler normalizes each row once more, as the per-setting draw always did.
+    probs = born_probabilities(apply_noise(states.timebin_states(SCAN_THETAS[::8]),
+                                           SCAN_NOISE[3]))
+    counts = sample_counts(probs, 500, 11)
+    assert counts.shape == probs.shape
+    for a in range(len(probs)):
+        for idx, p in enumerate(probs[a]):
+            fresh = np.random.default_rng((11, idx)).multinomial(500, p / np.sum(p))
+            assert np.array_equal(counts[a, idx], fresh)
+    assert np.array_equal(sample_counts(probs[3], 500, 11), counts[3])
 
 
 def test_apply_noise_identity():
     rho = target_state(0.4)
-    out = apply_noise(rho, NoiseParams())
-    assert np.max(np.abs(out.mat - rho.mat)) < 1e-12
+    out = apply_noise(rho.mat, NoiseParams())
+    assert np.max(np.abs(out - rho.mat)) < 1e-12
 
 
 def test_apply_noise_dephasing_scales_path_coherences():
     rho = target_state(np.pi / 4)
     v = 0.8
-    out = apply_noise(rho, NoiseParams(visibility=v))
+    out = apply_noise(rho.mat, NoiseParams(visibility=v))
     idx = np.arange(16)
     path_bits = np.stack([(idx >> 2) & 1, idx & 1])
     same = np.all(path_bits[:, :, None] == path_bits[:, None, :], axis=0)
-    assert np.max(np.abs(out.mat[same] - rho.mat[same])) < 1e-12
+    assert np.max(np.abs(out[same] - rho.mat[same])) < 1e-12
     # Coherences between path states differing on exactly one path qubit scale by v.
     one_diff = np.sum(path_bits[:, :, None] != path_bits[:, None, :], axis=0) == 1
-    assert np.max(np.abs(out.mat[one_diff] - v * rho.mat[one_diff])) < 1e-12
+    assert np.max(np.abs(out[one_diff] - v * rho.mat[one_diff])) < 1e-12
 
 
 def test_apply_noise_full_depolarizing_fixed_point():
     rho = target_state(0.7)
-    out = apply_noise(rho, NoiseParams(depolarizing=1.0))
-    assert np.max(np.abs(out.mat - np.eye(16) / 16.0)) < 1e-12
+    out = apply_noise(rho.mat, NoiseParams(depolarizing=1.0))
+    assert np.max(np.abs(out - np.eye(16) / 16.0)) < 1e-12
 
 
 def test_noise_params_validation():
@@ -127,7 +164,7 @@ def test_noise_params_validation():
 
 def test_pauli_expectations_exact_consistency():
     rho = target_state(np.pi / 8)
-    exps, spread = pauli_expectations(exact_records(rho))
+    exps, spread = pauli_expectations(born_probabilities(rho.mat))
     assert abs(exps[0] - 1.0) < 1e-12
     # On exact data every setting estimating the same Pauli string agrees.
     assert spread < 1e-10
@@ -181,7 +218,7 @@ def test_inversion_tables_match_loop_construction():
 def test_pauli_expectations_rejects_incomplete():
     rho = target_state(0.5)
     with pytest.raises(ValueError):
-        pauli_expectations(exact_records(rho)[:-1])
+        pauli_expectations(born_probabilities(rho.mat)[:-1])
 
 
 def test_exact_reconstruction_is_faithful():
@@ -208,20 +245,33 @@ def test_sampled_reconstruction_converges_with_shots():
 def test_sampled_reconstruction_deterministic():
     a = run_experiment(0.9, shots=2000, seed=4)
     b = run_experiment(0.9, shots=2000, seed=4)
-    assert np.array_equal(a.records[40].counts, b.records[40].counts)
+    assert np.array_equal(a.counts, b.counts)
     assert a.result.fidelity_to_target == b.result.fidelity_to_target
 
 
-def test_simulate_records_per_setting_streams():
-    # Record streams keyed by (seed, setting index): reordering the settings
-    # does not change the counts drawn for any individual setting.
-    rho = target_state(1.0)
-    recs = simulate_records(rho, 500, 11)
-    assert all(r.setting == s for r, s in zip(recs, SETTINGS))
-    idx = 23
-    probs = born_probabilities(rho, SETTINGS[idx])
-    direct = sample_counts(probs, 500, (11, idx))
-    assert np.array_equal(recs[idx].counts, direct)
+def test_invert_stack_matches_separate_calls():
+    # Each angle of an (A, 1, 81, 16) stack is the same m = 1 inversion as a
+    # call of its own.
+    run = run_experiment(SCAN_THETAS[::4], shots=3000, seed=2, noise=SCAN_NOISE[3])
+    shots = np.full(81, 3000)
+    stacked = tomo._invert(run.counts[:, None].astype(float), shots)
+    for a, counts in enumerate(run.counts):
+        assert np.array_equal(stacked[a], tomo._invert(counts[None].astype(float), shots))
+
+
+def test_run_experiment_stack_matches_single_angles():
+    thetas = SCAN_THETAS[::16]
+    for exact in (False, True):
+        run = run_experiment(thetas, shots=2000, seed=6, noise=SCAN_NOISE[3], exact=exact)
+        assert run.counts.shape == (len(thetas), 81, 16)
+        for a, theta in enumerate(thetas):
+            one = run_experiment(theta, shots=2000, seed=6, noise=SCAN_NOISE[3], exact=exact)
+            assert np.array_equal(one.counts, run.counts[a])
+            assert one.params.p == run.params.p[a]
+            assert one.result.measures.mutual_information == \
+                run.result.measures.mutual_information[a]
+            assert one.result.measures.concurrence == run.result.measures.concurrence[a]
+            assert one.result.fidelity_to_target == run.result.fidelity_to_target[a]
 
 
 def test_noise_lowers_fidelity_monotonically():
@@ -273,7 +323,7 @@ def test_physical_spectrum_ties_and_rows():
 
 def test_reconstruction_spectrum_is_clean():
     run = run_experiment(np.pi / 4, shots=10000, seed=2)
-    w = np.linalg.eigvalsh(run.result.rho_hat.mat)
+    w = np.linalg.eigvalsh(run.result.rho_hat)
     assert np.min(w) > -1e-12
     assert abs(np.sum(w) - 1.0) < 1e-10
 
@@ -283,42 +333,37 @@ def test_bootstrap_errors_shrink_with_shots():
     errs = []
     for shots in (10**3, 10**4):
         run = run_experiment(theta, shots=shots, seed=19)
-        boot = bootstrap_measures(run.records, n_resamples=40, seed=19)
+        boot = bootstrap_measures(run.counts, run.shots, n_resamples=40, seed=19)
         errs.append((boot.i_err, boot.e_err))
     assert errs[1][0] < errs[0][0]
     assert errs[1][1] < errs[0][1]
 
 
-def _resamples(records, n_resamples, seed, shots=None):
-    """The bootstrap's resampled record sets, drawn one setting at a time from
+def _resamples(counts, shots, n_resamples, seed):
+    """The bootstrap's resampled count tables, drawn one setting at a time from
     the documented streams (seed, 7_000_000, setting index)."""
     draws = []
-    for idx, rec in enumerate(records):
-        freq = rec.counts / np.sum(rec.counts)
+    for idx, (row, n) in enumerate(zip(counts, np.broadcast_to(shots, (81,)))):
         rng = np.random.default_rng((seed, 7_000_000, idx))
-        draws.append(rng.multinomial(rec.total_shots, freq, size=n_resamples))
-    return [
-        [TomographyRecord(rec.setting, d[b], rec.total_shots if shots is None else shots,
-                          rec.seed, rec.noise) for rec, d in zip(records, draws)]
-        for b in range(n_resamples)
-    ]
+        draws.append(rng.multinomial(n, row / np.sum(row), size=n_resamples))
+    return np.stack(draws, axis=1)
 
 
 @pytest.mark.parametrize("theta", [np.pi / 8, 9 * np.pi / 32, 7 * np.pi / 16])
 @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(visibility=0.96, depolarizing=0.02)])
 def test_bootstrap_matches_reconstruct_per_resample(theta, noise):
     run = run_experiment(theta, shots=2000, seed=13, noise=noise)
-    boot = bootstrap_measures(run.records, n_resamples=4, seed=13)
-    for b, recs in enumerate(_resamples(run.records, 4, 13)):
-        m = reconstruct(recs).measures
+    boot = bootstrap_measures(run.counts, run.shots, n_resamples=4, seed=13)
+    for b, counts in enumerate(_resamples(run.counts, run.shots, 4, 13)):
+        m = reconstruct(counts, run.shots).measures
         assert abs(boot.i_values[b] - m.mutual_information) < 1e-12
         assert abs(boot.e_values[b] - m.concurrence) < 1e-12
 
 
 def test_bootstrap_streams_are_per_setting_prefixes():
     run = run_experiment(3 * np.pi / 16, shots=2000, seed=21)
-    short = bootstrap_measures(run.records, n_resamples=10, seed=21)
-    long = bootstrap_measures(run.records, n_resamples=25, seed=21)
+    short = bootstrap_measures(run.counts, run.shots, n_resamples=10, seed=21)
+    long = bootstrap_measures(run.counts, run.shots, n_resamples=25, seed=21)
     assert np.array_equal(short.i_values, long.i_values[:10])
     assert np.array_equal(short.e_values, long.e_values[:10])
 
@@ -327,60 +372,65 @@ def test_mixed_shot_totals_skip_thresholding():
     theta = np.pi / 4
     run = run_experiment(theta, shots=2000, seed=5)
     # Thresholding is active when every setting shares one shot total.
-    unthresholded = reconstruct([TomographyRecord(r.setting, r.counts, 0, r.seed, r.noise)
-                                 for r in run.records])
-    assert np.max(np.abs(run.result.rho_hat.mat - unthresholded.rho_hat.mat)) > 1e-6
-    rho = apply_noise(target_state(theta), NoiseParams())
-    extra = sample_counts(born_probabilities(rho, SETTINGS[0]), 3000, (5, 0))
-    mixed = [TomographyRecord(SETTINGS[0], extra, 3000, 5, NoiseParams())] + run.records[1:]
-    as_exact = [TomographyRecord(r.setting, r.counts, 0, r.seed, r.noise) for r in mixed]
-    assert np.max(np.abs(reconstruct(mixed).rho_hat.mat
-                         - reconstruct(as_exact).rho_hat.mat)) < 1e-12
-    boot = bootstrap_measures(mixed, n_resamples=3, seed=5)
-    for b, recs in enumerate(_resamples(mixed, 3, 5, shots=0)):
-        m = reconstruct(recs).measures
+    unthresholded = reconstruct(run.counts, 0)
+    assert np.max(np.abs(run.result.rho_hat - unthresholded.rho_hat)) > 1e-6
+    mixed = run.counts.copy()
+    mixed[0] = sample_counts(born_probabilities(target_state(theta).mat), 3000, 5)[0]
+    shots = np.full(81, 2000)
+    shots[0] = 3000
+    assert np.max(np.abs(reconstruct(mixed, shots).rho_hat
+                         - reconstruct(mixed, 0).rho_hat)) < 1e-12
+    boot = bootstrap_measures(mixed, shots, n_resamples=3, seed=5)
+    for b, counts in enumerate(_resamples(mixed, shots, 3, 5)):
+        m = reconstruct(counts, 0).measures
         assert abs(boot.i_values[b] - m.mutual_information) < 1e-12
         assert abs(boot.e_values[b] - m.concurrence) < 1e-12
 
 
 def test_reconstruct_rejects_setting_without_counts():
     run = run_experiment(np.pi / 8, shots=1000, seed=3)
-    rec = run.records[40]
-    records = list(run.records)
-    records[40] = TomographyRecord(rec.setting, np.zeros(16, dtype=int), rec.total_shots,
-                                   rec.seed, rec.noise)
+    counts = run.counts.copy()
+    counts[40] = 0
     with pytest.raises(ValueError, match="no counts"):
-        reconstruct(records)
+        reconstruct(counts, run.shots)
     with pytest.raises(ValueError, match="no counts"):
-        bootstrap_measures(records, n_resamples=2)
+        bootstrap_measures(counts, run.shots, n_resamples=2)
 
 
 def test_bootstrap_skips_exact_records():
     run = run_experiment(0.5, exact=True)
-    boot = bootstrap_measures(run.records)
+    assert run.shots == 0
+    boot = bootstrap_measures(run.counts, run.shots)
     assert boot.i_err == 0.0 and boot.e_err == 0.0
     assert len(boot.i_values) == 0
 
 
 def test_serialization_round_trip():
-    run = run_experiment(np.pi / 16, shots=3000, seed=8,
-                         noise=NoiseParams(visibility=0.96))
-    text = records_to_text(run.records, float(np.pi / 16), run.params.p)
+    noise = NoiseParams(visibility=0.96)
+    run = run_experiment(np.pi / 16, shots=3000, seed=8, noise=noise)
+    text = records_to_text(run.counts, float(np.pi / 16), run.params.p, 3000, 8, noise)
     back, meta = records_from_text(text)
     assert meta["shots"] == 3000 and meta["seed"] == 8
     assert abs(meta["theta"] - np.pi / 16) < 1e-15
-    for a, b in zip(run.records, back):
-        assert a.setting == b.setting
-        assert np.array_equal(a.counts, b.counts)
-    assert records_to_text(back, meta["theta"], meta["p"]) == text
+    assert np.array_equal(back, run.counts)
+    assert records_to_text(back, meta["theta"], meta["p"], meta["shots"], meta["seed"],
+                           NoiseParams(meta["visibility"], meta["depolarizing"])) == text
+    # Setting lines may come in any order.
+    head, *rows = text.splitlines()
+    assert np.array_equal(records_from_text("\n".join([head] + rows[::-1]))[0], back)
 
 
 def test_serialization_rejects_garbage():
+    head = "# theta=0.0 p=1.0 shots=10 seed=0 visibility=1.0 depolarizing=0.0"
+    rows = [f"{s} " + " ".join(["1"] * 16) for s in SETTINGS]
     with pytest.raises(ValueError):
         records_from_text("no header\n")
     with pytest.raises(ValueError):
-        records_from_text("# theta=0.0 p=1.0 shots=10 seed=0 visibility=1.0 "
-                          "depolarizing=0.0\nXXXX 1 2 3\n")
+        records_from_text(head + "\nXXXX 1 2 3\n")
+    for bad, match in ((rows[:-1], "incomplete"), (rows + rows[:1], "twice"),
+                       (["XXQX" + rows[0][4:]] + rows[1:], "unknown")):
+        with pytest.raises(ValueError, match=match):
+            records_from_text("\n".join([head] + bad))
 
 
 def test_target_state_matches_family():
