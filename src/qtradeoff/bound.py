@@ -85,14 +85,15 @@ def _expand(starts, counts):
     """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i, in
     order, with the index i of each entry."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.cumsum(counts) - counts
-    return starts[owner] + np.arange(owner.size) - offsets[owner], owner
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.size)
+    return out, owner
 
 
-def simplex_grid(resolution):
-    """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
-    divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
-    in lexicographic order of (l1, l2, l3)."""
+def _partitions(resolution):
+    """All descending integer partitions l1>=l2>=l3>=l4>=0 of `resolution`, in
+    lexicographic order of (l1, l2, l3): l1 and l2 once per (l1, l2) pair,
+    then l3, l4 and the index of the pair per partition."""
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     n = int(resolution)
@@ -101,34 +102,69 @@ def simplex_grid(resolution):
     l2, i1 = _expand((r1 + 2) // 3, np.minimum(l1, r1) - (r1 + 2) // 3 + 1)
     l1 = l1[i1]
     r2 = n - l1 - l2
-    l3, i2 = _expand((r2 + 1) // 2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1)
+    l3, pair = _expand((r2 + 1) // 2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1)
+    l4 = r2[pair]
+    l4 -= l3
+    return l1, l2, l3, l4, pair
+
+
+def simplex_grid(resolution):
+    """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
+    divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
+    in lexicographic order of (l1, l2, l3)."""
+    l1, l2, l3, l4, pair = _partitions(resolution)
     grid = np.empty((l3.size, 4))
-    grid[:, 0] = l1[i2]
-    grid[:, 1] = l2[i2]
+    grid[:, 0] = l1[pair]
+    grid[:, 1] = l2[pair]
     grid[:, 2] = l3
-    grid[:, 3] = r2[i2] - l3
-    grid /= n
+    grid[:, 3] = l4
+    grid /= int(resolution)
     return grid
 
 
-# The grids of the two most recently used resolutions, least recent first; a
-# resolution-600 grid alone holds about 74 MB.
+# (h, k) of the two most recently used resolutions, least recent first; at
+# resolution 600 the pair holds about 24.6 MB.
 _GRID_CACHE = {}
 _GRID_CACHE_SIZE = 2
 
 
+def _sorted_h_k(resolution):
+    """(h, k) of the simplex_grid tuples, ordered by ascending entropy h.
+
+    Every coordinate is one of the n + 1 values l/n, so h and k index
+    (n + 1)-entry tables of l/n and of x log x with the integer parts; the
+    floats are those of the same formulas on the simplex_grid rows, bit for
+    bit."""
+    l1, l2, l3, l4, pair = _partitions(resolution)
+    n = int(resolution)
+    x = np.arange(n + 1) / n
+    t = _xlogx(x)
+    # h = -(((t1 + t2) + t3) + t4), the summation order of np.sum over a row.
+    h = (t[l1] + t[l2])[pair]
+    h += t[l3]
+    h += t[l4]
+    np.negative(h, out=h)
+    k = x[l1][pair]
+    k -= x[l3]
+    root = x[l2][pair]
+    del l3, pair  # at most six tuple-length arrays are alive at once
+    root *= x[l4]
+    np.sqrt(root, out=root)
+    root *= 2.0
+    k -= root
+    order = np.argsort(h)
+    h = h[order]
+    return h, k[order]
+
+
 def grid_h_k(resolution):
-    """(lambda grid, h values, k values) for the given resolution, cached, all
-    three ordered by ascending entropy h (tuples of equal entropy in no
-    particular order)."""
+    """(h values, k values) of the simplex_grid tuples for the given
+    resolution, cached, both ordered by ascending entropy h (tuples of equal
+    entropy in no particular order)."""
     if resolution in _GRID_CACHE:
         _GRID_CACHE[resolution] = _GRID_CACHE.pop(resolution)
     else:
-        lam = simplex_grid(resolution)
-        h = -np.sum(_xlogx(lam), axis=1)
-        k = lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3])
-        order = np.argsort(h)
-        _GRID_CACHE[resolution] = tuple(np.take(a, order, axis=0) for a in (lam, h, k))
+        _GRID_CACHE[resolution] = _sorted_h_k(resolution)
         while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
             del _GRID_CACHE[next(iter(_GRID_CACHE))]
     return _GRID_CACHE[resolution]
@@ -170,7 +206,7 @@ def oracle_scan(c, resolution=200, band=0.01):
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    _, h, k = grid_h_k(resolution)
+    h, k = grid_h_k(resolution)
     bands = np.full(c.shape, float(band))
     lo, hi = _band_edges(h, c, bands)
     widened = lo == hi
@@ -205,7 +241,7 @@ def chi(e, resolution=400, band=0.01):
         raise ValueError("chi requires e in [-1/2, 1]")
     if e >= 0.0:
         return float(zeta_inv(e))
-    _, h, k = grid_h_k(resolution)
+    h, k = grid_h_k(resolution)
     mask = np.abs(k - e) <= band
     if not np.any(mask):
         raise ValueError(f"no grid tuple within band {band} of k = {e}")

@@ -4,6 +4,10 @@ simulated experiment runs, and an invariant suite.  All CSV output starts with
 configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error.
+
+Only the bound layer is imported at start-up; the commands that need the
+measures, states or tomography modules import them when they run, so `bound`
+and `oracle` never load the tomography stack.
 """
 
 import argparse
@@ -12,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, bound, measures, states, tomo
+from . import __version__, bound
 from .bound import LN2SQRT3, TWO_LN2
 
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
@@ -87,6 +91,8 @@ def table_rows(*columns):
 
 
 def cmd_sweep(args):
+    from . import measures
+
     if args.p_step <= 0 or args.q_step <= 0:
         raise ValueError("steps must be positive")
     lines = config_header(args)
@@ -141,6 +147,8 @@ def cmd_oracle(args):
 
 
 def cmd_experiment(args):
+    from . import tomo
+
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
     run = tomo.run_experiment(np.array([theta for _, theta in thetas]), shots=args.shots,
@@ -165,11 +173,15 @@ def cmd_experiment(args):
 
 def family_points(p, q):
     """(I, E) points of the two-parameter family, one row per (p, q)."""
+    from . import measures
+
     return np.stack([measures.closed_form_I(p, q), measures.closed_form_E(p, q)], axis=-1)
 
 
 def invariant_suite(seed=0):
     """Named invariant checks; each entry is (name, ok, detail)."""
+    from . import states, tomo
+
     checks = []
 
     def add(name, ok, detail=""):

@@ -398,6 +398,10 @@ def records_from_text(text):
     for tok in lines[0].lstrip("#").split():
         key, val = tok.split("=", 1)
         meta[key] = float(val) if key in ("theta", "p", "visibility", "depolarizing") else int(val)
+    missing = [key for key in ("theta", "p", "shots", "seed", "visibility", "depolarizing")
+               if key not in meta]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
     NoiseParams(meta["visibility"], meta["depolarizing"])  # rejects out-of-range noise
     rows = {}
     for ln in lines[1:]:
@@ -408,7 +412,12 @@ def records_from_text(text):
             raise ValueError(f"unknown setting {setting!r}")
         if setting in rows:
             raise ValueError(f"setting {setting!r} appears twice")
-        rows[setting] = [int(x) for x in values]
+        try:
+            rows[setting] = [int(x) for x in values]
+        except ValueError:
+            raise ValueError(f"setting {setting!r}: counts must be integers") from None
+        if min(rows[setting]) < 0:
+            raise ValueError(f"setting {setting!r}: negative count")
     if len(rows) != len(SETTINGS):
         raise ValueError(f"incomplete tomography: {len(rows)} of {len(SETTINGS)} settings")
     return np.array([rows[s] for s in SETTINGS], dtype=int), meta

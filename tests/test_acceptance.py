@@ -65,7 +65,7 @@ def test_criterion_04_oracle_agreement():
     diffs = [abs(bound.oracle_zeta(float(c), resolution=200, band=0.01)
                  - bound.zeta(float(c))) for c in cs]
     # Soundness: no grid tuple exceeds the bound at its own entropy.
-    _, h, k = bound.grid_h_k(200)
+    h, k = bound.grid_h_k(200)
     z = np.asarray(bound.zeta(np.clip(h, 0.0, TWO_LN2)))
     sound = bool(np.all(np.maximum(k, 0.0) <= z + 1e-9))
     ok = max(diffs) <= 0.02 and sound

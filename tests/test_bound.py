@@ -165,12 +165,43 @@ def test_simplex_grid_properties():
 
 
 def test_grid_h_k_consistency():
-    lam, h, k = grid_h_k(50)
-    i = len(lam) // 3
+    # Every grid tuple's entropy and k, by the measures module's own
+    # functions, appear in grid_h_k: the same values as a multiset.
     from qtradeoff.measures import k_function, shannon_entropy
 
-    assert abs(h[i] - shannon_entropy(lam[i])) < 1e-12
-    assert abs(k[i] - k_function(lam[i])) < 1e-12
+    h, k = grid_h_k(50)
+    lam = simplex_grid(50)
+    assert len(h) == len(k) == len(lam)
+    assert np.allclose(np.sort(h), np.sort([shannon_entropy(row) for row in lam]),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(np.sort(k), np.sort([k_function(row) for row in lam]),
+                       rtol=0, atol=1e-12)
+
+
+def _float_lambda_h_k(n):
+    # Reference: the construction grid_h_k replaced, h and k of each row of
+    # the float lambda grid, in simplex_grid order.
+    lam = simplex_grid(n)
+    h = -np.sum(bound._xlogx(lam), axis=1)
+    k = lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3])
+    return h, k
+
+
+@pytest.mark.parametrize("n", list(range(100, 162)) + [200, 450, 600])
+def test_grid_h_k_bit_identical_to_float_lambda_grid(n):
+    h, k = _float_lambda_h_k(n)
+    order = np.argsort(h)
+    for new, ref in zip(grid_h_k(n), (h[order], k[order])):
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+def test_grid_cache_holds_h_and_k_only(monkeypatch):
+    monkeypatch.setattr(bound, "_GRID_CACHE", {})
+    h, k = grid_h_k(600)
+    (cached,) = bound._GRID_CACHE.values()
+    assert len(cached) == 2 and cached[0] is h and cached[1] is k
+    assert sum(a.nbytes for a in cached) == 16 * _partitions_into_four(600)
 
 
 def test_oracle_zeta_examples():
@@ -201,10 +232,10 @@ def test_oracle_matches_closed_form():
 def test_grid_tuples_never_exceed_bound():
     # Soundness: every exact probability 4-tuple of the grid obeys
     # max{0,k} <= zeta(h).
-    lam, h, k = grid_h_k(200)
-    assert len(lam) == 59_823
+    h, k = grid_h_k(200)
+    assert len(h) == len(simplex_grid(200)) == 59_823
     verdicts = region_check(np.stack([h, np.maximum(k, 0.0)], axis=1), tolerance=1e-9)
-    assert len(verdicts) == len(lam)
+    assert len(verdicts) == len(h)
     assert all(v.inside_separable_region for v in verdicts)
 
 
@@ -221,11 +252,12 @@ def test_grid_cache_keeps_two_most_recent_resolutions(monkeypatch):
 
 
 def test_grid_h_k_sorted_by_entropy():
-    lam, h, k = grid_h_k(120)
+    h, k = grid_h_k(120)
     assert np.all(np.diff(h) >= 0)
-    # The cache holds the sorted arrays only, as permutations of the grid.
-    assert sorted(map(tuple, lam.tolist())) == sorted(map(tuple, simplex_grid(120).tolist()))
-    assert np.array_equal(k, lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3]))
+    # The cache holds the sorted (h, k) pairs only, a permutation of the
+    # pairs of the simplex_grid rows.
+    h_rows, k_rows = _float_lambda_h_k(120)
+    assert sorted(zip(h.tolist(), k.tolist())) == sorted(zip(h_rows.tolist(), k_rows.tolist()))
 
 
 def _brute_force_oracle(h, k, c, band):
@@ -238,7 +270,7 @@ def _brute_force_oracle(h, k, c, band):
 
 
 def test_oracle_zeta_array_matches_brute_force_mask():
-    _, h, k = grid_h_k(200)
+    h, k = grid_h_k(200)
     rng = np.random.default_rng(61)
     # Queries a band's width away from grid entropies put tuples on the band
     # edges, where rounding decides membership.
@@ -263,9 +295,8 @@ def test_oracle_widens_empty_band_to_nearest_entropy():
 
 
 def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
-    lam = np.array([[1.0, 0, 0, 0], [0.8, 0.2, 0, 0], [0.5, 0.5, 0, 0]])
     h = np.array([0.0, 0.5, 1.0])
-    monkeypatch.setattr(bound, "_GRID_CACHE", {100: (lam, h, np.array([0.2, 0.7, -0.1]))})
+    monkeypatch.setattr(bound, "_GRID_CACHE", {100: (h, np.array([0.2, 0.7, -0.1]))})
     values, widened = bound.oracle_scan([0.25, 0.75, 0.1], 100, 0.01)
     assert widened.tolist() == [True, True, True]
     assert values.tolist() == [0.7, 0.7, 0.2]
@@ -274,7 +305,7 @@ def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
 def test_zeta_inv_half_against_grid():
     # Independent cross-check of the closed form at e = 0.5: maximize entropy
     # over grid tuples whose k is within a narrow band of 0.5.
-    lam, h, k = grid_h_k(600)
+    h, k = grid_h_k(600)
     mask = np.abs(k - 0.5) <= 0.005
     assert np.any(mask)
     assert abs(np.max(h[mask]) - zeta_inv(0.5)) < 0.02

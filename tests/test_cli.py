@@ -1,8 +1,31 @@
+import hashlib
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qtradeoff
 from qtradeoff import bound, cli
 from qtradeoff.bound import TWO_LN2
+
+# The public names the package has re-exported since its first release, by
+# the module that defines them.
+PACKAGE_EXPORTS = {
+    "bound": ("BoundCurve", "RegionVerdict", "chi", "closed_form_curve", "kappa_aux",
+              "mu_aux", "oracle_curve", "oracle_zeta", "region_check", "zeta", "zeta_inv"),
+    "linalg": ("DensityMatrix", "EigenDecomposition", "herm_eig", "kron", "partial_trace",
+               "spectral_fn"),
+    "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence", "fidelity",
+                 "k_function", "mutual_information", "shannon_entropy",
+                 "von_neumann_entropy"),
+    "states": ("Isometry", "StateParams", "cc_family", "classical_classical", "dephase",
+               "isometry", "spdc_state", "timebin_mix"),
+    "tomo": ("NoiseParams", "born_probabilities", "reconstruct", "run_experiment",
+             "sample_counts"),
+}
 
 
 def run_cli(argv, capsys=None):
@@ -104,6 +127,61 @@ def test_oracle_small_grid_widens_empty_bands(tmp_path):
     comments, rows = read_rows(out)
     assert "# widened_bands=2" in comments
     assert max(float(r["abs_diff"]) for r in rows) <= 0.02
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--command", "oracle", "--resolution", "150"],
+     "5efccd2d9c035bfb70ae63c55345e3c36ee0dd0969bb6304c791bb5a7ded4b40"),
+    (["--command", "oracle", "--resolution", "200"],
+     "77ca18259d33e9e31fcba237afd544fdf8b52b8c7a468e4ab152737c277ce4be"),
+    (["--command", "oracle", "--resolution", "600"],
+     "fad021e0f969c41274add5cea0d5fd1e43b3d7577694d8b5e3816fd945ef4701"),
+    (["--command", "bound", "--resolution", "200", "--oracle"],
+     "ad391cd24b9b76ab0ee2b5fbbeade6fddb8dc1957098cc65a818c031a8e1a703"),
+])
+def test_oracle_tables_keep_their_bytes(tmp_path, argv, digest):
+    # Digests of the files the float-lambda oracle grid wrote; the grid built
+    # from integer partitions and lookup tables must give the same bytes.
+    out = tmp_path / "table.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_bound_layer_commands_skip_tomography_import():
+    # A fresh interpreter, so that no other test's imports count.
+    script = (
+        "import os, sys\n"
+        "import qtradeoff.cli\n"
+        "loaded = [set(sys.modules)]\n"
+        "for argv in (['--command', 'oracle', '--resolution', '100'],\n"
+        "             ['--command', 'bound', '--resolution', '5', '--oracle']):\n"
+        "    assert qtradeoff.cli.main(argv + ['--out', os.devnull]) == 0\n"
+        "    loaded.append(set(sys.modules))\n"
+        "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')))\n"
+        "               for mods in loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qtradeoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    for loaded in res.stdout.strip().split(";"):
+        assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
+
+
+def test_package_names_resolve_lazily():
+    for module, names in PACKAGE_EXPORTS.items():
+        defining = importlib.import_module(f"qtradeoff.{module}")
+        for name in names:
+            assert getattr(qtradeoff, name) is getattr(defining, name)
+            assert name in dir(qtradeoff)
+    assert qtradeoff.__version__ == "0.1.0"
+    star = {}
+    exec("from qtradeoff import *", star)
+    assert {n for names in PACKAGE_EXPORTS.values() for n in names} <= set(star)
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        qtradeoff.nonsense
 
 
 def test_sweep_rows_match_per_point_evaluation(tmp_path):

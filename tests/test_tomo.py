@@ -428,9 +428,22 @@ def test_serialization_rejects_garbage():
     with pytest.raises(ValueError):
         records_from_text(head + "\nXXXX 1 2 3\n")
     for bad, match in ((rows[:-1], "incomplete"), (rows + rows[:1], "twice"),
-                       (["XXQX" + rows[0][4:]] + rows[1:], "unknown")):
+                       (["XXQX" + rows[0][4:]] + rows[1:], "unknown"),
+                       ([rows[0][:-1] + "-1"] + rows[1:], "negative count"),
+                       ([rows[0][:-1] + "1.5"] + rows[1:], "must be integers"),
+                       ([rows[0][:-1] + "x"] + rows[1:], "must be integers")):
         with pytest.raises(ValueError, match=match):
             records_from_text("\n".join([head] + bad))
+
+
+@pytest.mark.parametrize("key", ["theta", "p", "shots", "seed", "visibility", "depolarizing"])
+def test_serialization_names_missing_header_key(key):
+    head = " ".join(tok for tok in
+                    "# theta=0.0 p=1.0 shots=10 seed=0 visibility=1.0 depolarizing=0.0".split()
+                    if not tok.startswith(key + "="))
+    rows = [f"{s} " + " ".join(["1"] * 16) for s in SETTINGS]
+    with pytest.raises(ValueError, match=f"header lacks {key}$"):
+        records_from_text("\n".join([head] + rows))
 
 
 def test_target_state_matches_family():
