@@ -12,8 +12,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bound": ("BoundCurve", "RegionVerdict", "chi", "closed_form_curve", "kappa_aux",
-              "mu_aux", "oracle_curve", "oracle_zeta", "region_check", "zeta", "zeta_inv"),
+    "bound": ("BoundCurve", "RegionVerdict", "closed_form_curve", "kappa_aux", "mu_aux",
+              "oracle_zeta", "region_check", "zeta", "zeta_inv"),
     "linalg": ("DensityMatrix", "EigenDecomposition", "herm_eig", "kron", "partial_trace",
                "spectral_fn"),
     "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence", "fidelity",

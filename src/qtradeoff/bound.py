@@ -90,22 +90,29 @@ def _expand(starts, counts):
     return out, owner
 
 
-def _partitions(resolution):
-    """All descending integer partitions l1>=l2>=l3>=l4>=0 of `resolution`, in
-    lexicographic order of (l1, l2, l3): l1 and l2 once per (l1, l2) pair,
-    then l3, l4 and the index of the pair per partition."""
-    if resolution < 1:
+def _pairs(n, l1):
+    """Per (l1, l2) pair of the partitions of n with largest part in l1, in
+    order: l2, the index into l1, n - l1 - l2 and the number of l3 values."""
+    if n < 1:
         raise ValueError("resolution must be at least 1")
-    n = int(resolution)
-    l1 = np.arange((n + 3) // 4, n + 1)
     r1 = n - l1
     l2, i1 = _expand((r1 + 2) // 3, np.minimum(l1, r1) - (r1 + 2) // 3 + 1)
-    l1 = l1[i1]
-    r2 = n - l1 - l2
-    l3, pair = _expand((r2 + 1) // 2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1)
+    r2 = r1[i1] - l2
+    return l2, i1, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
+
+
+def _partitions(resolution, l1=None):
+    """The descending integer partitions l1>=l2>=l3>=l4>=0 of `resolution`
+    with l1 in `l1` (default: all), in lexicographic order of (l1, l2, l3): l1
+    and l2 once per (l1, l2) pair, then l3, l4 and the pair index per tuple."""
+    n = int(resolution)
+    if l1 is None:
+        l1 = np.arange((n + 3) // 4, n + 1)
+    l2, i1, r2, counts = _pairs(n, l1)
+    l3, pair = _expand((r2 + 1) // 2, counts)
     l4 = r2[pair]
     l4 -= l3
-    return l1, l2, l3, l4, pair
+    return l1[i1], l2, l3, l4, pair
 
 
 def simplex_grid(resolution):
@@ -113,61 +120,45 @@ def simplex_grid(resolution):
     divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
     in lexicographic order of (l1, l2, l3)."""
     l1, l2, l3, l4, pair = _partitions(resolution)
-    grid = np.empty((l3.size, 4))
-    grid[:, 0] = l1[pair]
-    grid[:, 1] = l2[pair]
-    grid[:, 2] = l3
-    grid[:, 3] = l4
-    grid /= int(resolution)
-    return grid
+    return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / int(resolution)
 
 
-# (h, k) of the two most recently used resolutions, least recent first; at
-# resolution 600 the pair holds about 24.6 MB.
-_GRID_CACHE = {}
-_GRID_CACHE_SIZE = 2
+# Tuples per block of a grid pass, and the uniform entropy bins on [0, 2 ln 2]
+# that the band oracle folds k into.
+_BLOCK = 2 ** 16
+_BINS = 2 ** 14
+_BIN_SCALE = _BINS / TWO_LN2
 
 
-def _sorted_h_k(resolution):
-    """(h, k) of the simplex_grid tuples, ordered by ascending entropy h.
-
-    Every coordinate is one of the n + 1 values l/n, so h and k index
-    (n + 1)-entry tables of l/n and of x log x with the integer parts; the
-    floats are those of the same formulas on the simplex_grid rows, bit for
-    bit."""
-    l1, l2, l3, l4, pair = _partitions(resolution)
+def _grid_blocks(resolution):
+    """(h, k) of the simplex_grid tuples in simplex_grid order, in blocks of
+    consecutive l1 values of about _BLOCK tuples each.  h and k index
+    (n + 1)-entry tables of l/n and of x log x with the integer parts, for the
+    floats of the same formulas on the simplex_grid rows, bit for bit."""
     n = int(resolution)
+    largest = np.arange((n + 3) // 4, n + 1)
+    _, i1, _, counts = _pairs(n, largest)
+    ends = np.cumsum(np.bincount(i1, counts, len(largest)))
     x = np.arange(n + 1) / n
     t = _xlogx(x)
-    # h = -(((t1 + t2) + t3) + t4), the summation order of np.sum over a row.
-    h = (t[l1] + t[l2])[pair]
-    h += t[l3]
-    h += t[l4]
-    np.negative(h, out=h)
-    k = x[l1][pair]
-    k -= x[l3]
-    root = x[l2][pair]
-    del l3, pair  # at most six tuple-length arrays are alive at once
-    root *= x[l4]
-    np.sqrt(root, out=root)
-    root *= 2.0
-    k -= root
-    order = np.argsort(h)
-    h = h[order]
-    return h, k[order]
+    for run in np.split(largest, np.flatnonzero(np.diff(ends // _BLOCK)) + 1):
+        l1, l2, l3, l4, pair = _partitions(n, run)
+        # h = -(((t1 + t2) + t3) + t4), the summation order of np.sum over a
+        # row; in place, which is faster than the expression on a block.
+        h = (t[l1] + t[l2])[pair]
+        h += t[l3]
+        h += t[l4]
+        root = x[l2][pair]
+        root *= x[l4]
+        k = x[l1][pair]
+        k -= x[l3]
+        k -= 2.0 * np.sqrt(root, out=root)
+        yield np.negative(h, out=h), k
 
 
 def grid_h_k(resolution):
-    """(h values, k values) of the simplex_grid tuples for the given
-    resolution, cached, both ordered by ascending entropy h (tuples of equal
-    entropy in no particular order)."""
-    if resolution in _GRID_CACHE:
-        _GRID_CACHE[resolution] = _GRID_CACHE.pop(resolution)
-    else:
-        _GRID_CACHE[resolution] = _sorted_h_k(resolution)
-        while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
-            del _GRID_CACHE[next(iter(_GRID_CACHE))]
-    return _GRID_CACHE[resolution]
+    """(h values, k values) of the simplex_grid tuples, in simplex_grid order."""
+    return tuple(map(np.concatenate, zip(*_grid_blocks(resolution))))
 
 
 def _band_edges(h, c, band):
@@ -194,11 +185,41 @@ def _band_edges(h, c, band):
     return lo, hi
 
 
+def _range_max(a, lo, hi):
+    """max(a[lo:hi]) per range of a non-empty a, -inf for an empty range."""
+    first, last = np.minimum(lo, len(a) - 1), np.clip(hi - 1, 0, len(a) - 1)
+    # reduceat over the pairs (lo, hi - 1) gives max a[lo:hi - 1] at the even
+    # positions (a[lo] when hi - 1 <= lo); a[hi - 1] completes the range.
+    best = np.maximum(np.maximum.reduceat(a, np.stack([first, last], 1).ravel())[::2], a[last])
+    return np.where(lo < hi, best, -np.inf)
+
+
+def _nearest_max(resolution, c):
+    """max k over the grid tuples at the smallest |h - c| (all of them on a
+    tie), per query, by one more pass over the blocks."""
+    best, gap = np.full(c.shape, -np.inf), np.full(c.shape, np.inf)
+    for h, k in _grid_blocks(resolution):
+        order = np.argsort(h)
+        h = h[order]
+        at = np.searchsorted(h, c)
+        near = np.minimum(np.abs(h[np.maximum(at - 1, 0)] - c),
+                          np.abs(h[np.minimum(at, len(h) - 1)] - c))
+        block = _range_max(k[order], *_band_edges(h, c, near))
+        best = np.where(near < gap, block, np.where(near == gap, np.maximum(best, block), best))
+        gap = np.minimum(gap, near)
+    return best
+
+
 def oracle_scan(c, resolution=200, band=0.01):
     """(oracle values, widened mask) for entropies c: the max of max{0,
     k(lambda)} over grid tuples with |h(lambda) - c| <= band.  A band that
     holds no grid tuple is widened to the nearest grid entropy (both
-    neighbours on a tie), and the mask marks those queries."""
+    neighbours on a tie), and the mask marks those queries.
+
+    One pass over the grid blocks folds k into per-bin maxima and keeps the
+    tuples of the bins within one bin of a band edge c -+ band, where float
+    rounding decides membership; those are tested exactly, and every bin
+    between them lies wholly inside the band."""
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
     if band <= 0:
@@ -206,19 +227,24 @@ def oracle_scan(c, resolution=200, band=0.01):
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    h, k = grid_h_k(resolution)
-    bands = np.full(c.shape, float(band))
-    lo, hi = _band_edges(h, c, bands)
-    widened = lo == hi
+    lo, hi = np.floor(np.clip(np.stack([c - band, c + band]) * _BIN_SCALE, -2, _BINS + 1)
+                      ).astype(np.int64)
+    at_edge = np.isin(np.arange(_BINS), np.concatenate([lo, hi])[:, None] + [-1, 0, 1])
+    bin_max, kept = np.full(_BINS, -np.inf), []
+    for h, k in _grid_blocks(resolution):
+        j = np.clip(h * _BIN_SCALE, 0, _BINS - 1).astype(np.int32)
+        np.maximum.at(bin_max, j, k)
+        keep = at_edge[j]
+        kept.append((h[keep], k[keep]))
+    h, k = (np.concatenate(a) for a in zip(*kept))
+    best = _range_max(bin_max, np.minimum(lo + 2, _BINS), np.maximum(hi - 1, 0))
+    if h.size:
+        order = np.argsort(h)
+        h = h[order]
+        best = np.maximum(best, _range_max(k[order], *_band_edges(h, c, band)))
+    widened = best == -np.inf
     if np.any(widened):
-        below = np.where(lo > 0, np.abs(h[np.maximum(lo - 1, 0)] - c), np.inf)
-        above = np.where(lo < len(h), np.abs(h[np.minimum(lo, len(h) - 1)] - c), np.inf)
-        bands = np.where(widened, np.minimum(below, above), bands)
-        lo, hi = _band_edges(h, c, bands)
-    # reduceat over the pairs (lo, hi - 1) gives max k[lo:hi - 1] at the even
-    # positions (k[lo] when hi - 1 == lo); k[hi - 1] completes the range.
-    best = np.maximum(np.maximum.reduceat(k, np.stack([lo, hi - 1], axis=1).ravel())[::2],
-                      k[hi - 1])
+        best[widened] = _nearest_max(resolution, c[widened])
     return np.maximum(0.0, best), widened
 
 
@@ -228,24 +254,6 @@ def oracle_zeta(c, resolution=200, band=0.01):
     shape = np.shape(c)
     out = oracle_scan(c, resolution, band)[0].reshape(shape)
     return out if out.ndim else float(out)
-
-
-def chi(e, resolution=400, band=0.01):
-    """Constrained entropy maximum at fixed k(lambda) = e.
-
-    For e in [0,1] this is the closed form zeta_inv; for e in [-1/2, 0) the
-    closed form is not available and the value is served by the grid oracle.
-    """
-    e = float(e)
-    if e < -0.5 - 1e-12 or e > 1.0 + 1e-12:
-        raise ValueError("chi requires e in [-1/2, 1]")
-    if e >= 0.0:
-        return float(zeta_inv(e))
-    h, k = grid_h_k(resolution)
-    mask = np.abs(k - e) <= band
-    if not np.any(mask):
-        raise ValueError(f"no grid tuple within band {band} of k = {e}")
-    return float(np.max(h[mask]))
 
 
 @dataclass(frozen=True)
@@ -275,7 +283,6 @@ class BoundCurve:
 
     samples: tuple
     source: str  # "closed_form" or "oracle"
-    grid_resolution: int = 0
 
 
 def closed_form_curve(n_samples=200) -> BoundCurve:
@@ -284,21 +291,14 @@ def closed_form_curve(n_samples=200) -> BoundCurve:
     return BoundCurve(tuple(zip(cs.tolist(), es.tolist())), "closed_form")
 
 
-def oracle_curve(n_samples=50, resolution=200, band=0.01) -> BoundCurve:
-    cs = np.linspace(0.0, TWO_LN2, n_samples)
-    es = oracle_zeta(cs, resolution, band)
-    return BoundCurve(tuple(zip(cs.tolist(), es.tolist())), "oracle", resolution)
-
-
 def validate_bound_curve(curve: BoundCurve, tolerance=1e-9):
     """Named invariant checks on a sampled curve; list of (name, ok) pairs."""
     cs = np.array([c for c, _ in curve.samples])
     es = np.array([e for _, e in curve.samples])
     tol = tolerance if curve.source == "closed_form" else 0.05
-    checks = [
+    return [
         ("curve_domain", bool(np.all(cs >= -tol) and np.all(cs <= TWO_LN2 + tol))),
         ("curve_range", bool(np.all(es >= -tol) and np.all(es <= 1.0 + tol))),
         ("curve_non_increasing", bool(np.all(np.diff(es) <= tol))),
         ("curve_vanishes_past_ln2sqrt3", bool(np.all(es[cs >= LN2SQRT3] <= tol))),
     ]
-    return checks

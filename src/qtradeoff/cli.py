@@ -3,7 +3,7 @@ simulated experiment runs, and an invariant suite.  All CSV output starts with
 '#'-prefixed header comments echoing the resolved configuration; identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error.
+Exit codes: 0 success, 1 invariant failure, 2 usage error or oversized input.
 
 Only the bound layer is imported at start-up; the commands that need the
 measures, states or tomography modules import them when they run, so `bound`
@@ -257,7 +257,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,10 @@ from qtradeoff.bound import (
     LN2SQRT3,
     TWO_LN2,
     BoundCurve,
-    chi,
     closed_form_curve,
     grid_h_k,
     kappa_aux,
     mu_aux,
-    oracle_curve,
     oracle_zeta,
     region_check,
     simplex_grid,
@@ -100,20 +98,6 @@ def test_zeta_rejects_out_of_domain():
         zeta(TWO_LN2 + 0.1)
 
 
-def test_chi_examples():
-    assert abs(chi(1.0)) < 1e-12
-    assert abs(chi(0.0) - LN2SQRT3) < 1e-12
-    # At e = -1/2 the uniform distribution (entropy 2 ln 2) attains k = -1/2.
-    assert abs(chi(-0.5) - TWO_LN2) < 1e-6
-    with pytest.raises(ValueError):
-        chi(-0.6)
-
-
-def test_chi_negative_branch_monotone():
-    vals = [chi(e, resolution=300) for e in (-0.5, -0.3, -0.1, 0.0)]
-    assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-
-
 def test_simplex_grid_small():
     grid = simplex_grid(4)
     rows = {tuple(r) for r in (grid * 4).astype(int).tolist()}
@@ -189,19 +173,19 @@ def _float_lambda_h_k(n):
 
 @pytest.mark.parametrize("n", list(range(100, 162)) + [200, 450, 600])
 def test_grid_h_k_bit_identical_to_float_lambda_grid(n):
-    h, k = _float_lambda_h_k(n)
-    order = np.argsort(h)
-    for new, ref in zip(grid_h_k(n), (h[order], k[order])):
+    for new, ref in zip(grid_h_k(n), _float_lambda_h_k(n)):
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
 
 
-def test_grid_cache_holds_h_and_k_only(monkeypatch):
-    monkeypatch.setattr(bound, "_GRID_CACHE", {})
-    h, k = grid_h_k(600)
-    (cached,) = bound._GRID_CACHE.values()
-    assert len(cached) == 2 and cached[0] is h and cached[1] is k
-    assert sum(a.nbytes for a in cached) == 16 * _partitions_into_four(600)
+def test_grid_blocks_are_runs_of_l1_values():
+    # Each block starts at a new largest part l1 and, unless one l1 value
+    # alone holds more, stays within twice the block size.
+    l1 = simplex_grid(600)[:, 0]
+    starts = np.cumsum([0] + [len(h) for h, _ in bound._grid_blocks(600)])
+    assert starts[-1] == len(l1) and len(starts) > 10
+    assert np.all(l1[starts[1:-1]] != l1[starts[1:-1] - 1])
+    assert np.max(np.diff(starts)) < 2 * bound._BLOCK
 
 
 def test_oracle_zeta_examples():
@@ -239,27 +223,6 @@ def test_grid_tuples_never_exceed_bound():
     assert all(v.inside_separable_region for v in verdicts)
 
 
-def test_grid_cache_keeps_two_most_recent_resolutions(monkeypatch):
-    monkeypatch.setattr(bound, "_GRID_CACHE", {})
-    first = grid_h_k(10)
-    grid_h_k(11)
-    assert grid_h_k(10) is first  # a hit, which makes 10 the most recent
-    grid_h_k(12)
-    assert list(bound._GRID_CACHE) == [10, 12]
-    grid_h_k(13)
-    assert list(bound._GRID_CACHE) == [12, 13]
-    assert grid_h_k(10) is not first
-
-
-def test_grid_h_k_sorted_by_entropy():
-    h, k = grid_h_k(120)
-    assert np.all(np.diff(h) >= 0)
-    # The cache holds the sorted (h, k) pairs only, a permutation of the
-    # pairs of the simplex_grid rows.
-    h_rows, k_rows = _float_lambda_h_k(120)
-    assert sorted(zip(h.tolist(), k.tolist())) == sorted(zip(h_rows.tolist(), k_rows.tolist()))
-
-
 def _brute_force_oracle(h, k, c, band):
     # Reference: the exact band test over the whole grid; an empty band is
     # widened to the distance of the nearest grid entropy.
@@ -286,6 +249,51 @@ def test_oracle_zeta_array_matches_brute_force_mask():
     assert oracle_zeta(cs.reshape(5, 81)).shape == (5, 81)
 
 
+def _query_sets(h, rng):
+    # (entropies, band) pairs: the oracle command's points and the bound
+    # table's overlapping linspace; queries one band from grid entropies; band
+    # edges c -+ band on the boundaries of the entropy bins around grid
+    # entropies; a band far narrower than a bin, where every bin holding a
+    # query is an edge bin and most bands are empty; and a band wider than
+    # half the entropy range.
+    near = h[rng.choice(len(h), 60)]
+    bins = np.floor(near * bound._BIN_SCALE)
+    boundaries = np.concatenate([bins, bins + 1]) / bound._BIN_SCALE
+    return [
+        (np.linspace(0.0, TWO_LN2, 50), 0.01),
+        (np.linspace(0.0, TWO_LN2, 200), 0.01),
+        (np.concatenate([near - 0.01, near + 0.01]), 0.01),
+        (np.concatenate([boundaries - 0.01, boundaries + 0.01]), 0.01),
+        (np.concatenate([near, near - 1e-6, near + 1e-6, rng.random(40) * TWO_LN2]), 1e-6),
+        (np.concatenate([np.linspace(0.0, TWO_LN2, 30), rng.random(30) * TWO_LN2]), 0.5),
+    ]
+
+
+@pytest.mark.parametrize("n", [100, 150, 200, 257, 401])
+def test_oracle_scan_matches_brute_force_at_grid_sizes(n):
+    h, k = grid_h_k(n)
+    for cs, band in _query_sets(h, np.random.default_rng(n)):
+        values, widened = bound.oracle_scan(cs, n, band)
+        expected = [_brute_force_oracle(h, k, c, band) for c in cs]
+        assert values.tolist() == [v for v, _ in expected], band
+        assert widened.tolist() == [w for _, w in expected], band
+        if band == 1e-6:  # the narrow bands take the widening pass
+            assert np.count_nonzero(widened) >= 20
+
+
+def test_oracle_scan_with_no_tuple_near_a_band_edge():
+    # Every band edge lies outside the entropy range, so no tuple is kept for
+    # the exact test: the bins alone give the values of the wide bands, and
+    # the bands beyond either end of the range widen to the pure tuple (k = 1)
+    # or to the uniform one (k = -1/2).
+    values, widened = bound.oracle_scan([0.0, 0.7, TWO_LN2], 100, 2.0)
+    assert values.tolist() == [1.0] * 3
+    assert not np.any(widened)
+    values, widened = bound.oracle_scan([-1.0, 3.0], 100, 0.01)
+    assert values.tolist() == [1.0, 0.0]
+    assert widened.tolist() == [True, True]
+
+
 def test_oracle_widens_empty_band_to_nearest_entropy():
     # On the resolution-200 grid no entropy lies in (0, 0.0315): the band of
     # c = 0.015 is empty and widens to h = 0, the pure tuple with k = 1.
@@ -295,8 +303,12 @@ def test_oracle_widens_empty_band_to_nearest_entropy():
 
 
 def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
-    h = np.array([0.0, 0.5, 1.0])
-    monkeypatch.setattr(bound, "_GRID_CACHE", {100: (h, np.array([0.2, 0.7, -0.1]))})
+    # A grid of three tuples in two blocks, so each tie spans both blocks.
+    def blocks(resolution):
+        yield np.array([0.0, 1.0]), np.array([0.2, -0.1])
+        yield np.array([0.5]), np.array([0.7])
+
+    monkeypatch.setattr(bound, "_grid_blocks", blocks)
     values, widened = bound.oracle_scan([0.25, 0.75, 0.1], 100, 0.01)
     assert widened.tolist() == [True, True, True]
     assert values.tolist() == [0.7, 0.7, 0.2]
@@ -332,12 +344,6 @@ def test_region_check_rejects_nonfinite():
 
 def test_closed_form_curve_valid():
     curve = closed_form_curve(200)
-    assert all(ok for _, ok in validate_bound_curve(curve))
-
-
-def test_oracle_curve_valid():
-    curve = oracle_curve(25)
-    assert curve.source == "oracle"
     assert all(ok for _, ok in validate_bound_curve(curve))
 
 

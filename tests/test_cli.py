@@ -11,11 +11,10 @@ import qtradeoff
 from qtradeoff import bound, cli
 from qtradeoff.bound import TWO_LN2
 
-# The public names the package has re-exported since its first release, by
-# the module that defines them.
+# The public names the package re-exports, by the module that defines them.
 PACKAGE_EXPORTS = {
-    "bound": ("BoundCurve", "RegionVerdict", "chi", "closed_form_curve", "kappa_aux",
-              "mu_aux", "oracle_curve", "oracle_zeta", "region_check", "zeta", "zeta_inv"),
+    "bound": ("BoundCurve", "RegionVerdict", "closed_form_curve", "kappa_aux", "mu_aux",
+              "oracle_zeta", "region_check", "zeta", "zeta_inv"),
     "linalg": ("DensityMatrix", "EigenDecomposition", "herm_eig", "kron", "partial_trace",
                "spectral_fn"),
     "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence", "fidelity",
@@ -147,6 +146,38 @@ def test_oracle_tables_keep_their_bytes(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _src_env():
+    # The environment of a fresh interpreter that imports this package.
+    src = os.path.dirname(os.path.dirname(qtradeoff.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
+    # At resolution 1000 the grid has 7 049 112 tuples, 113 MB for h and k
+    # alone; the oracle holds one block of them and the tuples near its band
+    # edges, and writes the bytes the whole-grid oracle wrote.
+    # The oracle runs under a small parent process, because a child's peak RSS
+    # includes the peak of the process it was forked from, here pytest.
+    script = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(proc.returncode, usage.ru_maxrss)\n"
+    )
+    out = tmp_path / "oracle.csv"
+    res = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "qtradeoff.cli",
+                          "--command", "oracle", "--resolution", "1000", "--out", str(out)],
+                         capture_output=True, text=True, env=_src_env(), timeout=120)
+    code, peak_kib = map(int, res.stdout.split())
+    assert code == 0, res.stderr
+    assert peak_kib < 100 * 1024
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "719df4b7b4724f989fd3482b6c62e55ca6599e1a299f017569b4c76f4cffbbca")
+
+
 def test_bound_layer_commands_skip_tomography_import():
     # A fresh interpreter, so that no other test's imports count.
     script = (
@@ -160,11 +191,8 @@ def test_bound_layer_commands_skip_tomography_import():
         "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')))\n"
         "               for mods in loaded))\n"
     )
-    src = os.path.dirname(os.path.dirname(qtradeoff.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=_src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     for loaded in res.stdout.strip().split(";"):
         assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
@@ -311,6 +339,28 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--command", "nonsense"])
     assert exc.value.code == 2
+
+
+def _refuses_huge_allocations():
+    # Linux refuses an allocation beyond its memory unless it is set to
+    # overcommit always (mode 1), where the request would succeed and fill it.
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() != "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _refuses_huge_allocations(), reason="allocations may overcommit")
+@pytest.mark.parametrize("argv", [
+    ["--command", "bound", "--resolution", "10000000000000"],
+    ["--command", "sweep", "--p-step", "1e-14", "--q-step", "1e-14"],
+])
+def test_input_too_large_to_allocate_exits_2(argv, capsys):
+    # numpy asks for 72.8 TiB and 728 TiB at once, and the request fails
+    # before anything is allocated.
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
