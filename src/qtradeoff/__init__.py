@@ -12,15 +12,14 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bound": ("BoundCurve", "RegionVerdict", "closed_form_curve", "kappa_aux", "mu_aux",
-              "oracle_zeta", "region_check", "zeta", "zeta_inv"),
+    "bound": ("RegionVerdict", "kappa_aux", "mu_aux", "oracle_zeta", "region_check", "zeta",
+              "zeta_inv"),
     "linalg": ("DensityMatrix", "EigenDecomposition", "herm_eig", "kron", "partial_trace",
                "spectral_fn"),
-    "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence", "fidelity",
-                 "k_function", "mutual_information", "shannon_entropy",
-                 "von_neumann_entropy"),
-    "states": ("Isometry", "StateParams", "cc_family", "classical_classical", "dephase",
-               "isometry", "spdc_state", "timebin_mix"),
+    "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence",
+                 "k_function", "mutual_information"),
+    "states": ("StateParams", "cc_family", "classical_classical", "dephase", "isometry",
+               "spdc_state", "timebin_mix"),
     "tomo": ("NoiseParams", "born_probabilities", "reconstruct", "run_experiment",
              "sample_counts"),
 }

@@ -277,28 +277,13 @@ def region_check(points, tolerance=1e-9):
             for (c, e), m in zip(pts.tolist(), margins.tolist())]
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Sampled (c, e) pairs of the bound with provenance."""
-
-    samples: tuple
-    source: str  # "closed_form" or "oracle"
-
-
-def closed_form_curve(n_samples=200) -> BoundCurve:
-    cs = np.linspace(0.0, TWO_LN2, n_samples)
-    es = np.asarray(zeta(cs))
-    return BoundCurve(tuple(zip(cs.tolist(), es.tolist())), "closed_form")
-
-
-def validate_bound_curve(curve: BoundCurve, tolerance=1e-9):
-    """Named invariant checks on a sampled curve; list of (name, ok) pairs."""
-    cs = np.array([c for c, _ in curve.samples])
-    es = np.array([e for _, e in curve.samples])
-    tol = tolerance if curve.source == "closed_form" else 0.05
+def validate_bound_curve(cs, es, tolerance=1e-9):
+    """Named invariant checks on sampled curve points (cs[i], es[i]); list of
+    (name, ok) pairs."""
+    cs, es = np.asarray(cs, dtype=float), np.asarray(es, dtype=float)
     return [
-        ("curve_domain", bool(np.all(cs >= -tol) and np.all(cs <= TWO_LN2 + tol))),
-        ("curve_range", bool(np.all(es >= -tol) and np.all(es <= 1.0 + tol))),
-        ("curve_non_increasing", bool(np.all(np.diff(es) <= tol))),
-        ("curve_vanishes_past_ln2sqrt3", bool(np.all(es[cs >= LN2SQRT3] <= tol))),
+        ("curve_domain", bool(np.all(cs >= -tolerance) and np.all(cs <= TWO_LN2 + tolerance))),
+        ("curve_range", bool(np.all(es >= -tolerance) and np.all(es <= 1.0 + tolerance))),
+        ("curve_non_increasing", bool(np.all(np.diff(es) <= tolerance))),
+        ("curve_vanishes_past_ln2sqrt3", bool(np.all(es[cs >= LN2SQRT3] <= tolerance))),
     ]

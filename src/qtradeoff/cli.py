@@ -207,7 +207,8 @@ def invariant_suite(seed=0):
     verdicts = bound.region_check(family_points(pq[:, 0], pq[:, 1]))
     add("two_parameter_family_contained", all(v.inside_separable_region for v in verdicts))
 
-    for name, ok in bound.validate_bound_curve(bound.closed_form_curve(200)):
+    cs = np.linspace(0.0, TWO_LN2, 200)
+    for name, ok in bound.validate_bound_curve(cs, bound.zeta(cs)):
         add(name, ok)
 
     cs = np.linspace(0.0, TWO_LN2, 8)
@@ -257,7 +258,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

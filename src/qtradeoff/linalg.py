@@ -66,10 +66,6 @@ class DensityMatrix:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
         density_spectrum(a)
 
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
 
 def partial_trace_stack(mats, dims, keep):
     """Reduced states over the kept tensor factors (indices into dims) of each
@@ -138,9 +134,10 @@ def spectral_fn(m, f):
     return (v * fw[..., None, :]) @ _dagger(v)
 
 
-def clamp_spectrum(w, floor=EIG_FLOOR):
-    """Zero small negative values from float noise; reject genuine negatives."""
+def clamp_spectrum(w):
+    """Zero small negative values from float noise; reject values below
+    EIG_FLOOR."""
     w = np.asarray(w, dtype=float)
-    if np.min(w) < floor:
-        raise ValueError(f"spectrum value {np.min(w)} below tolerance floor {floor}")
+    if np.min(w) < EIG_FLOOR:
+        raise ValueError(f"spectrum value {np.min(w)} below tolerance floor {EIG_FLOOR}")
     return np.where(w < 0, 0.0, w)

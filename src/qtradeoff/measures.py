@@ -3,9 +3,9 @@
 All entropies are in natural log (nats).  Concurrence follows the spin-flip
 construction with sigma = -|1><0| + |0><1|; the square roots of the eigenvalues
 of the spin-flipped product are the singular values of
-sqrt(rho) (sigma x sigma) sqrt(rho)*.  Entropies, mutual information,
-concurrence and fidelity also run on (..., d, d) stacks of states
-(cut_measures, fidelities).
+sqrt(rho) (sigma x sigma) sqrt(rho)*.  Mutual information, concurrence and
+the entropies of a cut (cut_measures) and fidelity (fidelities) also run on
+(..., d, d) stacks of states.
 """
 
 from dataclasses import dataclass
@@ -57,18 +57,6 @@ def _entropy(w):
     """-sum p ln p in nats over the last axis, with 0 ln 0 = 0."""
     p = clamp_spectrum(w)
     return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
-
-
-def shannon_entropy(probs):
-    """-sum p ln p in nats, with 0 ln 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    if abs(np.sum(p) - 1.0) > 1e-9:
-        raise ValueError("probabilities must sum to 1 within 1e-9")
-    return float(_entropy(p))
-
-
-def von_neumann_entropy(rho: DensityMatrix):
-    return float(_entropy(density_spectrum(rho.mat)))
 
 
 def _cut_entropies(mats, dims, cut):
@@ -170,13 +158,6 @@ def fidelities(rhos, sigmas):
     if np.max(f) > 1.0 + 1e-9:
         raise ValueError(f"fidelity {np.max(f)} exceeds 1 beyond tolerance")
     return np.minimum(f, 1.0)
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
-    """Uhlmann fidelity of two states (see fidelities)."""
-    if rho.dims != sigma.dims:
-        raise ValueError("fidelity requires states with identical dims")
-    return float(fidelities(rho.mat, sigma.mat))
 
 
 def k_function(lam):

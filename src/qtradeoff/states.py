@@ -54,14 +54,6 @@ class StateParams:
             raise ValueError("p and q must lie in [0,1]")
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """A 4x2 matrix embedding one qubit into two, with M^dag M = I."""
-
-    matrix: np.ndarray
-    label: str
-
-
 def _proj(vec):
     v = np.asarray(vec, dtype=complex)
     return np.outer(v, v.conj())
@@ -81,8 +73,9 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.mat).real).astype(complex), rho.dims)
 
 
-def isometry(label) -> Isometry:
-    """One of the four experimental operations U1, U2, V1, V2 as a 4x2 matrix.
+def isometry(label):
+    """One of the four experimental operations U1, U2, V1, V2 as a 4x2 matrix
+    M embedding one qubit into two, with M^dag M = I.
 
     U1: (|0>,|1>) -> (|11>, |+>),  U2: (|0>,|1>) -> (|00>, |->),
     V1: (|0>,|1>) -> (|00>, |10>), V2: (|0>,|1>) -> (|01>, |11>).
@@ -95,8 +88,7 @@ def isometry(label) -> Isometry:
     }
     if label not in cols:
         raise ValueError(f"unknown isometry label {label!r}")
-    m = np.stack(cols[label], axis=1)
-    return Isometry(m, label)
+    return np.stack(cols[label], axis=1)
 
 
 def timebin_mix(rho_d: DensityMatrix, p) -> DensityMatrix:
@@ -118,8 +110,8 @@ def _mix(rho_d, p):
     """The time-bin mixture of each diagonal state of a (..., 4, 4) stack with
     its weight p (an array of the stack's shape, or a scalar)."""
     p = np.asarray(p)[..., None, None]
-    w1 = kron(isometry("U1").matrix, isometry("V1").matrix)
-    w2 = kron(isometry("U2").matrix, isometry("V2").matrix)
+    w1 = kron(isometry("U1"), isometry("V1"))
+    w2 = kron(isometry("U2"), isometry("V2"))
     return (1.0 - p) * w1 @ rho_d @ w1.conj().T + p * w2 @ rho_d @ w2.conj().T
 
 
@@ -158,14 +150,6 @@ def cc_family(p, q) -> DensityMatrix:
     for w, a_vec, b_idx in terms:
         out += w * np.kron(_proj(a_vec), _proj(eye4[b_idx]))
     return DensityMatrix(out, (2, 2, 4))
-
-
-def as_four_qubits(rho: DensityMatrix) -> DensityMatrix:
-    """Relabel a (2,2,4) state as (2,2,2,2); entries are unchanged because the
-    4-level index of B equals 2*b_pol + b_path in the fixed convention."""
-    if rho.dims != (2, 2, 4):
-        raise ValueError("expected dims (2,2,4)")
-    return DensityMatrix(rho.mat, (2, 2, 2, 2))
 
 
 def classical_classical(weights, a_basis, b_basis) -> DensityMatrix:

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import measures, states
-from .linalg import DensityMatrix, density_spectrum, herm_eig
+from .linalg import density_spectrum, herm_eig
 from .measures import MeasureReport
 
 PAULI = {
@@ -184,14 +184,13 @@ def _build_inversion_tables():
 _SIGNS, _BY_STRING, _STRING_START, _PAULI_MULT, _PAULI_FLAT = _build_inversion_tables()
 
 
-def _count_table(counts, shots):
+def _count_table(counts):
     """Counts checked to be an (81, 16) table in SETTINGS order or an
-    (A, 81, 16) stack of them, and the (81,) shot totals: one total for every
-    setting, 0 marking exact (infinite-shot) frequencies, or one per setting."""
+    (A, 81, 16) stack of them."""
     counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
-    return counts, np.broadcast_to(np.asarray(shots), (len(SETTINGS),))
+    return counts
 
 
 def _correlators(counts):
@@ -206,22 +205,11 @@ def pauli_expectations(counts):
     """Averaged Pauli-string expectation estimates of an (81, 16) count table
     plus the maximum spread between the individual per-setting estimates of
     the same string."""
-    corr = _correlators(_count_table(counts, 0)[0])
+    corr = _correlators(_count_table(counts))
     exps = np.add.reduceat(corr, _STRING_START, axis=-1) / _PAULI_MULT
     spread = (np.maximum.reduceat(corr, _STRING_START, axis=-1)
               - np.minimum.reduceat(corr, _STRING_START, axis=-1))
     return exps, float(np.max(spread))
-
-
-def project_to_simplex(w):
-    """Euclidean projection of a real vector onto the probability simplex:
-    subtract a uniform shift and clip so the result sums to 1."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, len(w) + 1)
-    rho = np.max(np.nonzero(u + (1.0 - css) / j > 0)[0]) + 1
-    shift = (1.0 - css[rho - 1]) / rho
-    return np.clip(w + shift, 0.0, None)
 
 
 SPECTRUM_TIE_TOL = 1e-12
@@ -250,21 +238,22 @@ FOUR_QUBITS = (2, 2, 2, 2)
 
 
 def _invert(counts, shots):
-    """(..., B, 81, 16) count stack, with (81,) shot totals, -> (..., B, 16, 16)
-    stack of physical estimates: linear inversion, sparse denoising of the Pauli
-    coefficients, then physical_spectrum.
+    """(..., B, 81, 16) count stack, with `shots` per setting (0 for exact
+    frequencies), -> (..., B, 16, 16) stack of physical estimates: linear
+    inversion, sparse denoising of the Pauli coefficients, then
+    physical_spectrum.
 
     Denoising: a coefficient estimated from m settings of N shots has standard
     error sqrt((1-e^2)/(N m)); estimates within 3 standard errors of zero are
     zeroed.  Most true coefficients of the target families are exactly zero,
-    so this removes the bulk of the shot-noise power.  Only settings sharing
-    one positive shot total are thresholded, keeping noiseless inversion exact.
+    so this removes the bulk of the shot-noise power.  Exact frequencies are
+    not thresholded, keeping noiseless inversion exact.
     """
     exps = np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
     if np.max(np.abs(exps[..., 0] - 1.0)) >= 1e-9:
         raise ValueError("identity expectation differs from 1: a setting has no counts")
-    if np.all(shots == shots[0]) and shots[0] > 0:
-        sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots[0] * _PAULI_MULT))
+    if shots > 0:
+        sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots * _PAULI_MULT))
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
         small[..., 0] = False
         exps = np.where(small, 0.0, exps)
@@ -276,12 +265,12 @@ def _invert(counts, shots):
 
 
 def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
-    """Physical estimate (see _invert) from an (81, 16) count table, with its
-    shot totals as in _count_table, its measures, and its fidelity to the
+    """Physical estimate (see _invert) from an (81, 16) count table of `shots`
+    per setting (0 for exact frequencies), its measures, and its fidelity to the
     target state when one is given (NaN otherwise).  For an (A, 81, 16) stack,
     with A targets, every table is inverted on its own and the result holds
     arrays with a leading axis of length A."""
-    counts, shots = _count_table(counts, shots)
+    counts = _count_table(counts)
     stack = counts.reshape(-1, len(SETTINGS), N_OUT)
     rho_hat = _invert(stack[:, None], shots)[:, 0]
     rep = measures.cut_measures(rho_hat, FOUR_QUBITS, (0, 1))
@@ -307,12 +296,6 @@ DEFAULT_ANGLES = (
     15 * np.pi / 32,
     np.pi / 2,
 )
-
-
-def target_state(theta) -> DensityMatrix:
-    """Ideal prepared state for angle theta: spdc -> dephase -> time-bin mix
-    with p = cos^2(theta)."""
-    return DensityMatrix(states.timebin_states(theta), FOUR_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -353,71 +336,21 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     """Nonparametric bootstrap of (I, E) over resampled counts of one (81, 16)
     table, reconstructed as one stack.  Setting idx draws all its resamples
     from the stream (seed, 7_000_000, idx), so a run's values prefix those of
-    a longer run.  Exact frequencies (a shot total of 0) have no resamples."""
+    a longer run.  Exact frequencies (shots = 0) have no resamples."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    counts, shots = _count_table(counts, shots)
+    counts = _count_table(counts)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")
-    if np.any(shots <= 0):
+    if shots <= 0:
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
     totals = np.sum(counts, axis=-1, keepdims=True)
     if np.min(totals) <= 0:
         raise ValueError("a setting has no counts to resample")
     stack = np.stack([
-        np.random.default_rng((seed, 7_000_000, idx)).multinomial(n, p, size=n_resamples)
-        for idx, (n, p) in enumerate(zip(shots, counts / totals))
+        np.random.default_rng((seed, 7_000_000, idx)).multinomial(shots, p, size=n_resamples)
+        for idx, p in enumerate(counts / totals)
     ], axis=1)
     rep = measures.cut_measures(_invert(stack, shots), FOUR_QUBITS, (0, 1))
     i_vals, e_vals = rep.mutual_information, rep.concurrence
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))
-
-
-def records_to_text(counts, theta, p, shots, seed, noise):
-    """Line-oriented serialization of one (81, 16) count table: one header
-    line, then one line per setting with its 16 counts."""
-    counts, _ = _count_table(counts, shots)
-    head = (
-        f"# theta={float(theta)!r} p={float(p)!r} shots={int(shots)} "
-        f"seed={int(seed)} visibility={float(noise.visibility)!r} "
-        f"depolarizing={float(noise.depolarizing)!r}"
-    )
-    lines = [head] + [f"{setting} {' '.join(str(int(c)) for c in row)}"
-                      for setting, row in zip(SETTINGS, counts)]
-    return "\n".join(lines) + "\n"
-
-
-def records_from_text(text):
-    """Inverse of records_to_text; returns the (81, 16) count table in
-    SETTINGS order and the header dict.  The setting lines may come in any
-    order, but every setting must appear exactly once."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing header line")
-    meta = {}
-    for tok in lines[0].lstrip("#").split():
-        key, val = tok.split("=", 1)
-        meta[key] = float(val) if key in ("theta", "p", "visibility", "depolarizing") else int(val)
-    missing = [key for key in ("theta", "p", "shots", "seed", "visibility", "depolarizing")
-               if key not in meta]
-    if missing:
-        raise ValueError(f"header lacks {', '.join(missing)}")
-    NoiseParams(meta["visibility"], meta["depolarizing"])  # rejects out-of-range noise
-    rows = {}
-    for ln in lines[1:]:
-        setting, *values = ln.split()
-        if len(values) != N_OUT:
-            raise ValueError(f"expected 16 counts, got {len(values)}")
-        if setting not in SETTINGS:
-            raise ValueError(f"unknown setting {setting!r}")
-        if setting in rows:
-            raise ValueError(f"setting {setting!r} appears twice")
-        try:
-            rows[setting] = [int(x) for x in values]
-        except ValueError:
-            raise ValueError(f"setting {setting!r}: counts must be integers") from None
-        if min(rows[setting]) < 0:
-            raise ValueError(f"setting {setting!r}: negative count")
-    if len(rows) != len(SETTINGS):
-        raise ValueError(f"incomplete tomography: {len(rows)} of {len(SETTINGS)} settings")
-    return np.array([rows[s] for s in SETTINGS], dtype=int), meta

@@ -5,8 +5,6 @@ from qtradeoff import bound
 from qtradeoff.bound import (
     LN2SQRT3,
     TWO_LN2,
-    BoundCurve,
-    closed_form_curve,
     grid_h_k,
     kappa_aux,
     mu_aux,
@@ -150,14 +148,16 @@ def test_simplex_grid_properties():
 
 def test_grid_h_k_consistency():
     # Every grid tuple's entropy and k, by the measures module's own
-    # functions, appear in grid_h_k: the same values as a multiset.
-    from qtradeoff.measures import k_function, shannon_entropy
+    # functions, appear in grid_h_k: the same values as a multiset.  The
+    # entropy of the tuple is that of the diagonal state it is the spectrum of.
+    from qtradeoff.measures import cut_measures, k_function
 
     h, k = grid_h_k(50)
     lam = simplex_grid(50)
     assert len(h) == len(k) == len(lam)
-    assert np.allclose(np.sort(h), np.sort([shannon_entropy(row) for row in lam]),
-                       rtol=0, atol=1e-12)
+    diagonal = lam[:, :, None] * np.eye(4)
+    s = cut_measures(diagonal.astype(complex), (2, 2, 1), cut=(0, 1)).entropy_AB
+    assert np.allclose(np.sort(h), np.sort(s), rtol=0, atol=1e-12)
     assert np.allclose(np.sort(k), np.sort([k_function(row) for row in lam]),
                        rtol=0, atol=1e-12)
 
@@ -343,16 +343,15 @@ def test_region_check_rejects_nonfinite():
 
 
 def test_closed_form_curve_valid():
-    curve = closed_form_curve(200)
-    assert all(ok for _, ok in validate_bound_curve(curve))
+    cs = np.linspace(0.0, TWO_LN2, 200)
+    assert all(ok for _, ok in validate_bound_curve(cs, zeta(cs)))
 
 
 def test_validate_bound_curve_flags_corruption():
-    curve = closed_form_curve(50)
-    samples = list(curve.samples)
-    samples[10] = (samples[10][0], samples[5][1] + 0.1)  # break monotonicity
-    bad = BoundCurve(tuple(samples), "closed_form")
-    results = dict(validate_bound_curve(bad))
+    cs = np.linspace(0.0, TWO_LN2, 50)
+    es = zeta(cs)
+    es[10] = es[5] + 0.1  # break monotonicity
+    results = dict(validate_bound_curve(cs, es))
     assert not results["curve_non_increasing"]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import DensityMatrix, herm_eig, kron, partial_trace
+from qtradeoff.linalg import DensityMatrix, kron
 
 
 def test_spdc_bell_state():
@@ -45,17 +45,17 @@ def test_dephase_preserves_trace():
 
 
 def test_isometry_images():
-    u1 = states.isometry("U1").matrix
+    u1 = states.isometry("U1")
     assert np.max(np.abs(u1 @ np.array([1, 0]) - states.KET11)) < 1e-12
-    v2 = states.isometry("V2").matrix
+    v2 = states.isometry("V2")
     assert np.max(np.abs(v2 @ np.array([0, 1]) - states.KET11)) < 1e-12
-    u2 = states.isometry("U2").matrix
+    u2 = states.isometry("U2")
     assert np.max(np.abs(u2 @ np.array([0, 1]) - states.KET_MINUS)) < 1e-12
 
 
 def test_isometry_condition():
     for label in states.ISOMETRY_LABELS:
-        m = states.isometry(label).matrix
+        m = states.isometry(label)
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_timebin_matches_cc_family_random_p():
     for p in rng.random(50):
         theta = float(np.arccos(np.sqrt(p)))
         tb = states.timebin_mix(states.dephase(states.spdc_state(theta)), p)
-        cc = states.as_four_qubits(states.cc_family(p, 1.0 - p))
+        cc = states.cc_family(p, 1.0 - p)
         assert np.max(np.abs(tb.mat - cc.mat)) < 1e-12
 
 
@@ -138,9 +138,8 @@ def test_cc_family_entropies_coincide():
     rng = np.random.default_rng(23)
     for p, q in rng.random((10, 2)):
         rho = states.cc_family(p, q)
-        s_ab = measures.von_neumann_entropy(rho)
-        s_a = measures.von_neumann_entropy(partial_trace(rho, keep=[0, 1]))
-        s_b = measures.von_neumann_entropy(partial_trace(rho, keep=[2]))
+        rep = measures.cut_measures(rho.mat, rho.dims, cut=(0, 1))
+        s_ab, s_a, s_b = rep.entropy_AB, rep.entropy_A, rep.entropy_B
         assert abs(s_ab - s_a) < 1e-10
         assert abs(s_ab - s_b) < 1e-10
 

@@ -13,15 +13,12 @@ from qtradeoff.tomo import (
     born_probabilities,
     pauli_expectations,
     physical_spectrum,
-    project_to_simplex,
     reconstruct,
-    records_from_text,
-    records_to_text,
     run_experiment,
     sample_counts,
-    target_state,
     visibility_from_contrast,
 )
+from qtradeoff.states import timebin_states
 
 SCAN_THETAS = np.arange(65) * np.pi / 128
 SCAN_NOISE = [NoiseParams(v, d) for v in (1.0, 0.96) for d in (0.0, 0.02)]
@@ -57,8 +54,8 @@ def test_visibility_from_contrast():
 
 
 def test_born_probabilities_z_basis():
-    rho = target_state(0.0)  # |00> (x) |01> in the fixed ordering
-    p = born_probabilities(rho.mat)[SETTINGS.index("ZZZZ")]
+    rho = timebin_states(0.0)  # |00> (x) |01> in the fixed ordering
+    p = born_probabilities(rho)[SETTINGS.index("ZZZZ")]
     expected = np.zeros(16)
     expected[0b0001] = 1.0
     assert np.max(np.abs(p - expected)) < 1e-12
@@ -131,27 +128,27 @@ def test_sample_counts_per_setting_streams():
 
 
 def test_apply_noise_identity():
-    rho = target_state(0.4)
-    out = apply_noise(rho.mat, NoiseParams())
-    assert np.max(np.abs(out - rho.mat)) < 1e-12
+    rho = timebin_states(0.4)
+    out = apply_noise(rho, NoiseParams())
+    assert np.max(np.abs(out - rho)) < 1e-12
 
 
 def test_apply_noise_dephasing_scales_path_coherences():
-    rho = target_state(np.pi / 4)
+    rho = timebin_states(np.pi / 4)
     v = 0.8
-    out = apply_noise(rho.mat, NoiseParams(visibility=v))
+    out = apply_noise(rho, NoiseParams(visibility=v))
     idx = np.arange(16)
     path_bits = np.stack([(idx >> 2) & 1, idx & 1])
     same = np.all(path_bits[:, :, None] == path_bits[:, None, :], axis=0)
-    assert np.max(np.abs(out[same] - rho.mat[same])) < 1e-12
+    assert np.max(np.abs(out[same] - rho[same])) < 1e-12
     # Coherences between path states differing on exactly one path qubit scale by v.
     one_diff = np.sum(path_bits[:, :, None] != path_bits[:, None, :], axis=0) == 1
-    assert np.max(np.abs(out[one_diff] - v * rho.mat[one_diff])) < 1e-12
+    assert np.max(np.abs(out[one_diff] - v * rho[one_diff])) < 1e-12
 
 
 def test_apply_noise_full_depolarizing_fixed_point():
-    rho = target_state(0.7)
-    out = apply_noise(rho.mat, NoiseParams(depolarizing=1.0))
+    rho = timebin_states(0.7)
+    out = apply_noise(rho, NoiseParams(depolarizing=1.0))
     assert np.max(np.abs(out - np.eye(16) / 16.0)) < 1e-12
 
 
@@ -163,15 +160,15 @@ def test_noise_params_validation():
 
 
 def test_pauli_expectations_exact_consistency():
-    rho = target_state(np.pi / 8)
-    exps, spread = pauli_expectations(born_probabilities(rho.mat))
+    rho = timebin_states(np.pi / 8)
+    exps, spread = pauli_expectations(born_probabilities(rho))
     assert abs(exps[0] - 1.0) < 1e-12
     # On exact data every setting estimating the same Pauli string agrees.
     assert spread < 1e-10
     # Oracle: direct trace against the Pauli matrices for a few strings.
     for k in (0b00000011, 0b01010101, 0b11111111):
         p_mat = tomo._PAULI_FLAT[k].reshape(16, 16)
-        assert abs(exps[k] - np.trace(rho.mat @ p_mat).real) < 1e-10
+        assert abs(exps[k] - np.trace(rho @ p_mat).real) < 1e-10
 
 
 def _loop_inversion_tables():
@@ -216,9 +213,9 @@ def test_inversion_tables_match_loop_construction():
 
 
 def test_pauli_expectations_rejects_incomplete():
-    rho = target_state(0.5)
+    rho = timebin_states(0.5)
     with pytest.raises(ValueError):
-        pauli_expectations(born_probabilities(rho.mat)[:-1])
+        pauli_expectations(born_probabilities(rho)[:-1])
 
 
 def test_exact_reconstruction_is_faithful():
@@ -233,7 +230,6 @@ def test_exact_reconstruction_is_faithful():
 
 def test_sampled_reconstruction_converges_with_shots():
     theta = np.pi / 4
-    target = target_state(theta)
     errs = []
     for shots in (10**3, 10**4, 10**5):
         run = run_experiment(theta, shots=shots, seed=17)
@@ -253,10 +249,9 @@ def test_invert_stack_matches_separate_calls():
     # Each angle of an (A, 1, 81, 16) stack is the same m = 1 inversion as a
     # call of its own.
     run = run_experiment(SCAN_THETAS[::4], shots=3000, seed=2, noise=SCAN_NOISE[3])
-    shots = np.full(81, 3000)
-    stacked = tomo._invert(run.counts[:, None].astype(float), shots)
+    stacked = tomo._invert(run.counts[:, None].astype(float), 3000)
     for a, counts in enumerate(run.counts):
-        assert np.array_equal(stacked[a], tomo._invert(counts[None].astype(float), shots))
+        assert np.array_equal(stacked[a], tomo._invert(counts[None].astype(float), 3000))
 
 
 def test_run_experiment_stack_matches_single_angles():
@@ -286,17 +281,6 @@ def test_noise_lowers_fidelity_monotonically():
         meds.append(float(np.median(fids)))
     assert meds[0] > meds[1] > meds[2]
     assert meds[2] > 0.93
-
-
-def test_project_to_simplex_examples():
-    out = project_to_simplex(np.array([0.6, 0.6]))
-    assert np.allclose(out, [0.5, 0.5], atol=1e-12)
-    out = project_to_simplex(np.array([1.2, -0.2]))
-    assert np.allclose(out, [1.0, 0.0], atol=1e-12)
-    w = np.random.default_rng(61).normal(size=16)
-    out = project_to_simplex(w)
-    assert abs(np.sum(out) - 1.0) < 1e-12
-    assert np.all(out >= 0.0)
 
 
 def test_physical_spectrum_examples():
@@ -343,9 +327,9 @@ def _resamples(counts, shots, n_resamples, seed):
     """The bootstrap's resampled count tables, drawn one setting at a time from
     the documented streams (seed, 7_000_000, setting index)."""
     draws = []
-    for idx, (row, n) in enumerate(zip(counts, np.broadcast_to(shots, (81,)))):
+    for idx, row in enumerate(counts):
         rng = np.random.default_rng((seed, 7_000_000, idx))
-        draws.append(rng.multinomial(n, row / np.sum(row), size=n_resamples))
+        draws.append(rng.multinomial(shots, row / np.sum(row), size=n_resamples))
     return np.stack(draws, axis=1)
 
 
@@ -369,22 +353,11 @@ def test_bootstrap_streams_are_per_setting_prefixes():
 
 
 def test_mixed_shot_totals_skip_thresholding():
-    theta = np.pi / 4
-    run = run_experiment(theta, shots=2000, seed=5)
-    # Thresholding is active when every setting shares one shot total.
+    # The coefficients are thresholded for a positive shot total and not for
+    # exact frequencies (shots = 0), so the same counts give different estimates.
+    run = run_experiment(np.pi / 4, shots=2000, seed=5)
     unthresholded = reconstruct(run.counts, 0)
     assert np.max(np.abs(run.result.rho_hat - unthresholded.rho_hat)) > 1e-6
-    mixed = run.counts.copy()
-    mixed[0] = sample_counts(born_probabilities(target_state(theta).mat), 3000, 5)[0]
-    shots = np.full(81, 2000)
-    shots[0] = 3000
-    assert np.max(np.abs(reconstruct(mixed, shots).rho_hat
-                         - reconstruct(mixed, 0).rho_hat)) < 1e-12
-    boot = bootstrap_measures(mixed, shots, n_resamples=3, seed=5)
-    for b, counts in enumerate(_resamples(mixed, shots, 3, 5)):
-        m = reconstruct(counts, 0).measures
-        assert abs(boot.i_values[b] - m.mutual_information) < 1e-12
-        assert abs(boot.e_values[b] - m.concurrence) < 1e-12
 
 
 def test_reconstruct_rejects_setting_without_counts():
@@ -405,49 +378,9 @@ def test_bootstrap_skips_exact_records():
     assert len(boot.i_values) == 0
 
 
-def test_serialization_round_trip():
-    noise = NoiseParams(visibility=0.96)
-    run = run_experiment(np.pi / 16, shots=3000, seed=8, noise=noise)
-    text = records_to_text(run.counts, float(np.pi / 16), run.params.p, 3000, 8, noise)
-    back, meta = records_from_text(text)
-    assert meta["shots"] == 3000 and meta["seed"] == 8
-    assert abs(meta["theta"] - np.pi / 16) < 1e-15
-    assert np.array_equal(back, run.counts)
-    assert records_to_text(back, meta["theta"], meta["p"], meta["shots"], meta["seed"],
-                           NoiseParams(meta["visibility"], meta["depolarizing"])) == text
-    # Setting lines may come in any order.
-    head, *rows = text.splitlines()
-    assert np.array_equal(records_from_text("\n".join([head] + rows[::-1]))[0], back)
-
-
-def test_serialization_rejects_garbage():
-    head = "# theta=0.0 p=1.0 shots=10 seed=0 visibility=1.0 depolarizing=0.0"
-    rows = [f"{s} " + " ".join(["1"] * 16) for s in SETTINGS]
-    with pytest.raises(ValueError):
-        records_from_text("no header\n")
-    with pytest.raises(ValueError):
-        records_from_text(head + "\nXXXX 1 2 3\n")
-    for bad, match in ((rows[:-1], "incomplete"), (rows + rows[:1], "twice"),
-                       (["XXQX" + rows[0][4:]] + rows[1:], "unknown"),
-                       ([rows[0][:-1] + "-1"] + rows[1:], "negative count"),
-                       ([rows[0][:-1] + "1.5"] + rows[1:], "must be integers"),
-                       ([rows[0][:-1] + "x"] + rows[1:], "must be integers")):
-        with pytest.raises(ValueError, match=match):
-            records_from_text("\n".join([head] + bad))
-
-
-@pytest.mark.parametrize("key", ["theta", "p", "shots", "seed", "visibility", "depolarizing"])
-def test_serialization_names_missing_header_key(key):
-    head = " ".join(tok for tok in
-                    "# theta=0.0 p=1.0 shots=10 seed=0 visibility=1.0 depolarizing=0.0".split()
-                    if not tok.startswith(key + "="))
-    rows = [f"{s} " + " ".join(["1"] * 16) for s in SETTINGS]
-    with pytest.raises(ValueError, match=f"header lacks {key}$"):
-        records_from_text("\n".join([head] + rows))
-
-
 def test_target_state_matches_family():
+    # The experiment's target states are the red line of the cc family.
     for theta in (0.2, 0.9, 1.4):
         p = float(np.cos(theta) ** 2)
-        direct = states.as_four_qubits(states.cc_family(p, 1.0 - p))
-        assert np.max(np.abs(target_state(theta).mat - direct.mat)) < 1e-12
+        direct = states.cc_family(p, 1.0 - p)
+        assert np.max(np.abs(timebin_states(theta) - direct.mat)) < 1e-12
