@@ -7,6 +7,7 @@ k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4) at fixed Shannon
 entropy.  All functions broadcast over numpy arrays.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,67 +91,64 @@ def _expand(starts, counts):
     return out, owner
 
 
-def _pairs(n, l1):
-    """Per (l1, l2) pair of the partitions of n with largest part in l1, in
-    order: l2, the index into l1, n - l1 - l2 and the number of l3 values."""
+def _pairs(n):
+    """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n,
+    in lexicographic order: l1, l2, n - l1 - l2 and the number of l3 values."""
     if n < 1:
         raise ValueError("resolution must be at least 1")
-    r1 = n - l1
-    l2, i1 = _expand((r1 + 2) // 3, np.minimum(l1, r1) - (r1 + 2) // 3 + 1)
+    largest = np.arange((n + 3) // 4, n + 1)
+    r1 = n - largest
+    l2, i1 = _expand((r1 + 2) // 3, np.minimum(largest, r1) - (r1 + 2) // 3 + 1)
     r2 = r1[i1] - l2
-    return l2, i1, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
+    return largest[i1], l2, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
 
 
-def _partitions(resolution, l1=None):
-    """The descending integer partitions l1>=l2>=l3>=l4>=0 of `resolution`
-    with l1 in `l1` (default: all), in lexicographic order of (l1, l2, l3): l1
-    and l2 once per (l1, l2) pair, then l3, l4 and the pair index per tuple."""
-    n = int(resolution)
-    if l1 is None:
-        l1 = np.arange((n + 3) // 4, n + 1)
-    l2, i1, r2, counts = _pairs(n, l1)
+def _tuples(r2, counts):
+    """l3, l4 and the pair index of each tuple of the pairs (r2, counts)."""
     l3, pair = _expand((r2 + 1) // 2, counts)
     l4 = r2[pair]
     l4 -= l3
-    return l1[i1], l2, l3, l4, pair
+    return l3, l4, pair
 
 
 def simplex_grid(resolution):
     """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
     divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
     in lexicographic order of (l1, l2, l3)."""
-    l1, l2, l3, l4, pair = _partitions(resolution)
+    l1, l2, r2, counts = _pairs(int(resolution))
+    l3, l4, pair = _tuples(r2, counts)
     return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / int(resolution)
 
 
-# Tuples per block of a grid pass, and the uniform entropy bins on [0, 2 ln 2]
-# that the band oracle folds k into.
-_BLOCK = 2 ** 16
+# Tuples per block of a grid pass (64 KB per float64 array), and the uniform
+# entropy bins on [0, 2 ln 2] that the band oracle folds k into.
+_BLOCK = 2 ** 13
 _BINS = 2 ** 14
 _BIN_SCALE = _BINS / TWO_LN2
 
 
 def _grid_blocks(resolution):
     """(h, k) of the simplex_grid tuples in simplex_grid order, in blocks of
-    consecutive l1 values of about _BLOCK tuples each.  h and k index
-    (n + 1)-entry tables of l/n and of x log x with the integer parts, for the
-    floats of the same formulas on the simplex_grid rows, bit for bit."""
+    consecutive (l1, l2) pairs.  A block starts where the running tuple count
+    crosses a multiple of _BLOCK, so it holds at most _BLOCK tuples plus its
+    first pair (at most n/2 + 1).  h and k index (n + 1)-entry tables of l/n
+    and of x log x with the integer parts, for the floats of the same formulas
+    on the simplex_grid rows, bit for bit."""
     n = int(resolution)
-    largest = np.arange((n + 3) // 4, n + 1)
-    _, i1, _, counts = _pairs(n, largest)
-    ends = np.cumsum(np.bincount(i1, counts, len(largest)))
+    l1, l2, r2, counts = _pairs(n)
+    cuts = [0, *(np.flatnonzero(np.diff(np.cumsum(counts) // _BLOCK)) + 1).tolist(), len(counts)]
     x = np.arange(n + 1) / n
     t = _xlogx(x)
-    for run in np.split(largest, np.flatnonzero(np.diff(ends // _BLOCK)) + 1):
-        l1, l2, l3, l4, pair = _partitions(n, run)
+    for a, b in zip(cuts, cuts[1:]):
+        l3, l4, pair = _tuples(r2[a:b], counts[a:b])
         # h = -(((t1 + t2) + t3) + t4), the summation order of np.sum over a
         # row; in place, which is faster than the expression on a block.
-        h = (t[l1] + t[l2])[pair]
+        h = (t[l1[a:b]] + t[l2[a:b]])[pair]
         h += t[l3]
         h += t[l4]
-        root = x[l2][pair]
+        root = x[l2[a:b]][pair]
         root *= x[l4]
-        k = x[l1][pair]
+        k = x[l1[a:b]][pair]
         k -= x[l3]
         k -= 2.0 * np.sqrt(root, out=root)
         yield np.negative(h, out=h), k
@@ -220,10 +218,14 @@ def oracle_scan(c, resolution=200, band=0.01):
     tuples of the bins within one bin of a band edge c -+ band, where float
     rounding decides membership; those are tested exactly, and every bin
     between them lies wholly inside the band."""
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"oracle resolution {resolution!r} is not an integer") from None
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
-    if band <= 0:
-        raise ValueError("band must be positive")
+    if not 0.0 < band < np.inf:
+        raise ValueError("band must be positive and finite")
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")

@@ -188,19 +188,19 @@ def invariant_suite(seed=0):
         checks.append((name, bool(ok), detail))
 
     z0 = bound.zeta(0.0)
-    add("zeta_at_zero", abs(z0 - 1.0) <= 1e-9, f"zeta(0)={z0!r}")
+    add("zeta_at_zero", abs(z0 - 1.0) <= 1e-9, f"zeta(0)={fmt(z0)}")
     tail = np.asarray(bound.zeta(np.linspace(LN2SQRT3, TWO_LN2, 100)))
-    add("zeta_vanishing_tail", np.max(np.abs(tail)) <= 1e-9, f"max={np.max(np.abs(tail))!r}")
+    add("zeta_vanishing_tail", np.max(np.abs(tail)) <= 1e-9, f"max={fmt(np.max(np.abs(tail)))}")
     es = np.linspace(0.0, 1.0, 1000)
     zi = np.asarray(bound.zeta_inv(es))
     add("zeta_inv_strictly_decreasing", np.all(np.diff(zi) < 0))
     rt = np.asarray(bound.zeta(np.clip(zi, 0.0, TWO_LN2)))
-    add("zeta_roundtrip", np.max(np.abs(rt - es)) <= 1e-9, f"max={np.max(np.abs(rt - es))!r}")
+    add("zeta_roundtrip", np.max(np.abs(rt - es)) <= 1e-9, f"max={fmt(np.max(np.abs(rt - es)))}")
 
     ps = np.arange(0.0, 0.5 + 1e-12, 0.01)
     verdicts = bound.region_check(family_points(ps, 1 - ps))
     add("red_curve_contained", all(v.inside_separable_region for v in verdicts),
-        f"worst margin={min(v.margin for v in verdicts)!r}")
+        f"worst margin={fmt(min(v.margin for v in verdicts))}")
 
     rng = np.random.default_rng(seed)
     pq = rng.random((100, 2))
@@ -213,7 +213,7 @@ def invariant_suite(seed=0):
 
     cs = np.linspace(0.0, TWO_LN2, 8)
     devs = np.abs(bound.zeta(cs) - bound.oracle_zeta(cs, 150, 0.01))
-    add("oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={float(np.max(devs))!r}")
+    add("oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={fmt(np.max(devs))}")
 
     probs = np.full((len(tomo.SETTINGS), tomo.N_OUT), 1.0 / tomo.N_OUT)
     c1 = tomo.sample_counts(probs, 1000, seed)

@@ -178,14 +178,52 @@ def test_grid_h_k_bit_identical_to_float_lambda_grid(n):
         assert np.array_equal(np.signbit(new), np.signbit(ref))
 
 
-def test_grid_blocks_are_runs_of_l1_values():
-    # Each block starts at a new largest part l1 and, unless one l1 value
-    # alone holds more, stays within twice the block size.
-    l1 = simplex_grid(600)[:, 0]
-    starts = np.cumsum([0] + [len(h) for h, _ in bound._grid_blocks(600)])
-    assert starts[-1] == len(l1) and len(starts) > 10
-    assert np.all(l1[starts[1:-1]] != l1[starts[1:-1] - 1])
-    assert np.max(np.diff(starts)) < 2 * bound._BLOCK
+def _reference_rows(n):
+    # Brute force, one largest part l1 at a time: the integer rows of the
+    # descending partitions of n in lexicographic order, as int16.
+    for l1 in range((n + 3) // 4, n + 1):
+        m = min(l1, n - l1) + 1
+        l2, l3 = np.divmod(np.arange(m * m), m)
+        l4 = n - l1 - l2 - l3
+        ok = (l3 <= l2) & (l4 <= l3) & (l4 >= 0)
+        yield np.stack([np.full(np.count_nonzero(ok), l1), l2[ok], l3[ok], l4[ok]],
+                       axis=1).astype(np.int16)
+
+
+@pytest.mark.parametrize("n", [150, 600, 1000])
+def test_grid_blocks_are_runs_of_pairs(n):
+    # Concatenated, the blocks are the h and k of the float rows in
+    # simplex_grid order, bit for bit; each block starts at a new (l1, l2)
+    # pair; and past its first pair, which holds at most n/2 + 1 tuples, a
+    # block holds fewer than _BLOCK tuples.
+    rows = np.concatenate(list(_reference_rows(n)))
+    assert len(rows) == _partitions_into_four(n)
+    start = 0
+    for h, k in bound._grid_blocks(n):
+        block = rows[start:start + len(h)]
+        lam = block / n
+        assert np.array_equal(h, -np.sum(bound._xlogx(lam), axis=1))
+        assert np.array_equal(k, lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3]))
+        assert start == 0 or np.any(block[0, :2] != rows[start - 1, :2])
+        first = np.count_nonzero(np.all(block[:, :2] == block[0, :2], axis=1))
+        assert first <= n // 2 + 1
+        assert len(h) - first < bound._BLOCK
+        start += len(h)
+    assert start == len(rows)
+
+
+@pytest.mark.parametrize("n", [150, 257, 401])
+def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
+    # n = 150 has widened bands, so the nearest-entropy pass runs too.
+    queries = [np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200)]
+    default = [bound.oracle_scan(cs, n, 0.01) for cs in queries]
+    assert n != 150 or np.any(default[0][1])
+    for size in (2 ** 6, 2 ** 16):
+        monkeypatch.setattr(bound, "_BLOCK", size)
+        for cs, (values, widened) in zip(queries, default):
+            got, got_widened = bound.oracle_scan(cs, n, 0.01)
+            assert np.array_equal(got, values) and np.array_equal(got_widened, widened)
+            assert np.array_equal(np.signbit(got), np.signbit(values))
 
 
 def test_oracle_zeta_examples():
@@ -205,6 +243,14 @@ def test_oracle_zeta_validates_arguments():
         oracle_zeta(0.5, band=0.0)
     with pytest.raises(ValueError):
         oracle_zeta(np.nan)
+    for band in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            oracle_zeta(0.5, band=band)
+        with pytest.raises(ValueError):
+            bound.oracle_scan([0.5], 200, band)
+    for resolution in (150.5, "150", None):
+        with pytest.raises(ValueError):
+            oracle_zeta(0.5, resolution=resolution)
 
 
 def test_oracle_matches_closed_form():
