@@ -149,6 +149,8 @@ def cmd_oracle(args):
 def cmd_experiment(args):
     from . import tomo
 
+    if args.bootstrap < 0:
+        raise ValueError("bootstrap must be non-negative (0 for no error bars)")
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
     run = tomo.run_experiment(np.array([theta for _, theta in thetas]), shots=args.shots,
@@ -216,8 +218,8 @@ def invariant_suite(seed=0):
     add("oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={fmt(np.max(devs))}")
 
     probs = np.full((len(tomo.SETTINGS), tomo.N_OUT), 1.0 / tomo.N_OUT)
-    c1 = tomo.sample_counts(probs, 1000, seed)
-    c2 = tomo.sample_counts(probs, 1000, seed)
+    c1 = tomo.sample_counts(probs, 1000, seed, 0)
+    c2 = tomo.sample_counts(probs, 1000, seed, 0)
     add("sampling_deterministic", np.array_equal(c1, c2))
 
     ok = True

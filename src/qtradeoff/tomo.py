@@ -3,9 +3,10 @@
 81 local Pauli settings (X/Y/Z per qubit) with 16 outcomes each, held as an
 (81, 16) count table; reconstruction by unbiased linear inversion of Pauli
 expectations followed by projection of the spectrum onto the probability
-simplex.  An experiment runs all its angles as one stack.  Every setting draws
-from its own RNG stream derived from (seed, setting index), restarted for each
-angle, so results do not depend on evaluation order or on the other angles.
+simplex.  An experiment runs all its angles as one stack.  Each angle draws
+its whole count table in one call from its own RNG stream, derived from the
+seed and the float64 bits of the angle, so results do not depend on evaluation
+order or on the other angles.
 """
 
 import itertools
@@ -22,13 +23,6 @@ PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# Columns are the +1 and -1 eigenvectors (outcome 0 and 1).
-EIGVECS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-    "Z": np.eye(2, dtype=complex),
 }
 
 SETTINGS = tuple("".join(t) for t in itertools.product("XYZ", repeat=4))
@@ -77,49 +71,6 @@ def _kron_table(factors):
         table = (table[:, None, :, None, :, None]
                  * factors[None, :, None, :, None, :]).reshape(-1, 2 * m, 2 * m)
     return table
-
-
-# Column 16 idx + z is the eigenvector of outcome z in setting SETTINGS[idx].
-_BASIS = np.ascontiguousarray(
-    _kron_table(np.stack([EIGVECS[ch] for ch in "XYZ"])).transpose(1, 0, 2).reshape(N_OUT, -1))
-_BASIS_CONJ = np.conj(_BASIS)
-
-
-def born_probabilities(mats):
-    """Probabilities of the 16 joint outcomes of every setting, (..., 81, 16),
-    for a four-qubit state or a (..., 16, 16) stack of them.  Each state takes
-    one product with the (16, 81 * 16) basis stack."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape[-2:] != (N_OUT, N_OUT):
-        raise ValueError("tomography expects four-qubit states")
-    flat = mats.reshape(-1, N_OUT, N_OUT)
-    p = np.empty((len(flat), len(SETTINGS), N_OUT))
-    for a, rho in enumerate(flat):  # one (16, 1296) temporary at a time
-        p[a] = np.real(np.sum(_BASIS_CONJ * (rho @ _BASIS), axis=0)).reshape(-1, N_OUT)
-    np.clip(p, 0.0, None, out=p)
-    p /= np.sum(p, axis=-1, keepdims=True)
-    return p.reshape(mats.shape[:-2] + p.shape[1:])
-
-
-def sample_counts(probs, shots, seed):
-    """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
-    probabilities, each row normalized to sum 1.  Setting idx of every stack
-    entry draws from the start of the stream (seed, idx), so an entry's counts
-    do not depend on the others: each setting's generator is built once and
-    rewound before each draw."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    p = np.asarray(probs, dtype=float)
-    flat = p.reshape((-1,) + p.shape[-2:])
-    counts = np.empty(flat.shape, dtype=np.int64)
-    for idx in range(flat.shape[1]):
-        rng = np.random.default_rng((seed, idx))
-        start = rng.bit_generator.state
-        rows = flat[:, idx] / np.sum(flat[:, idx], axis=-1, keepdims=True)
-        for a, row in enumerate(rows):
-            rng.bit_generator.state = start
-            counts[a, idx] = rng.multinomial(shots, row)
-    return counts.reshape(p.shape)
 
 
 def _depolarize_qubit(mat, i, p):
@@ -178,10 +129,49 @@ def _build_inversion_tables():
     # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
     # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled.
     flat = _kron_table(np.stack([PAULI[ch] for ch in "IXYZ"])).reshape(256, 256)
-    return signs, by_string, starts, mult, flat
+    return signs, pauli_idx, by_string, starts, mult, flat
 
 
-_SIGNS, _BY_STRING, _STRING_START, _PAULI_MULT, _PAULI_FLAT = _build_inversion_tables()
+(_SIGNS, _PAULI_IDX, _BY_STRING, _STRING_START, _PAULI_MULT,
+ _PAULI_FLAT) = _build_inversion_tables()
+
+
+def born_probabilities(mats):
+    """Probabilities of the 16 joint outcomes of every setting, (..., 81, 16),
+    for a four-qubit state or a (..., 16, 16) stack of them:
+    p(z|s) = (1/16) sum_T sign(z, T) <P_{s,T}>, the inversion tables read
+    forwards.  Each state takes its own (1, 256) product with the Pauli table,
+    so its probabilities do not depend on the rest of the stack."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2:] != (N_OUT, N_OUT):
+        raise ValueError("tomography expects four-qubit states")
+    # Tr(rho P) = sum_ij conj(rho_ij) P_ij for Hermitian rho and P.
+    flat = np.conj(mats).reshape(mats.shape[:-2] + (1, N_OUT * N_OUT))
+    exps = np.real(flat @ _PAULI_FLAT.T)[..., 0, :]
+    p = exps[..., _PAULI_IDX] @ _SIGNS / N_OUT
+    np.clip(p, 0.0, None, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    return p
+
+
+def sample_counts(probs, shots, seed, keys):
+    """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
+    probability tables, each row normalized to sum 1.  `keys` holds one
+    non-negative integer per table (shape probs.shape[:-2]); table a draws all
+    its rows in one call from the stream (seed, keys[a]), so its counts do not
+    depend on the other tables."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    p = np.asarray(probs, dtype=float)
+    keys = np.asarray(keys)
+    if keys.shape != p.shape[:-2]:
+        raise ValueError(f"expected one key per table, shape {p.shape[:-2]}")
+    flat = p.reshape((-1,) + p.shape[-2:])
+    counts = np.empty(flat.shape, dtype=np.int64)
+    for a, (table, key) in enumerate(zip(flat, keys.ravel().tolist())):
+        rng = np.random.default_rng((seed, key))
+        counts[a] = rng.multinomial(shots, table / np.sum(table, axis=-1, keepdims=True))
+    return counts.reshape(p.shape)
 
 
 def _count_table(counts):
@@ -311,16 +301,17 @@ class ExperimentRun:
 
 def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False) -> ExperimentRun:
     """Full pipeline for one angle, or as one pass over a 1-d array of angles:
-    prepare, add noise, measure every setting, reconstruct.  An angle's
-    results do not depend on the other angles of the array, because every
-    setting's stream restarts for each angle (see sample_counts)."""
+    prepare, add noise, measure every setting, reconstruct.  An angle draws its
+    counts from the stream (seed, float64 bits of the angle), -0.0 counting as
+    0.0, so its results do not depend on the other angles of the array and a
+    repeated angle repeats its results (see sample_counts)."""
     params = states.StateParams.from_theta(np.asarray(theta, dtype=float))
     targets = states.timebin_states(params.theta)
     counts = born_probabilities(apply_noise(targets, noise))
     if exact:
         shots = 0
     else:
-        counts = sample_counts(counts, shots, seed)
+        counts = sample_counts(counts, shots, seed, np.asarray(params.theta + 0.0).view(np.uint64))
     return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets))
 
 

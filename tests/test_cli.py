@@ -245,7 +245,9 @@ def _references(path):
     and comments do not count."""
     own = os.path.basename(path)[:-3]
     found = set()
-    for top in ast.parse(open(path).read()).body:
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for top in tree.body:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 refs = [f"{own}.{node.id}"]
@@ -397,6 +399,9 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["--command", "sweep", "--p-step", "-0.1"]) == 2
     assert cli.main(["--command", "bound", "--resolution", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # 0 resamples means no error bars; a negative count is a usage error.
+    assert cli.main(["--command", "experiment", "--theta", "1/4", "--bootstrap", "-5"]) == 2
+    assert capsys.readouterr().err.startswith("error: bootstrap must be non-negative")
     # A shot count beyond a C long overflows in the sampler.
     assert cli.main(["--command", "experiment", "--shots", "99999999999999999999",
                      "--theta", "1/4", "--bootstrap", "0"]) == 2

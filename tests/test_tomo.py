@@ -5,7 +5,6 @@ from qtradeoff import states, tomo
 from qtradeoff.linalg import DensityMatrix
 from qtradeoff.measures import closed_form_E, closed_form_I
 from qtradeoff.tomo import (
-    EIGVECS,
     NoiseParams,
     SETTINGS,
     apply_noise,
@@ -22,6 +21,14 @@ from qtradeoff.states import timebin_states
 
 SCAN_THETAS = np.arange(65) * np.pi / 128
 SCAN_NOISE = [NoiseParams(v, d) for v in (1.0, 0.96) for d in (0.0, 0.02)]
+
+# Columns are the +1 and -1 eigenvectors (outcome 0 and 1) of each local
+# measurement: the reference the Born probabilities are checked against.
+EIGVECS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+    "Z": np.eye(2, dtype=complex),
+}
 
 
 def _setting_w(setting):
@@ -81,8 +88,9 @@ def test_born_probabilities_rejects_non_four_qubit_state():
 
 
 def test_born_probabilities_match_per_setting_products():
-    # The basis-stack product reproduces each setting's own 16x16 product bit
-    # for bit, for every scan angle and noise setting, stacked or not.
+    # The Pauli-table probabilities agree with each setting's own 16x16 product
+    # in the kron-chain eigenbasis, for every scan angle and noise setting.
+    # The sums run in another order, so equality holds to 1e-15 absolute.
     targets = states.timebin_states(SCAN_THETAS)
     for noise in SCAN_NOISE:
         noisy = apply_noise(targets, noise)
@@ -91,40 +99,67 @@ def test_born_probabilities_match_per_setting_products():
         for a, rho in enumerate(noisy):
             assert np.array_equal(apply_noise(targets[a], noise), rho)
             ref = np.array([_born_per_setting(rho, s) for s in SETTINGS])
-            assert np.array_equal(probs[a], ref)
+            assert np.max(np.abs(probs[a] - ref)) <= 1e-15
+
+
+def test_born_probabilities_stack_rows_are_single_calls():
+    # Row independence of the experiment rests on this: each state of a stack
+    # gets bit for bit the probabilities of a call of its own.
+    targets = states.timebin_states(SCAN_THETAS)
+    for noise in SCAN_NOISE:
+        noisy = apply_noise(targets, noise)
+        probs = born_probabilities(noisy)
+        for a, rho in enumerate(noisy):
+            assert np.array_equal(probs[a], born_probabilities(rho))
 
 
 def test_sample_counts_deterministic():
     p = np.array([[0.1, 0.2, 0.3, 0.4]])
-    a = sample_counts(p, 1000, 5)
-    b = sample_counts(p, 1000, 5)
-    c = sample_counts(p, 1000, 6)
+    a = sample_counts(p, 1000, 5, 0)
+    b = sample_counts(p, 1000, 5, 0)
+    c = sample_counts(p, 1000, 6, 0)
+    d = sample_counts(p, 1000, 5, 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
     assert np.sum(a) == 1000
 
 
 def test_sample_counts_converges():
     p = np.array([0.05, 0.15, 0.35, 0.45])
-    counts = sample_counts(p[None], 10**6, 9)[0]
+    counts = sample_counts(p[None], 10**6, 9, 0)[0]
     # 5-sigma band on each multinomial frequency
     err = np.abs(counts / 10**6 - p)
     assert np.all(err < 5 * np.sqrt(p * (1 - p) / 10**6))
 
 
-def test_sample_counts_per_setting_streams():
-    # Setting idx of every angle draws from the start of the stream (seed, idx):
-    # the rewound generators give what a fresh generator per draw gives.  The
-    # sampler normalizes each row once more, as the per-setting draw always did.
+def test_sample_counts_per_table_streams():
+    # Table a draws its whole (81, 16) table in one call from the stream
+    # (seed, keys[a]); the sampler normalizes each row once more.  A table
+    # sampled alone gives its row of the stack.
     probs = born_probabilities(apply_noise(states.timebin_states(SCAN_THETAS[::8]),
                                            SCAN_NOISE[3]))
-    counts = sample_counts(probs, 500, 11)
+    keys = np.arange(len(probs)) * 1000 + 3
+    counts = sample_counts(probs, 500, 11, keys)
     assert counts.shape == probs.shape
-    for a in range(len(probs)):
-        for idx, p in enumerate(probs[a]):
-            fresh = np.random.default_rng((11, idx)).multinomial(500, p / np.sum(p))
-            assert np.array_equal(counts[a, idx], fresh)
-    assert np.array_equal(sample_counts(probs[3], 500, 11), counts[3])
+    for a, p in enumerate(probs):
+        fresh = np.random.default_rng((11, int(keys[a]))).multinomial(
+            500, p / np.sum(p, axis=-1, keepdims=True))
+        assert np.array_equal(counts[a], fresh)
+    assert np.array_equal(sample_counts(probs[3], 500, 11, keys[3]), counts[3])
+    with pytest.raises(ValueError, match="one key per table"):
+        sample_counts(probs, 500, 11, keys[:-1])
+
+
+def test_run_experiment_streams_are_keyed_by_angle():
+    # An angle's counts come from the stream (seed, float64 bits of theta),
+    # with -0.0 keyed as 0.0, and a repeated angle repeats its counts.
+    run = run_experiment(np.array([0.0, 0.3, -0.0, 0.3]), shots=700, seed=8)
+    for a, theta in enumerate([0.0, 0.3]):
+        p = born_probabilities(states.timebin_states(theta))
+        key = np.float64(theta).view(np.uint64)
+        assert np.array_equal(run.counts[a], sample_counts(p, 700, 8, key))
+    assert np.array_equal(run.counts[2:], run.counts[:2])
 
 
 def test_apply_noise_identity():
