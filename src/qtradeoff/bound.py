@@ -1,10 +1,12 @@
 """The monogamy bound between internal concurrence and external mutual information.
 
 zeta_inv is the closed-form inverse of the tradeoff curve; zeta recovers the
-curve by bisection.  oracle_zeta is an independent brute-force check: an
-exhaustive scan of the sorted probability 4-simplex maximizing
-k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4) at fixed Shannon
-entropy.  All functions broadcast over numpy arrays.
+curve by bisection.  Two brute-force oracles check it on an exhaustive grid
+of the sorted probability 4-simplex, through
+k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
+maximizes k over the tuples of entropy at least c, a one-sided check that
+never exceeds zeta, and oracle_zeta over the tuples within a band of entropy
+c.  All functions broadcast over numpy arrays.
 """
 
 import operator
@@ -120,11 +122,8 @@ def simplex_grid(resolution):
     return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / int(resolution)
 
 
-# Tuples per block of a grid pass (64 KB per float64 array), and the uniform
-# entropy bins on [0, 2 ln 2] that the band oracle folds k into.
+# Tuples per block of a grid pass (64 KB per float64 array).
 _BLOCK = 2 ** 13
-_BINS = 2 ** 14
-_BIN_SCALE = _BINS / TWO_LN2
 
 
 def _grid_blocks(resolution):
@@ -159,102 +158,55 @@ def grid_h_k(resolution):
     return tuple(map(np.concatenate, zip(*_grid_blocks(resolution))))
 
 
-def _band_edges(h, c, band):
-    """[lo, hi) index ranges of sorted h holding exactly the entries with
-    |h - c| <= band, per query.  The in-band entries are contiguous because
-    the rounded |h - c| is monotone on either side of c; searchsorted on
-    c -+ band can miss it by a few entries at each edge, which the loops fix."""
-    n = len(h)
-
-    def inside(i):
-        j = np.clip(i, 0, n - 1)
-        return (i >= 0) & (i < n) & (np.abs(h[j] - c) <= band)
-
-    lo = np.searchsorted(h, c - band, side="left")
-    hi = np.searchsorted(h, c + band, side="right")
-    while np.any(step := inside(lo - 1)):
-        lo = lo - step
-    while np.any(step := (lo < hi) & ~inside(lo)):
-        lo = lo + step
-    while np.any(step := inside(hi)):
-        hi = hi + step
-    while np.any(step := (lo < hi) & ~inside(hi - 1)):
-        hi = hi - step
-    return lo, hi
-
-
-def _range_max(a, lo, hi):
-    """max(a[lo:hi]) per range of a non-empty a, -inf for an empty range."""
-    first, last = np.minimum(lo, len(a) - 1), np.clip(hi - 1, 0, len(a) - 1)
-    # reduceat over the pairs (lo, hi - 1) gives max a[lo:hi - 1] at the even
-    # positions (a[lo] when hi - 1 <= lo); a[hi - 1] completes the range.
-    best = np.maximum(np.maximum.reduceat(a, np.stack([first, last], 1).ravel())[::2], a[last])
-    return np.where(lo < hi, best, -np.inf)
-
-
-def _nearest_max(resolution, c):
-    """max k over the grid tuples at the smallest |h - c| (all of them on a
-    tie), per query, by one more pass over the blocks."""
-    best, gap = np.full(c.shape, -np.inf), np.full(c.shape, np.inf)
-    for h, k in _grid_blocks(resolution):
-        order = np.argsort(h)
-        h = h[order]
-        at = np.searchsorted(h, c)
-        near = np.minimum(np.abs(h[np.maximum(at - 1, 0)] - c),
-                          np.abs(h[np.minimum(at, len(h) - 1)] - c))
-        block = _range_max(k[order], *_band_edges(h, c, near))
-        best = np.where(near < gap, block, np.where(near == gap, np.maximum(best, block), best))
-        gap = np.minimum(gap, near)
-    return best
-
-
-def oracle_scan(c, resolution=200, band=0.01):
-    """(oracle values, widened mask) for entropies c: the max of max{0,
-    k(lambda)} over grid tuples with |h(lambda) - c| <= band.  A band that
-    holds no grid tuple is widened to the nearest grid entropy (both
-    neighbours on a tie), and the mask marks those queries.
-
-    One pass over the grid blocks folds k into per-bin maxima and keeps the
-    tuples of the bins within one bin of a band edge c -+ band, where float
-    rounding decides membership; those are tested exactly, and every bin
-    between them lies wholly inside the band."""
+def _oracle_args(c, resolution):
+    """The entropies c as a flat float array and the grid resolution, checked."""
     try:
         resolution = operator.index(resolution)
     except TypeError:
         raise ValueError(f"oracle resolution {resolution!r} is not an integer") from None
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
-    if not 0.0 < band < np.inf:
-        raise ValueError("band must be positive and finite")
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    lo, hi = np.floor(np.clip(np.stack([c - band, c + band]) * _BIN_SCALE, -2, _BINS + 1)
-                      ).astype(np.int64)
-    at_edge = np.isin(np.arange(_BINS), np.concatenate([lo, hi])[:, None] + [-1, 0, 1])
-    bin_max, kept = np.full(_BINS, -np.inf), []
+    return c, resolution
+
+
+def oracle_frontier(c, resolution=200):
+    """Grid frontier of zeta: Z_n(c) = max of max{0, k(lambda)} over the grid
+    tuples with h(lambda) >= c, per entropy c, as a flat array.  Every tuple
+    obeys k <= zeta(h) and zeta is non-increasing, so Z_n <= zeta(c)."""
+    c, resolution = _oracle_args(c, resolution)
+    order = np.argsort(c)
+    sorted_c = c[order]
+    # Slot j holds the tuples with exactly j queries at or below their h, so
+    # the j-th smallest query takes the max over slots j + 1 and up.
+    best = np.full(len(c) + 1, -np.inf)
     for h, k in _grid_blocks(resolution):
-        j = np.clip(h * _BIN_SCALE, 0, _BINS - 1).astype(np.int32)
-        np.maximum.at(bin_max, j, k)
-        keep = at_edge[j]
-        kept.append((h[keep], k[keep]))
-    h, k = (np.concatenate(a) for a in zip(*kept))
-    best = _range_max(bin_max, np.minimum(lo + 2, _BINS), np.maximum(hi - 1, 0))
-    if h.size:
-        order = np.argsort(h)
-        h = h[order]
-        best = np.maximum(best, _range_max(k[order], *_band_edges(h, c, band)))
-    widened = best == -np.inf
-    if np.any(widened):
-        best[widened] = _nearest_max(resolution, c[widened])
-    return np.maximum(0.0, best), widened
+        np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
+    out = np.empty_like(c)
+    out[order] = np.maximum.accumulate(best[::-1])[::-1][1:]
+    return np.maximum(0.0, out)
 
 
 def oracle_zeta(c, resolution=200, band=0.01):
     """Brute-force zeta: max over grid tuples with |h(lambda) - c| <= band of
-    max{0, k(lambda)}; see oracle_scan for bands without a grid tuple."""
+    max{0, k(lambda)}.  A band that holds no grid tuple is widened to the
+    nearest grid entropy (both neighbours on a tie)."""
     shape = np.shape(c)
-    out = oracle_scan(c, resolution, band)[0].reshape(shape)
+    c, resolution = _oracle_args(c, resolution)
+    if not 0.0 < band < np.inf:
+        raise ValueError("band must be positive and finite")
+    best, nearest = np.full(c.shape, -np.inf), np.full(c.shape, -np.inf)
+    gap = np.full(c.shape, np.inf)
+    for h, k in _grid_blocks(resolution):
+        dist = np.abs(h - c[:, None])
+        best = np.maximum(best, np.max(np.where(dist <= band, k, -np.inf), axis=1))
+        near = np.min(dist, axis=1)
+        at = np.max(np.where(dist == near[:, None], k, -np.inf), axis=1)
+        nearest = np.where(near < gap, at, np.where(near == gap, np.maximum(nearest, at), nearest))
+        gap = np.minimum(gap, near)
+    out = np.maximum(0.0, np.where(best > -np.inf, best, nearest)).reshape(shape)
     return out if out.ndim else float(out)
 
 

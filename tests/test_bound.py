@@ -214,15 +214,20 @@ def test_grid_blocks_are_runs_of_pairs(n):
 
 @pytest.mark.parametrize("n", [150, 257, 401])
 def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
-    # n = 150 has widened bands, so the nearest-entropy pass runs too.
+    # Both oracles' passes over the grid blocks; the band oracle at the size
+    # `verify` uses, where two of the 50 bands are empty, so its
+    # nearest-entropy fallback runs too.
     queries = [np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200)]
-    default = [bound.oracle_scan(cs, n, 0.01) for cs in queries]
-    assert n != 150 or np.any(default[0][1])
+
+    def scan():
+        band = [oracle_zeta(queries[0], n)] if n == 150 else []
+        return [bound.oracle_frontier(cs, n) for cs in queries] + band
+
+    default = scan()
     for size in (2 ** 6, 2 ** 16):
         monkeypatch.setattr(bound, "_BLOCK", size)
-        for cs, (values, widened) in zip(queries, default):
-            got, got_widened = bound.oracle_scan(cs, n, 0.01)
-            assert np.array_equal(got, values) and np.array_equal(got_widened, widened)
+        for got, values in zip(scan(), default):
+            assert np.array_equal(got, values)
             assert np.array_equal(np.signbit(got), np.signbit(values))
 
 
@@ -237,20 +242,16 @@ def test_oracle_zeta_examples():
 
 
 def test_oracle_zeta_validates_arguments():
-    with pytest.raises(ValueError):
-        oracle_zeta(0.5, resolution=50)
-    with pytest.raises(ValueError):
-        oracle_zeta(0.5, band=0.0)
-    with pytest.raises(ValueError):
-        oracle_zeta(np.nan)
-    for band in (np.nan, np.inf):
+    for band in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError):
             oracle_zeta(0.5, band=band)
-        with pytest.raises(ValueError):
-            bound.oracle_scan([0.5], 200, band)
-    for resolution in (150.5, "150", None):
-        with pytest.raises(ValueError):
-            oracle_zeta(0.5, resolution=resolution)
+    for oracle in (oracle_zeta, bound.oracle_frontier):
+        for c in (np.nan, [0.5, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                oracle(c)
+        for resolution in (50, 99, 150.5, "150", None):
+            with pytest.raises(ValueError, match="oracle resolution"):
+                oracle(0.5, resolution=resolution)
 
 
 def test_oracle_matches_closed_form():
@@ -286,30 +287,33 @@ def test_oracle_zeta_array_matches_brute_force_mask():
     edges = h[rng.choice(len(h), 100)]
     cs = np.concatenate([rng.random(200) * TWO_LN2, edges - 0.01, edges + 0.01,
                          [0.0, 0.012, 0.015, 0.021, TWO_LN2]])
-    values, widened = bound.oracle_scan(cs, 200, 0.01)
+    values = oracle_zeta(cs)
     expected = [_brute_force_oracle(h, k, c, 0.01) for c in cs]
     assert values.tolist() == [v for v, _ in expected]
-    assert widened.tolist() == [w for _, w in expected]
-    assert np.count_nonzero(widened) >= 3
-    assert np.array_equal(oracle_zeta(cs), values)
-    assert oracle_zeta(cs.reshape(5, 81)).shape == (5, 81)
+    assert sum(w for _, w in expected) >= 3
+    assert oracle_zeta(cs.reshape(5, 81)).tolist() == values.reshape(5, 81).tolist()
 
 
-def _query_sets(h, rng):
+def _brute_force_frontier(h, k, c):
+    # Reference: the max of k over the whole grid's tuples of entropy c or
+    # more, 0 when it is negative or no tuple qualifies.
+    above = k[h >= c]
+    return max(0.0, float(np.max(above))) if above.size else 0.0
+
+
+def _band_query_sets(h, rng):
     # (entropies, band) pairs: the oracle command's points and the bound
-    # table's overlapping linspace; queries one band from grid entropies; band
-    # edges c -+ band on the boundaries of the entropy bins around grid
-    # entropies; a band far narrower than a bin, where every bin holding a
-    # query is an edge bin and most bands are empty; and a band wider than
-    # half the entropy range.
+    # table's overlapping linspace; queries one band from grid entropies;
+    # band edges exactly on grid entropies, since in [0.5, 1) adding or
+    # subtracting 2^-7 is exact; a band so narrow that most bands are empty;
+    # and a band wider than half the entropy range.
     near = h[rng.choice(len(h), 60)]
-    bins = np.floor(near * bound._BIN_SCALE)
-    boundaries = np.concatenate([bins, bins + 1]) / bound._BIN_SCALE
+    mid = rng.choice(h[(h > 0.51) & (h < 0.99)], 60)
     return [
         (np.linspace(0.0, TWO_LN2, 50), 0.01),
         (np.linspace(0.0, TWO_LN2, 200), 0.01),
         (np.concatenate([near - 0.01, near + 0.01]), 0.01),
-        (np.concatenate([boundaries - 0.01, boundaries + 0.01]), 0.01),
+        (np.concatenate([mid - 2.0 ** -7, mid + 2.0 ** -7]), 2.0 ** -7),
         (np.concatenate([near, near - 1e-6, near + 1e-6, rng.random(40) * TWO_LN2]), 1e-6),
         (np.concatenate([np.linspace(0.0, TWO_LN2, 30), rng.random(30) * TWO_LN2]), 0.5),
     ]
@@ -317,35 +321,42 @@ def _query_sets(h, rng):
 
 @pytest.mark.parametrize("n", [100, 150, 200, 257, 401])
 def test_oracle_scan_matches_brute_force_at_grid_sizes(n):
+    # The frontier at every size, at exact grid entropies (where the h >= c
+    # ties decide) and the floats next to them, the oracle command's and the
+    # bound table's points, and entropies outside [0, 2 ln 2]; the band
+    # oracle at the sizes its callers use.
     h, k = grid_h_k(n)
-    for cs, band in _query_sets(h, np.random.default_rng(n)):
-        values, widened = bound.oracle_scan(cs, n, band)
+    rng = np.random.default_rng(n)
+    exact = np.concatenate([h[rng.choice(len(h), 100)], [np.min(h), np.max(h)]])
+    cs = np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+                         np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200),
+                         [-1.0, -1e-300, TWO_LN2 + 1e-9, 3.0]])
+    assert bound.oracle_frontier(cs, n).tolist() == [_brute_force_frontier(h, k, c) for c in cs]
+    if n not in (150, 200):
+        return
+    for cs, band in _band_query_sets(h, rng):
         expected = [_brute_force_oracle(h, k, c, band) for c in cs]
-        assert values.tolist() == [v for v, _ in expected], band
-        assert widened.tolist() == [w for _, w in expected], band
-        if band == 1e-6:  # the narrow bands take the widening pass
-            assert np.count_nonzero(widened) >= 20
+        assert oracle_zeta(cs, n, band).tolist() == [v for v, _ in expected], band
+        if band == 1e-6:  # the narrow bands take the nearest-entropy fallback
+            assert sum(w for _, w in expected) >= 20
 
 
 def test_oracle_scan_with_no_tuple_near_a_band_edge():
-    # Every band edge lies outside the entropy range, so no tuple is kept for
-    # the exact test: the bins alone give the values of the wide bands, and
-    # the bands beyond either end of the range widen to the pure tuple (k = 1)
-    # or to the uniform one (k = -1/2).
-    values, widened = bound.oracle_scan([0.0, 0.7, TWO_LN2], 100, 2.0)
-    assert values.tolist() == [1.0] * 3
-    assert not np.any(widened)
-    values, widened = bound.oracle_scan([-1.0, 3.0], 100, 0.01)
-    assert values.tolist() == [1.0, 0.0]
-    assert widened.tolist() == [True, True]
+    # Every band edge lies outside the entropy range: the wide bands hold the
+    # pure tuple (k = 1), and the bands beyond either end of the range widen
+    # to the pure tuple or to the uniform one (k = -1/2).  The frontier takes
+    # every tuple below the range and none above it.
+    assert oracle_zeta([0.0, 0.7, TWO_LN2], 100, 2.0).tolist() == [1.0] * 3
+    assert oracle_zeta([-1.0, 3.0], 100, 0.01).tolist() == [1.0, 0.0]
+    assert bound.oracle_frontier([-1.0, 3.0], 100).tolist() == [1.0, 0.0]
 
 
 def test_oracle_widens_empty_band_to_nearest_entropy():
     # On the resolution-200 grid no entropy lies in (0, 0.0315): the band of
     # c = 0.015 is empty and widens to h = 0, the pure tuple with k = 1.
-    values, widened = bound.oracle_scan([0.015, 0.5], 200, 0.01)
-    assert widened.tolist() == [True, False]
-    assert values[0] == 1.0
+    h, _ = grid_h_k(200)
+    assert not np.any(np.abs(h - 0.015) <= 0.01)
+    assert oracle_zeta(0.015, 200, 0.01) == 1.0
 
 
 def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
@@ -355,9 +366,21 @@ def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
         yield np.array([0.5]), np.array([0.7])
 
     monkeypatch.setattr(bound, "_grid_blocks", blocks)
-    values, widened = bound.oracle_scan([0.25, 0.75, 0.1], 100, 0.01)
-    assert widened.tolist() == [True, True, True]
-    assert values.tolist() == [0.7, 0.7, 0.2]
+    assert oracle_zeta([0.25, 0.75, 0.1], 100, 0.01).tolist() == [0.7, 0.7, 0.2]
+
+
+@pytest.mark.parametrize("n, flagged", [(200, 25), (600, 135)])
+def test_grid_tuples_obey_the_closed_form_inverse(n, flagged):
+    # zeta_inv is strictly decreasing on [0, 1], so k <= zeta(h) holds for a
+    # tuple with k > 0 exactly when h <= zeta_inv(k): one closed-form call
+    # per tuple, no bisection.  The tuples (n - 3m, m, m, m)/n lie on the
+    # curve, so the same check with zeta lowered by 1e-6 (k + 1e-6, capped at
+    # the pure tuple's 1) flags tuples.
+    h, k = grid_h_k(n)
+    h, k = h[k > 0], k[k > 0]
+    assert np.max(h - zeta_inv(k)) <= 1e-12
+    lowered = np.asarray(zeta_inv(np.minimum(k + 1e-6, 1.0)))
+    assert np.count_nonzero(h > lowered + 1e-12) == flagged
 
 
 def test_zeta_inv_half_against_grid():

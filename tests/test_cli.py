@@ -105,42 +105,57 @@ def test_oracle_command(tmp_path):
     assert len(rows) == 50
     worst = max(float(r["abs_diff"]) for r in rows)
     assert worst <= 0.02
-    assert comments[-2].startswith("# max_abs_diff=")
-    assert comments[-1] == "# widened_bands=0"
+    assert comments[-1] == f"# max_abs_diff={cli.fmt(worst)}"
+    assert all(float(r["zeta_oracle"]) <= float(r["zeta_closed"]) + 1e-12 for r in rows)
 
 
 def test_readme_bound_oracle_example(tmp_path):
-    # At grid 200 three of the 200 oracle queries have an empty entropy band.
+    # The frontier at grid 200 lies at most 0.0052 below the curve, and never
+    # above it.
     out = tmp_path / "bound.csv"
     assert cli.main(["--command", "bound", "--resolution", "200", "--oracle",
                      "--out", str(out)]) == 0
     comments, rows = read_rows(out)
     assert len(rows) == 200
-    assert comments[-1] == "# widened_bands=3"
-    assert max(abs(float(r["zeta_closed"]) - float(r["zeta_oracle"])) for r in rows) <= 0.02
+    assert not any("widened_bands" in c for c in comments)
+    gaps = [float(r["zeta_closed"]) - float(r["zeta_oracle"]) for r in rows]
+    assert -1e-12 <= min(gaps) and max(gaps) <= 0.006
 
 
-def test_oracle_small_grid_widens_empty_bands(tmp_path):
+@pytest.mark.parametrize("n", [100, 150, 200, 400, 600])
+def test_oracle_is_one_sided_at_every_grid_size(tmp_path, n):
+    # The frontier never exceeds the curve, and it closes on it as about
+    # 1/n: n (zeta - Z_n) stayed below 1.14 at every n from 100 to 600.
     out = tmp_path / "oracle.csv"
-    assert cli.main(["--command", "oracle", "--resolution", "150", "--out", str(out)]) == 0
-    comments, rows = read_rows(out)
-    assert "# widened_bands=2" in comments
-    assert max(float(r["abs_diff"]) for r in rows) <= 0.02
+    assert cli.main(["--command", "oracle", "--resolution", str(n), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    gaps = [float(r["zeta_closed"]) - float(r["zeta_oracle"]) for r in rows]
+    assert -1e-12 <= min(gaps) and n * max(gaps) <= 1.2
+
+
+@pytest.mark.parametrize("argv", [["--command", "oracle"],
+                                  ["--command", "bound", "--resolution", "200", "--oracle"]])
+def test_oracle_exits_1_when_zeta_is_lowered(monkeypatch, argv):
+    # The grid's pure tuple and the tuples on the curve then rise above it.
+    zeta = bound.zeta
+    monkeypatch.setattr(bound, "zeta", lambda c: np.maximum(zeta(c) - 1e-6, 0.0))
+    assert cli.main(argv + ["--out", os.devnull]) == 1
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["--command", "oracle", "--resolution", "150"],
-     "5efccd2d9c035bfb70ae63c55345e3c36ee0dd0969bb6304c791bb5a7ded4b40"),
+     "a144198d90082d11c7b983a7d0bcb72568f185245f598319d5ab1037cfe1faea"),
     (["--command", "oracle", "--resolution", "200"],
-     "77ca18259d33e9e31fcba237afd544fdf8b52b8c7a468e4ab152737c277ce4be"),
+     "9f6acc7985c1ba407bec3783d74fa8f36d7b53403e95dcdb33e01b603cce3bb1"),
     (["--command", "oracle", "--resolution", "600"],
-     "fad021e0f969c41274add5cea0d5fd1e43b3d7577694d8b5e3816fd945ef4701"),
+     "0407439645045ab45064eed288850699850a5711e033b1b947d26eb221cff92f"),
     (["--command", "bound", "--resolution", "200", "--oracle"],
-     "ad391cd24b9b76ab0ee2b5fbbeade6fddb8dc1957098cc65a818c031a8e1a703"),
+     "8c4065d97e6e798d58818bdb4af61df731bd5f637e9cf44ac2c33e093540fb75"),
 ])
 def test_oracle_tables_keep_their_bytes(tmp_path, argv, digest):
-    # Digests of the files the float-lambda oracle grid wrote; the grid built
-    # from integer partitions and lookup tables must give the same bytes.
+    # Digests of the frontier tables; the grid built from integer partitions
+    # and lookup tables gives the h and k of the float-lambda grid bit for
+    # bit, so it must give the same bytes.
     out = tmp_path / "table.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -166,8 +181,8 @@ def _src_env():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # At resolution 1000 the grid has 7 049 112 tuples, 113 MB for h and k
-    # alone; the oracle holds one block of them and the tuples near its band
-    # edges, and writes the bytes the whole-grid oracle wrote.  Against a
+    # alone; the oracle holds one block of them and one maximum per query,
+    # and writes the bytes the whole-grid frontier writes.  Against a
     # `bound --resolution 2` process, which pays the same interpreter and
     # imports, it may add less than 14 MB: blocks of about 2^13 tuples add
     # 11 MB, blocks of about 2^16 added 15-17.5 MB.
@@ -194,7 +209,7 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     assert oracle < 100 * 1024
     assert oracle - peak_kib("bound", "2", tmp_path / "bound.csv") < 14 * 1024
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "719df4b7b4724f989fd3482b6c62e55ca6599e1a299f017569b4c76f4cffbbca")
+        "30562e3c26ec73a98298073b72dfb69775b8a0e50bd327d765d976abc3b540c9")
 
 
 def test_bound_layer_commands_skip_tomography_import():
@@ -406,6 +421,12 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["--command", "experiment", "--shots", "99999999999999999999",
                      "--theta", "1/4", "--bootstrap", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: Python int too large")
+    # A seed is checked once for every command, whether it samples or not.
+    for argv in (["--command", "experiment", "--seed", "-1"],
+                 ["--command", "verify", "--seed", "-1"],
+                 ["--command", "experiment", "--exact", "--seed", "-1"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --seed -1 must be non-negative\n"
     with pytest.raises(SystemExit) as exc:
         cli.main(["--command", "nonsense"])
     assert exc.value.code == 2
