@@ -156,19 +156,16 @@ def cmd_experiment(args):
     run = tomo.run_experiment(np.array([theta for _, theta in thetas]), shots=args.shots,
                               seed=args.seed, noise=noise, exact=args.exact)
     m = run.result.measures
+    errs = np.zeros((2, len(thetas)))
+    if not args.exact and args.bootstrap > 0:
+        for a in range(len(thetas)):
+            boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
+            errs[:, a] = boot.i_err, boot.e_err
     lines = config_header(args)
     lines.append("theta,p,I_hat,E_hat,I_err,E_err,fidelity")
-    for a, (label, _) in enumerate(thetas):
-        if args.exact or args.bootstrap <= 0:
-            i_err = e_err = 0.0
-        else:
-            boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
-            i_err, e_err = boot.i_err, boot.e_err
-        lines.append(
-            f"{label},{fmt(run.params.p[a])},{fmt(m.mutual_information[a])},"
-            f"{fmt(m.concurrence[a])},{fmt(i_err)},{fmt(e_err)},"
-            f"{fmt(run.result.fidelity_to_target[a])}"
-        )
+    lines += [f"{label},{row}" for (label, _), row in
+              zip(thetas, table_rows(run.params.p, m.mutual_information, m.concurrence, *errs,
+                                     run.result.fidelity_to_target))]
     emit(args, lines)
     return 0
 
@@ -263,7 +260,10 @@ def main(argv=None):
             raise ValueError(f"--seed {args.seed} must be non-negative")
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy's MemoryError names the size it could not allocate; Python's has no text.
+        text = str(exc) or ("Unable to allocate the memory this input needs"
+                            if isinstance(exc, MemoryError) else type(exc).__name__)
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

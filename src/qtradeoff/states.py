@@ -26,8 +26,6 @@ KET_MINUS = np.array([0, 1, -1, 0], dtype=complex) / SQ2
 # Four-level B states alpha, beta, gamma, delta = |01>, |10>, |00>, |11>.
 ALPHA, BETA, GAMMA, DELTA = 1, 2, 0, 3
 
-ISOMETRY_LABELS = ("U1", "U2", "V1", "V2")
-
 
 def _check_theta(theta):
     if not np.all((0.0 <= theta) & (theta <= np.pi / 2 + 1e-12)):
@@ -139,17 +137,10 @@ def cc_family(p, q) -> DensityMatrix:
     """
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise ValueError("p and q must lie in [0,1]")
-    eye4 = np.eye(4, dtype=complex)
-    terms = [
-        (p * (1 - q), KET00, ALPHA),
-        ((1 - p) * q, KET_PLUS, BETA),
-        (p * q, KET11, GAMMA),
-        ((1 - p) * (1 - q), KET_MINUS, DELTA),
-    ]
-    out = np.zeros((16, 16), dtype=complex)
-    for w, a_vec, b_idx in terms:
-        out += w * np.kron(_proj(a_vec), _proj(eye4[b_idx]))
-    return DensityMatrix(out, (2, 2, 4))
+    weights = np.diag([p * (1 - q), (1 - p) * q, p * q, (1 - p) * (1 - q)])
+    a_basis = np.stack([KET00, KET_PLUS, KET11, KET_MINUS], axis=1)
+    b_basis = np.eye(4)[:, [ALPHA, BETA, GAMMA, DELTA]]
+    return DensityMatrix(classical_classical(weights, a_basis, b_basis).mat, (2, 2, 4))
 
 
 def classical_classical(weights, a_basis, b_basis) -> DensityMatrix:

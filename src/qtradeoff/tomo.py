@@ -191,17 +191,6 @@ def _correlators(counts):
     return corr.reshape(corr.shape[:-2] + (-1,))[..., _BY_STRING]
 
 
-def pauli_expectations(counts):
-    """Averaged Pauli-string expectation estimates of an (81, 16) count table
-    plus the maximum spread between the individual per-setting estimates of
-    the same string."""
-    corr = _correlators(_count_table(counts))
-    exps = np.add.reduceat(corr, _STRING_START, axis=-1) / _PAULI_MULT
-    spread = (np.maximum.reduceat(corr, _STRING_START, axis=-1)
-              - np.minimum.reduceat(corr, _STRING_START, axis=-1))
-    return exps, float(np.max(spread))
-
-
 SPECTRUM_TIE_TOL = 1e-12
 
 

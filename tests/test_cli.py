@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -11,21 +10,6 @@ import pytest
 import qtradeoff
 from qtradeoff import bound, cli
 from qtradeoff.bound import TWO_LN2
-
-# The public names the package re-exports, by the module that defines them.
-PACKAGE_EXPORTS = {
-    "bound": ("RegionVerdict", "kappa_aux", "mu_aux", "oracle_zeta", "region_check", "zeta",
-              "zeta_inv"),
-    "linalg": ("DensityMatrix", "EigenDecomposition", "herm_eig", "kron", "partial_trace",
-               "spectral_fn"),
-    "measures": ("MeasureReport", "closed_form_E", "closed_form_I", "concurrence",
-                 "k_function", "mutual_information"),
-    "states": ("StateParams", "cc_family", "classical_classical", "dephase", "isometry",
-               "spdc_state", "timebin_mix"),
-    "tomo": ("NoiseParams", "born_probabilities", "reconstruct", "run_experiment",
-             "sample_counts"),
-}
-
 
 def run_cli(argv, capsys=None):
     code = cli.main(argv)
@@ -232,41 +216,44 @@ def test_bound_layer_commands_skip_tomography_import():
         assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
 
 
-def test_package_names_resolve_lazily():
-    for module, names in PACKAGE_EXPORTS.items():
-        defining = importlib.import_module(f"qtradeoff.{module}")
-        for name in names:
-            assert getattr(qtradeoff, name) is getattr(defining, name)
-            assert name in dir(qtradeoff)
-    assert qtradeoff.__version__ == "0.1.0"
-    star = {}
-    exec("from qtradeoff import *", star)
-    assert {n for names in PACKAGE_EXPORTS.values() for n in names} <= set(star)
-    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
-        qtradeoff.nonsense
-
-
-# Exported names that nothing calls yet, kept for the work that will.
-UNREFERENCED_EXPORTS = {
-    "k_function": "the falsifier of the bound on general CC states (ROADMAP item 3)",
-    "classical_classical": "the one-sided-classical state constructors (ROADMAP item 7)",
+# Public names that nothing loads yet, kept for the work that will.
+UNCALLED_PUBLIC_NAMES = {
+    "measures.k_function": "the falsifier of the bound on general CC states (ROADMAP item 4)",
+    "bound.simplex_grid": "perfbench/test_perfbench.py counts grid tuples against it",
 }
+
+
+def _public_names(path):
+    """`module.name` for each top-level def, class and assigned name of a file
+    that has no leading underscore."""
+    own = os.path.basename(path)[:-3]
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {f"{own}.{n}" for n in names if not n.startswith("_")}
 
 
 def _references(path):
     """`module.name` for each name that the code of a file loads: a bare name
     as one of the file's own module, an attribute of a module name, or a name
-    imported from a module.  A definition's references to itself, docstrings
-    and comments do not count."""
+    imported from a module.  Names an assignment stores, a definition's
+    references to itself, docstrings and comments do not count."""
     own = os.path.basename(path)[:-3]
     found = set()
     with open(path) as fh:
         tree = ast.parse(fh.read())
     for top in tree.body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs = [f"{own}.{node.id}"]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)):
                 refs = [f"{node.value.id}.{node.attr}"]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 refs = [f"{node.module.rsplit('.', 1)[-1]}.{a.name}" for a in node.names]
@@ -276,19 +263,20 @@ def _references(path):
     return found
 
 
-def test_every_export_has_a_caller():
-    # A public name must be used by the package itself, outside its own
-    # definition and the export table, or by the acceptance gate.
+def test_every_public_name_has_a_caller():
+    # A public name of a module must be loaded by the package itself, outside
+    # its own definition, or by the acceptance gate.
     package = os.path.dirname(qtradeoff.__file__)
-    paths = [os.path.join(os.path.dirname(__file__), "test_acceptance.py")]
-    paths += [os.path.join(package, f) for f in os.listdir(package)
-              if f.endswith(".py") and f != "__init__.py"]
-    used = set().union(*map(_references, paths))
-    assert set(UNREFERENCED_EXPORTS) <= set(qtradeoff.__all__)
-    exports = (f"{getattr(qtradeoff, name).__module__.rsplit('.', 1)[-1]}.{name}"
-               for name in qtradeoff.__all__ if name not in UNREFERENCED_EXPORTS)
-    uncalled = [ref for ref in exports if ref not in used]
-    assert not uncalled, f"exported but never called: {uncalled}"
+    files = sorted(os.path.join(package, f) for f in os.listdir(package)
+                   if f.endswith(".py") and f != "__init__.py")
+    assert [os.path.basename(f) for f in files] == [
+        "bound.py", "cli.py", "linalg.py", "measures.py", "states.py", "tomo.py"]
+    gate = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
+    used = set().union(*map(_references, files + [gate]))
+    public = set().union(*map(_public_names, files))
+    assert set(UNCALLED_PUBLIC_NAMES) <= public - used
+    uncalled = sorted(public - used - set(UNCALLED_PUBLIC_NAMES))
+    assert not uncalled, f"public but never loaded: {uncalled}"
 
 
 def test_sweep_rows_match_per_point_evaluation(tmp_path):
@@ -446,10 +434,13 @@ def _refuses_huge_allocations():
 @pytest.mark.parametrize("argv", [
     ["--command", "bound", "--resolution", "10000000000000"],
     ["--command", "sweep", "--p-step", "1e-14", "--q-step", "1e-14"],
+    ["--command", "sweep", "--p-step", "1e-6", "--q-step", "1e-6"],
 ])
 def test_input_too_large_to_allocate_exits_2(argv, capsys):
     # numpy asks for 72.8 TiB and 728 TiB at once, and the request fails
-    # before anything is allocated.
+    # before anything is allocated.  The third sweep holds its 16 MB of p and
+    # q steps, then asks Python for a 10**12-entry list of family labels,
+    # whose MemoryError carries no text.
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
 

@@ -10,7 +10,6 @@ from qtradeoff.tomo import (
     apply_noise,
     bootstrap_measures,
     born_probabilities,
-    pauli_expectations,
     physical_spectrum,
     reconstruct,
     run_experiment,
@@ -194,12 +193,15 @@ def test_noise_params_validation():
         NoiseParams(depolarizing=-0.1)
 
 
-def test_pauli_expectations_exact_consistency():
+def test_correlators_agree_across_settings_on_exact_data():
     rho = timebin_states(np.pi / 8)
-    exps, spread = pauli_expectations(born_probabilities(rho))
+    corr = tomo._correlators(born_probabilities(rho))
+    exps = np.add.reduceat(corr, tomo._STRING_START) / tomo._PAULI_MULT
     assert abs(exps[0] - 1.0) < 1e-12
     # On exact data every setting estimating the same Pauli string agrees.
-    assert spread < 1e-10
+    spread = (np.maximum.reduceat(corr, tomo._STRING_START)
+              - np.minimum.reduceat(corr, tomo._STRING_START))
+    assert np.max(spread) < 1e-10
     # Oracle: direct trace against the Pauli matrices for a few strings.
     for k in (0b00000011, 0b01010101, 0b11111111):
         p_mat = tomo._PAULI_FLAT[k].reshape(16, 16)
@@ -247,10 +249,12 @@ def test_inversion_tables_match_loop_construction():
         assert np.array_equal(np.signbit(part(tomo._PAULI_FLAT)), np.signbit(part(flat)))
 
 
-def test_pauli_expectations_rejects_incomplete():
-    rho = timebin_states(0.5)
-    with pytest.raises(ValueError):
-        pauli_expectations(born_probabilities(rho)[:-1])
+def test_incomplete_count_table_is_rejected():
+    counts = sample_counts(born_probabilities(timebin_states(0.5)), 100, 0, 0)[:-1]
+    with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
+        reconstruct(counts, 100)
+    with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
+        bootstrap_measures(counts, 100, n_resamples=2)
 
 
 def test_exact_reconstruction_is_faithful():
