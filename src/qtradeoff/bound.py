@@ -200,12 +200,17 @@ def oracle_zeta(c, resolution=200, band=0.01):
     best, nearest = np.full(c.shape, -np.inf), np.full(c.shape, -np.inf)
     gap = np.full(c.shape, np.inf)
     for h, k in _grid_blocks(resolution):
-        dist = np.abs(h - c[:, None])
-        best = np.maximum(best, np.max(np.where(dist <= band, k, -np.inf), axis=1))
-        near = np.min(dist, axis=1)
-        at = np.max(np.where(dist == near[:, None], k, -np.inf), axis=1)
-        nearest = np.where(near < gap, at, np.where(near == gap, np.maximum(nearest, at), nearest))
-        gap = np.minimum(gap, near)
+        # Queries in runs of 8, so that a (queries x block) temporary holds
+        # at most 8 blocks' entries, whatever the number of queries.
+        for q in range(0, len(c), 8):
+            s = slice(q, q + 8)
+            dist = np.abs(h - c[s, None])
+            best[s] = np.maximum(best[s], np.max(np.where(dist <= band, k, -np.inf), axis=1))
+            near = np.min(dist, axis=1)
+            at = np.max(np.where(dist == near[:, None], k, -np.inf), axis=1)
+            nearest[s] = np.where(near < gap[s], at,
+                                  np.where(near == gap[s], np.maximum(nearest[s], at), nearest[s]))
+            gap[s] = np.minimum(gap[s], near)
     out = np.maximum(0.0, np.where(best > -np.inf, best, nearest)).reshape(shape)
     return out if out.ndim else float(out)
 

@@ -8,16 +8,25 @@ Exit codes: 0 success, 1 invariant failure, 2 usage error or oversized input.
 Only the bound layer is imported at start-up; the commands that need the
 measures, states or tomography modules import them when they run, so `bound`
 and `oracle` never load the tomography stack.
+
+Importing this module registers gc.freeze to run at interpreter exit, so the
+collections of interpreter shutdown skip every object still alive, most of
+them left tracked by the imports.  Those passes are otherwise most of a short
+process's teardown.  A caller that runs main() in its own process is
+unaffected until that process exits.
 """
 
 import argparse
+import atexit
+import gc
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, bound
 from .bound import LN2SQRT3, TWO_LN2
+
+atexit.register(gc.freeze)
 
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
                   "13/32", "7/16", "15/32", "1/2")
@@ -25,6 +34,10 @@ DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
 
 def parse_theta(text):
     """Angle as a multiple of pi, given as a fraction ('9/32') or decimal."""
+    # Imported here, so that the commands without angles never load fractions
+    # and decimal.
+    from fractions import Fraction
+
     try:
         theta = float(Fraction(text)) * np.pi
     except (ZeroDivisionError, OverflowError):
@@ -258,6 +271,8 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ValueError(f"--seed {args.seed} must be non-negative")
+        if args.shots < 1:
+            raise ValueError(f"--shots {args.shots} must be at least 1")
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy's MemoryError names the size it could not allocate; Python's has no text.

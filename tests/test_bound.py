@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,25 @@ def test_oracle_zeta_array_matches_brute_force_mask():
     assert values.tolist() == [v for v, _ in expected]
     assert sum(w for _, w in expected) >= 3
     assert oracle_zeta(cs.reshape(5, 81)).tolist() == values.reshape(5, 81).tolist()
+
+
+def test_oracle_zeta_memory_does_not_grow_with_the_queries():
+    # 400 queries, half of them one band from grid entropies: the band oracle
+    # takes them in runs of 8, so its (queries x block) temporaries hold at
+    # most 8 blocks' entries.  Its tracemalloc peak read 2.1 MB; with every
+    # query in one temporary it read 79 MB.
+    h, k = grid_h_k(200)
+    rng = np.random.default_rng(400)
+    edges = h[rng.choice(len(h), 100)]
+    cs = np.concatenate([rng.random(200) * TWO_LN2, edges - 0.01, edges + 0.01])
+    tracemalloc.start()
+    try:
+        values = oracle_zeta(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert values.tolist() == [_brute_force_oracle(h, k, c, 0.01)[0] for c in cs]
 
 
 def _brute_force_frontier(h, k, c):

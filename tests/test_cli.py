@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import os
 import subprocess
@@ -197,7 +198,9 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def test_bound_layer_commands_skip_tomography_import():
-    # A fresh interpreter, so that no other test's imports count.
+    # A fresh interpreter, so that no other test's imports count.  Only an
+    # angle needs fractions, which imports decimal; the bound layer loads
+    # neither.
     script = (
         "import os, sys\n"
         "import qtradeoff.cli\n"
@@ -206,7 +209,8 @@ def test_bound_layer_commands_skip_tomography_import():
         "             ['--command', 'bound', '--resolution', '5', '--oracle']):\n"
         "    assert qtradeoff.cli.main(argv + ['--out', os.devnull]) == 0\n"
         "    loaded.append(set(sys.modules))\n"
-        "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')))\n"
+        "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')\n"
+        "                               or m in ('fractions', 'decimal')))\n"
         "               for mods in loaded))\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -214,6 +218,44 @@ def test_bound_layer_commands_skip_tomography_import():
     assert res.returncode == 0, res.stderr
     for loaded in res.stdout.strip().split(";"):
         assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
+
+
+EXIT_FREEZE_ARGV = [
+    ["--command", "oracle", "--resolution", "100"],
+    ["--command", "experiment", "--theta", "1/4", "--shots", "2000", "--seed", "5",
+     "--bootstrap", "10", "--visibility", "0.96"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_FREEZE_ARGV)
+def test_main_leaves_the_collector_unfrozen(tmp_path, argv):
+    # The CLI freezes the collector at interpreter exit only; a caller's own
+    # process goes on collecting every object.
+    before = gc.get_freeze_count()
+    assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", EXIT_FREEZE_ARGV)
+def test_process_exit_freezes_the_collector(tmp_path, argv):
+    # atexit handlers run last in, first out, so a handler registered before
+    # the CLI's import runs after the CLI's gc.freeze and sees the objects it
+    # moved to the permanent generation.  The frozen exit writes the same
+    # bytes as a call in this process.
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        "import qtradeoff.cli\n"
+        "sys.exit(qtradeoff.cli.main(sys.argv[1:]))\n"
+    )
+    child = tmp_path / "child.csv"
+    res = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(child)],
+                         capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) > 0
+    own = tmp_path / "own.csv"
+    assert cli.main(argv + ["--out", str(own)]) == 0
+    assert child.read_bytes() == own.read_bytes()
 
 
 # Public names that nothing loads yet, kept for the work that will.
@@ -415,6 +457,11 @@ def test_usage_errors_exit_2(capsys):
                  ["--command", "experiment", "--exact", "--seed", "-1"]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: --seed -1 must be non-negative\n"
+    # So is the shot count, which exact mode echoes but never samples with.
+    for shots in ("0", "-5"):
+        for mode in (["--exact"], []):
+            assert cli.main(["--command", "experiment", "--shots", shots] + mode) == 2
+            assert capsys.readouterr().err == f"error: --shots {shots} must be at least 1\n"
     with pytest.raises(SystemExit) as exc:
         cli.main(["--command", "nonsense"])
     assert exc.value.code == 2
