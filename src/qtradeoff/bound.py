@@ -10,7 +10,7 @@ c.  All functions broadcast over numpy arrays.
 """
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -215,11 +215,7 @@ def oracle_zeta(c, resolution=200, band=0.01):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
-    point: tuple
-    inside_separable_region: bool
-    margin: float
+RegionVerdict = namedtuple("RegionVerdict", "point inside_separable_region margin")
 
 
 def region_check(points, tolerance=1e-9):

@@ -273,6 +273,8 @@ def main(argv=None):
             raise ValueError(f"--seed {args.seed} must be non-negative")
         if args.shots < 1:
             raise ValueError(f"--shots {args.shots} must be at least 1")
+        if args.shots > 2**63 - 1:  # the sampler draws counts as C longs
+            raise ValueError(f"--shots {args.shots} must be at most {2**63 - 1}")
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy's MemoryError names the size it could not allocate; Python's has no text.

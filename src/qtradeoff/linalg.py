@@ -1,9 +1,11 @@
 """Dense complex linear algebra on small Hilbert spaces (dimension <= 16).
 
-Tensor products, partial traces, a LAPACK-backed Hermitian eigensolver and
-spectral matrix functions, plus the DensityMatrix container used everywhere
-else in the package.  Partial traces, eigendecompositions, spectral functions
-and density-matrix checks also work on (..., n, n) stacks.
+Partial traces, a LAPACK-backed Hermitian eigensolver and spectral matrix
+functions, plus the DensityMatrix container used everywhere else in the
+package.  Partial traces, eigendecompositions, spectral functions and
+density-matrix checks also work on (..., n, n) stacks.  spectral_fn is the one
+place that rebuilds a matrix from its eigendecomposition, so eigenvectors carry
+no order or phase contract.
 """
 
 from dataclasses import dataclass
@@ -20,11 +22,6 @@ def _as_complex(m):
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(_as_complex(a), _as_complex(b))
 
 
 def _dagger(a):
@@ -91,53 +88,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(*partial_trace_stack(rho.mat, rho.dims, keep))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    (..., n, n) stack, by LAPACK.
-
-    Ordering is deterministic: eigenvalues descending, each eigenvector's first
-    component of significant magnitude made real and positive.
-    """
+def herm_eig(m):
+    """Eigendecomposition (w, v) of a Hermitian matrix, or of each matrix of a
+    (..., n, n) stack, by LAPACK: ascending eigenvalues w and orthonormal
+    eigenvector columns v, with no fixed phase."""
     a = _as_complex(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     if np.max(np.abs(a - _dagger(a))) > 1e-8:
         raise ValueError("matrix not Hermitian within 1e-8")
-    w, v = np.linalg.eigh((a + _dagger(a)) / 2)  # absorb float drift from products
-    w, v = w[..., ::-1], v[..., ::-1]
-    first = np.argmax(np.abs(v) > 1e-12, axis=-2)
-    piv = np.take_along_axis(v, first[..., None, :], axis=-2)
-    return EigenDecomposition(w, v * (np.conj(piv) / np.abs(piv)))
+    return np.linalg.eigh((a + _dagger(a)) / 2)  # absorb float drift from products
 
 
 def spectral_fn(m, f):
     """Apply a real function to a Hermitian matrix (or a stack of them)
-    through its spectrum; `f` is called once on the eigenvalue array.
-
-    Eigenvalues in [-1e-9, 0) are clamped to 0 so reconstruction noise cannot
-    poison entropy or square-root evaluations.
-    """
-    dec = herm_eig(m)
-    w = np.where((dec.eigenvalues < 0) & (dec.eigenvalues >= EIG_FLOOR), 0.0, dec.eigenvalues)
+    through its spectrum; `f` is called once on the eigenvalue array."""
+    w, v = herm_eig(m)
     fw = np.asarray(f(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("function undefined at an eigenvalue of the input")
-    v = dec.eigenvectors
     return (v * fw[..., None, :]) @ _dagger(v)
-
-
-def clamp_spectrum(w):
-    """Zero small negative values from float noise; reject values below
-    EIG_FLOOR."""
-    w = np.asarray(w, dtype=float)
-    if np.min(w) < EIG_FLOOR:
-        raise ValueError(f"spectrum value {np.min(w)} below tolerance floor {EIG_FLOOR}")
-    return np.where(w < 0, 0.0, w)

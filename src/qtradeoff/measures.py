@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    clamp_spectrum,
-    density_spectrum,
-    partial_trace_stack,
-    spectral_fn,
-)
+from .linalg import DensityMatrix, density_spectrum, partial_trace_stack, spectral_fn
 
 SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _SS = np.kron(SPIN_FLIP, SPIN_FLIP)
@@ -54,9 +48,9 @@ def _safe_sqrt(w):
 
 
 def _entropy(w):
-    """-sum p ln p in nats over the last axis, with 0 ln 0 = 0."""
-    p = clamp_spectrum(w)
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
+    """-sum p ln p in nats over the last axis of a density_spectrum output,
+    with 0 ln 0 = 0; its float-noise negatives (down to EIG_FLOOR) add 0."""
+    return -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
 
 
 def _cut_entropies(mats, dims, cut):
@@ -88,15 +82,16 @@ def cut_measures(mats, dims, cut) -> MeasureReport:
     entropies, for each state of a (..., d, d) stack with factor dims `dims`.
     The report's fields are arrays of the stack's shape."""
     i, s_a, s_b, s_ab, (rho_a, dims_a) = _cut_entropies(mats, dims, cut)
-    if dims_a != (2, 2):
+    return MeasureReport(i, _concurrence(_spin_flip_roots(rho_a, dims_a)), s_a, s_b, s_ab)
+
+
+def _spin_flip_roots(mats, dims):
+    """sqrt(mu_i), descending, of states with factor dims `dims`, which must be
+    two qubits.  rho (s x s) rho* (s x s) is similar to A A^dagger with
+    A = sqrt(rho) (s x s) sqrt(rho)*, so these are the singular values of A,
+    which an SVD gets to absolute accuracy even where mu_i is tiny."""
+    if dims != (2, 2):
         raise ValueError("concurrence is defined for two-qubit states")
-    return MeasureReport(i, _concurrence(_spin_flip_roots(rho_a)), s_a, s_b, s_ab)
-
-
-def _spin_flip_roots(mats):
-    """sqrt(mu_i), descending.  rho (s x s) rho* (s x s) is similar to A A^dagger
-    with A = sqrt(rho) (s x s) sqrt(rho)*, so these are the singular values of
-    A, which an SVD gets to absolute accuracy even where mu_i is tiny."""
     sq = spectral_fn(mats, _safe_sqrt)
     return np.linalg.svd(sq @ _SS @ sq.conj(), compute_uv=False)
 
@@ -107,14 +102,12 @@ def _concurrence(r):
 
 def spin_flip_eigenvalues(rho_a: DensityMatrix):
     """Eigenvalues mu_i of rho (s x s) rho* (s x s), descending, clamped at 0."""
-    if rho_a.dims != (2, 2):
-        raise ValueError("concurrence is defined for two-qubit states")
-    return _spin_flip_roots(rho_a.mat) ** 2
+    return _spin_flip_roots(rho_a.mat, rho_a.dims) ** 2
 
 
 def concurrence(rho_a: DensityMatrix):
     """Wootters concurrence max{0, 2 max_i sqrt(mu_i) - sum_i sqrt(mu_i)}."""
-    return float(_concurrence(np.sqrt(spin_flip_eigenvalues(rho_a))))
+    return float(_concurrence(_spin_flip_roots(rho_a.mat, rho_a.dims)))
 
 
 def _h2(p):

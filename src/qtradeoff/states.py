@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, density_spectrum, kron
+from .linalg import DensityMatrix, density_spectrum
 
 SQ2 = np.sqrt(2.0)
 
@@ -108,8 +108,8 @@ def _mix(rho_d, p):
     """The time-bin mixture of each diagonal state of a (..., 4, 4) stack with
     its weight p (an array of the stack's shape, or a scalar)."""
     p = np.asarray(p)[..., None, None]
-    w1 = kron(isometry("U1"), isometry("V1"))
-    w2 = kron(isometry("U2"), isometry("V2"))
+    w1 = np.kron(isometry("U1"), isometry("V1"))
+    w2 = np.kron(isometry("U2"), isometry("V2"))
     return (1.0 - p) * w1 @ rho_d @ w1.conj().T + p * w2 @ rho_d @ w2.conj().T
 
 

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import measures, states
-from .linalg import density_spectrum, herm_eig
+from .linalg import density_spectrum, spectral_fn
 from .measures import MeasureReport
 
 PAULI = {
@@ -237,10 +237,7 @@ def _invert(counts, shots):
         small[..., 0] = False
         exps = np.where(small, 0.0, exps)
     rho_lin = (exps @ _PAULI_FLAT).reshape(exps.shape[:-1] + (16, 16)) / 16.0
-    rho_lin = (rho_lin + rho_lin.conj().swapaxes(-1, -2)) / 2.0
-    dec = herm_eig(rho_lin)
-    v = dec.eigenvectors
-    return (v * physical_spectrum(dec.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return spectral_fn(rho_lin, physical_spectrum)
 
 
 def reconstruct(counts, shots, targets=None) -> ReconstructionResult:

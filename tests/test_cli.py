@@ -199,8 +199,9 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
 
 def test_bound_layer_commands_skip_tomography_import():
     # A fresh interpreter, so that no other test's imports count.  Only an
-    # angle needs fractions, which imports decimal; the bound layer loads
-    # neither.
+    # angle needs fractions, which imports decimal, and only the measures,
+    # states and tomography layers need dataclasses; the bound layer loads
+    # none of them.
     script = (
         "import os, sys\n"
         "import qtradeoff.cli\n"
@@ -210,7 +211,7 @@ def test_bound_layer_commands_skip_tomography_import():
         "    assert qtradeoff.cli.main(argv + ['--out', os.devnull]) == 0\n"
         "    loaded.append(set(sys.modules))\n"
         "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')\n"
-        "                               or m in ('fractions', 'decimal')))\n"
+        "                               or m in ('fractions', 'decimal', 'dataclasses')))\n"
         "               for mods in loaded))\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -447,10 +448,18 @@ def test_usage_errors_exit_2(capsys):
     # 0 resamples means no error bars; a negative count is a usage error.
     assert cli.main(["--command", "experiment", "--theta", "1/4", "--bootstrap", "-5"]) == 2
     assert capsys.readouterr().err.startswith("error: bootstrap must be non-negative")
-    # A shot count beyond a C long overflows in the sampler.
-    assert cli.main(["--command", "experiment", "--shots", "99999999999999999999",
-                     "--theta", "1/4", "--bootstrap", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: Python int too large")
+    # A shot count beyond a C long would overflow in the sampler.
+    for shots in ("9223372036854775808", "99999999999999999999"):
+        for mode in (["--exact"], ["--bootstrap", "0"]):
+            assert cli.main(["--command", "experiment", "--shots", shots,
+                             "--theta", "1/4"] + mode) == 2
+            assert capsys.readouterr().err == \
+                f"error: --shots {shots} must be at most 9223372036854775807\n"
+    assert cli.main(["--command", "bound", "--shots", "9223372036854775808"]) == 2
+    assert capsys.readouterr().err.startswith("error: --shots 9223372036854775808 must")
+    assert cli.main(["--command", "experiment", "--shots", "9223372036854775807",
+                     "--theta", "1/4", "--bootstrap", "0"]) == 0
+    assert capsys.readouterr().err == ""
     # A seed is checked once for every command, whether it samples or not.
     for argv in (["--command", "experiment", "--seed", "-1"],
                  ["--command", "verify", "--seed", "-1"],

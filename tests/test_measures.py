@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import EIG_FLOOR, DensityMatrix, clamp_spectrum, kron, partial_trace
+from qtradeoff.linalg import EIG_FLOOR, DensityMatrix, partial_trace
 from qtradeoff.measures import (
     closed_form_E,
     closed_form_I,
@@ -45,10 +45,17 @@ def test_shannon_entropy_examples():
 def test_shannon_entropy_rejects_negative():
     with pytest.raises(ValueError):
         cut_measures(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), (2, 2, 1), cut=(0, 1))
-    # Float noise down to EIG_FLOOR is zeroed; anything below is rejected.
-    assert np.array_equal(clamp_spectrum([1.0, EIG_FLOOR / 2]), [1.0, 0.0])
-    with pytest.raises(ValueError, match="below tolerance floor"):
-        clamp_spectrum([1.1, -0.1])
+    # A spectrum entry down to EIG_FLOOR is float noise and counts as 0 in
+    # the entropies; anything below is rejected.
+    top = 0.6 - EIG_FLOOR / 2
+    noisy = cut_measures(np.diag([top, 0.4, EIG_FLOOR / 2, 0.0]).astype(complex), (2, 2, 1),
+                         cut=(0, 1))
+    assert noisy.entropy_AB == noisy.entropy_A
+    assert abs(noisy.entropy_AB + 0.4 * np.log(0.4) + top * np.log(top)) < 1e-15
+    assert noisy.mutual_information == 0.0
+    with pytest.raises(ValueError, match="below -1e-9"):
+        cut_measures(np.diag([0.6 - 2 * EIG_FLOOR, 0.4, 2 * EIG_FLOOR, 0.0]).astype(complex),
+                     (2, 2, 1), cut=(0, 1))
 
 
 def test_von_neumann_pure_state():
@@ -99,7 +106,7 @@ def test_mutual_information_local_unitary_invariance():
     rho = states.cc_family(0.3, 0.8)
     base = mutual_information(rho, cut=[0, 1])
     for _ in range(5):
-        u = kron(random_unitary(rng, 4), random_unitary(rng, 4))
+        u = np.kron(random_unitary(rng, 4), random_unitary(rng, 4))
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims)
         assert abs(mutual_information(rotated, cut=[0, 1]) - base) < 1e-9
 
@@ -127,6 +134,22 @@ def test_concurrence_pure_states_sin_2theta():
 def test_concurrence_wrong_dims():
     with pytest.raises(ValueError):
         concurrence(DensityMatrix(np.eye(4) / 4, (4,)))
+
+
+def test_concurrence_equals_the_stack_path_bit_for_bit():
+    rng = np.random.default_rng(43)
+    cuts = [(states.cc_family(p, q), (0, 1)) for p, q in rng.random((100, 2))]
+    for _ in range(100):
+        # Rank-2 two-qubit states, most of them entangled.
+        psi = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        rho = psi @ np.diag(rng.dirichlet([1.0, 1.0])) @ psi.conj().T
+        rho = DensityMatrix(rho / np.trace(rho).real, (2, 2, 1))
+        cuts.append((rho, (0, 1)))
+    values = []
+    for rho, cut in cuts:
+        values.append(concurrence(partial_trace(rho, keep=cut)))
+        assert values[-1] == cut_measures(rho.mat, rho.dims, cut).concurrence
+    assert sum(v > 0.0 for v in values) > 100
 
 
 def test_spin_flip_eigenvalue_fixture():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import DensityMatrix, kron
+from qtradeoff.linalg import DensityMatrix
 
 
 def test_spdc_bell_state():
@@ -69,13 +69,13 @@ def test_timebin_endpoints():
     rho = states.timebin_mix(states.dephase(states.spdc_state(np.pi / 2)), 0.0)
     beta = np.zeros(4)
     beta[states.BETA] = 1.0
-    expected = kron(np.outer(states.KET_PLUS, states.KET_PLUS), np.outer(beta, beta))
+    expected = np.kron(np.outer(states.KET_PLUS, states.KET_PLUS), np.outer(beta, beta))
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
     # p=1 (theta=0): |00><00| (x) |01><01|
     rho = states.timebin_mix(states.dephase(states.spdc_state(0.0)), 1.0)
     alpha = np.zeros(4)
     alpha[states.ALPHA] = 1.0
-    expected = kron(np.outer(states.KET00, states.KET00), np.outer(alpha, alpha))
+    expected = np.kron(np.outer(states.KET00, states.KET00), np.outer(alpha, alpha))
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_timebin_half_matches_direct_assembly():
         (0.25, states.KET11, states.GAMMA),
         (0.25, states.KET_MINUS, states.DELTA),
     ]:
-        direct += w * kron(np.outer(a_vec, a_vec.conj()), np.outer(eye4[b_idx], eye4[b_idx]))
+        direct += w * np.kron(np.outer(a_vec, a_vec.conj()), np.outer(eye4[b_idx], eye4[b_idx]))
     assert np.max(np.abs(rho.mat - direct)) < 1e-12
 
 
@@ -111,7 +111,7 @@ def test_cc_family_single_weight():
     rho = states.cc_family(0.0, 1.0)
     beta = np.zeros(4)
     beta[states.BETA] = 1.0
-    expected = kron(np.outer(states.KET_PLUS, states.KET_PLUS), np.outer(beta, beta))
+    expected = np.kron(np.outer(states.KET_PLUS, states.KET_PLUS), np.outer(beta, beta))
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
 
 
@@ -127,7 +127,7 @@ def test_cc_family_diagonal_in_its_eigenbasis():
     p, q = 0.3, 0.6
     rho = states.cc_family(p, q)
     a_basis = np.stack([states.KET00, states.KET_PLUS, states.KET11, states.KET_MINUS], axis=1)
-    full = kron(a_basis, np.eye(4))
+    full = np.kron(a_basis, np.eye(4))
     rotated = full.conj().T @ rho.mat @ full
     off = rotated - np.diag(np.diag(rotated))
     assert np.max(np.abs(off)) < 1e-12
