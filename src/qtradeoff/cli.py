@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 invariant failure, 2 usage error or oversized input.
 
 Only the bound layer is imported at start-up; the commands that need the
 measures, states or tomography modules import them when they run, so `bound`
-and `oracle` never load the tomography stack.
+and `oracle` never load the tomography stack.  No command loads dataclasses,
+fractions or decimal.
 
 Importing this module registers gc.freeze to run at interpreter exit, so the
 collections of interpreter shutdown skip every object still alive, most of
@@ -33,15 +34,19 @@ DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
 
 
 def parse_theta(text):
-    """Angle as a multiple of pi, given as a fraction ('9/32') or decimal."""
-    # Imported here, so that the commands without angles never load fractions
-    # and decimal.
-    from fractions import Fraction
-
+    """Angle as a multiple of pi, given as a fraction ('9/32') or decimal, read
+    as fractions.Fraction reads it: int division and float() round correctly."""
+    num, slash, den = text.partition("/")
+    # float() also reads nan and inf, which have no digit; digits flank a '/'.
+    if not any(c.isdigit() for c in text) or slash and not (num[-1:] + den[:1]).isdigit():
+        raise ValueError(text)
     try:
-        theta = float(Fraction(text)) * np.pi
+        turns = (int(num) / int(den) if slash else float(text)) + 0.0  # -0 reads as 0
     except (ZeroDivisionError, OverflowError):
-        raise argparse.ArgumentTypeError(f"theta {text} is not a finite number") from None
+        turns = np.inf
+    if not np.isfinite(turns):
+        raise argparse.ArgumentTypeError(f"theta {text} is not a finite number")
+    theta = turns * np.pi
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise argparse.ArgumentTypeError(f"theta {text} outside [0, pi/2]")
     return text, theta

@@ -8,7 +8,7 @@ place that rebuilds a matrix from its eigendecomposition, so eigenvectors carry
 no order or phase contract.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,18 +44,20 @@ def density_spectrum(mats):
     return w
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with attached tensor-factor dimensions."""
+class DensityMatrix(namedtuple("DensityMatrix", "mat dims")):
+    """Hermitian, PSD, unit-trace matrix with attached tensor-factor dimensions:
+    an immutable named tuple whose __new__ runs the checks of __post_init__."""
 
-    mat: np.ndarray
-    dims: tuple
+    __slots__ = ()
+
+    def __new__(cls, mat, dims):
+        self = super().__new__(cls, _as_complex(mat), tuple(int(d) for d in dims))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        a = _as_complex(self.mat)
-        object.__setattr__(self, "mat", a)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+        # A method of its own, so that perfbench/trace_child.py can time the checks.
+        a, dims = self
         n = a.shape[0]
         if a.ndim != 2 or a.shape[1] != n:
             raise ValueError("density matrix must be square")

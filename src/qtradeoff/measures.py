@@ -8,7 +8,7 @@ the entropies of a cut (cut_measures) and fidelity (fidelities) also run on
 (..., d, d) stacks of states.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,15 +30,9 @@ def spectrum_tuple(values):
     return lam
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Measures of one state (floats) or of a stack of states (arrays)."""
-
-    mutual_information: float
-    concurrence: float
-    entropy_A: float
-    entropy_B: float
-    entropy_AB: float
+# Measures of one state (floats) or of a stack of states (arrays).
+MeasureReport = namedtuple("MeasureReport",
+                           "mutual_information concurrence entropy_A entropy_B entropy_AB")
 
 
 def _safe_sqrt(w):

@@ -6,7 +6,7 @@ Basis convention, fixed for the whole package: four qubits ordered
 8*a_pol + 4*a_path + 2*b_pol + b_path.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,24 +32,23 @@ def _check_theta(theta):
         raise ValueError("theta must lie in [0, pi/2]")
 
 
-@dataclass(frozen=True)
-class StateParams:
+class StateParams(namedtuple("StateParams", "theta p q")):
     """Parameters (theta, p, q) selecting a member of the state families; the
-    fields are arrays when built from an array of angles."""
+    fields are arrays when built from an array of angles.  An immutable named
+    tuple whose __new__ checks that p and q lie in [0, 1]."""
 
-    theta: float
-    p: float
-    q: float
+    __slots__ = ()
+
+    def __new__(cls, theta, p, q):
+        if not np.all((0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)):
+            raise ValueError("p and q must lie in [0,1]")
+        return super().__new__(cls, theta, p, q)
 
     @classmethod
     def from_theta(cls, theta):
         _check_theta(theta)
         p = np.cos(theta) ** 2
         return cls(theta=theta, p=p, q=1.0 - p)
-
-    def __post_init__(self):
-        if not np.all((0.0 <= self.p) & (self.p <= 1.0) & (0.0 <= self.q) & (self.q <= 1.0)):
-            raise ValueError("p and q must lie in [0,1]")
 
 
 def _proj(vec):

@@ -10,7 +10,7 @@ order or on the other angles.
 """
 
 import itertools
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,14 +32,16 @@ N_OUT = 16
 PATH_QUBITS = (1, 3)  # A-path and B-path in the fixed basis convention
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    visibility: float = 1.0
-    depolarizing: float = 0.0
+class NoiseParams(namedtuple("NoiseParams", "visibility depolarizing")):
+    """Interferometer visibility and per-qubit depolarizing probability.  An
+    immutable named tuple whose __new__ checks that both lie in [0, 1]."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.visibility <= 1.0 and 0.0 <= self.depolarizing <= 1.0):
+    __slots__ = ()
+
+    def __new__(cls, visibility=1.0, depolarizing=0.0):
+        if not (0.0 <= visibility <= 1.0 and 0.0 <= depolarizing <= 1.0):
             raise ValueError("noise parameters must lie in [0,1]")
+        return super().__new__(cls, visibility, depolarizing)
 
 
 def visibility_from_contrast(ratio):
@@ -49,14 +51,11 @@ def visibility_from_contrast(ratio):
     return (ratio - 1.0) / (ratio + 1.0)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Estimates from one (81, 16) count table (floats and a 16x16 matrix) or
-    from a stack of tables (arrays with the stack's leading shape)."""
-
-    rho_hat: np.ndarray  # checked density matrices
-    fidelity_to_target: float
-    measures: MeasureReport
+# Estimates from one (81, 16) count table (floats and a 16x16 matrix) or from a
+# stack of tables (arrays with the stack's leading shape); rho_hat holds checked
+# density matrices.
+ReconstructionResult = namedtuple("ReconstructionResult",
+                                  "rho_hat fidelity_to_target measures")
 
 
 def _kron_table(factors):
@@ -154,6 +153,9 @@ def born_probabilities(mats):
     return p
 
 
+_MAX_SHOTS = 2**63 - 1  # the samplers draw counts as C longs
+
+
 def sample_counts(probs, shots, seed, keys):
     """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
     probability tables, each row normalized to sum 1.  `keys` holds one
@@ -162,6 +164,8 @@ def sample_counts(probs, shots, seed, keys):
     depend on the other tables."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
     p = np.asarray(probs, dtype=float)
     keys = np.asarray(keys)
     if keys.shape != p.shape[:-2]:
@@ -254,7 +258,7 @@ def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
            else measures.fidelities(rho_hat, np.reshape(targets, rho_hat.shape)))
     if counts.ndim == 2:
         return ReconstructionResult(rho_hat[0], float(fid[0]),
-                                    MeasureReport(*(float(v[0]) for v in astuple(rep))))
+                                    MeasureReport(*(float(v[0]) for v in rep)))
     return ReconstructionResult(rho_hat, fid, rep)
 
 
@@ -274,15 +278,10 @@ DEFAULT_ANGLES = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentRun:
-    """One experiment; for an array of A angles every array field holds a
-    stack along a leading axis of length A."""
-
-    params: states.StateParams
-    counts: np.ndarray  # (81, 16) counts, or exact frequencies when shots == 0
-    shots: int  # 0 marks exact (infinite-shot) frequencies
-    result: ReconstructionResult
+# One experiment; for an array of A angles every array field holds a stack along
+# a leading axis of length A.  counts holds (81, 16) counts, or exact
+# (infinite-shot) frequencies when shots is 0.
+ExperimentRun = namedtuple("ExperimentRun", "params counts shots result")
 
 
 def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False) -> ExperimentRun:
@@ -301,12 +300,7 @@ def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False)
     return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets))
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    i_values: np.ndarray
-    e_values: np.ndarray
-    i_err: float
-    e_err: float
+BootstrapResult = namedtuple("BootstrapResult", "i_values e_values i_err e_err")
 
 
 def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResult:
@@ -319,6 +313,8 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     counts = _count_table(counts)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
     if shots <= 0:
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
     totals = np.sum(counts, axis=-1, keepdims=True)

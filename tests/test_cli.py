@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ def test_parse_theta():
     assert abs(theta - 9 * np.pi / 32) < 1e-15
     with pytest.raises(Exception):
         cli.parse_theta("3/4")  # beyond pi/2
+
+
+THETA_ACCEPTED = ["0", "-0", "1/2", "9/32", "1/3", "+1/4", "1_000/4096", "0.25", ".5",
+                  "2.5e-1", "1e-400"] + [f"{k}/128" for k in range(65)]
+# Spaces around '/' are read by the Fraction of Python 3.12 on, not before; the
+# CLI rejects them on every version.
+THETA_REJECTED = ["1/0", "1e999", "nan", "inf", "-1/-4", "1/+4", "/4", "1/", "1/2/3", "0x1", "",
+                  "1 /2", "1/ 2"]
+
+
+@pytest.mark.parametrize("text", THETA_ACCEPTED)
+def test_parse_theta_gives_the_float_of_the_fraction(text):
+    label, theta = cli.parse_theta(text)
+    expected = float(Fraction(text)) * np.pi
+    assert label == text
+    assert np.float64(theta).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("text", THETA_REJECTED)
+def test_rejected_theta_exits_2(text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", "experiment", "--exact", f"--theta={text}"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("theta", ["1/0", "1e999"])
@@ -198,10 +222,9 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def test_bound_layer_commands_skip_tomography_import():
-    # A fresh interpreter, so that no other test's imports count.  Only an
-    # angle needs fractions, which imports decimal, and only the measures,
-    # states and tomography layers need dataclasses; the bound layer loads
-    # none of them.
+    # A fresh interpreter, so that no other test's imports count.  No command
+    # loads fractions, decimal or dataclasses (see the experiment guard below),
+    # and the bound layer loads no other qtradeoff module.
     script = (
         "import os, sys\n"
         "import qtradeoff.cli\n"
@@ -219,6 +242,23 @@ def test_bound_layer_commands_skip_tomography_import():
     assert res.returncode == 0, res.stderr
     for loaded in res.stdout.strip().split(";"):
         assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
+
+
+def test_experiment_loads_neither_dataclasses_nor_fractions():
+    # A fresh interpreter: an experiment builds its result types as named
+    # tuples and parses its angles with int and float.
+    script = (
+        "import os, sys\n"
+        "from qtradeoff.cli import main\n"
+        "argv = ['--command', 'experiment', '--theta', '1/4', '--shots', '2000',\n"
+        "        '--bootstrap', '4', '--out', os.devnull]\n"
+        "assert main(argv) == 0\n"
+        "print(' '.join(m for m in ('dataclasses', 'fractions', 'decimal') if m in sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
 
 
 EXIT_FREEZE_ARGV = [

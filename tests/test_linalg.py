@@ -25,34 +25,6 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_kron_identity():
-    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_basis_projector():
-    p0 = np.array([[1, 0], [0, 0]])
-    p1 = np.array([[0, 0], [0, 1]])
-    out = np.kron(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    assert np.array_equal(out, expected)
-
-
-def test_kron_of_unitaries_is_unitary():
-    rng = np.random.default_rng(7)
-    u = random_unitary(rng, 2)
-    v = random_unitary(rng, 2)
-    w = np.kron(u, v)
-    assert np.max(np.abs(w.conj().T @ w - np.eye(4))) < 1e-12
-
-
-def test_kron_trace_multiplicative():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
 def test_partial_trace_product_state():
     rng = np.random.default_rng(0)
     rho = random_density(rng, (2,))
@@ -229,3 +201,18 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.diag([1.5, -0.5]), (2,))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims mismatch
+
+
+def test_density_matrix_checks_in_new_and_is_immutable():
+    rho = DensityMatrix(np.eye(2, dtype=int) / 2, [np.int64(2)])
+    assert rho.mat.dtype == complex and rho.dims == (2,) and type(rho.dims[0]) is int
+    with pytest.raises(AttributeError):
+        rho.mat = np.eye(2) / 2
+    with pytest.raises(AttributeError):
+        rho.extra = 1
+    with pytest.raises(ValueError, match="must be square"):
+        DensityMatrix(np.full((2, 3), 1 / 3), (2,))
+    with pytest.raises(ValueError, match=r"dims \(2, 3\) incompatible with matrix dimension 4"):
+        DensityMatrix(np.eye(4) / 4, (2, 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[np.nan, 0], [0, 1]]), (2,))

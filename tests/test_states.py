@@ -174,7 +174,7 @@ def test_classical_classical_rejects_bad_input():
 
 
 def test_constructed_states_are_valid_density_matrices():
-    # DensityMatrix __post_init__ enforces the invariants; construction succeeding
+    # DensityMatrix construction enforces the invariants; construction succeeding
     # is the check.
     rng = np.random.default_rng(29)
     for p, q in rng.random((5, 2)):
@@ -189,6 +189,15 @@ def test_state_params_from_theta():
     assert abs(sp.q - 0.75) < 1e-12
     with pytest.raises(ValueError):
         states.StateParams(theta=0.0, p=1.2, q=0.0)
+
+
+def test_state_params_check_arrays_and_are_immutable():
+    sp = states.StateParams.from_theta(np.array([0.0, np.pi / 4]))
+    assert sp._fields == ("theta", "p", "q")
+    with pytest.raises(AttributeError):
+        sp.p = 0.5
+    with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
+        states.StateParams(np.zeros(2), np.array([0.5, -0.1]), np.array([0.5, 1.1]))
 
 
 def test_timebin_states_match_chain():

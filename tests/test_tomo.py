@@ -124,6 +124,19 @@ def test_sample_counts_deterministic():
     assert np.sum(a) == 1000
 
 
+def test_shots_beyond_a_c_long_raise_value_error():
+    probs = np.full((len(SETTINGS), 16), 1 / 16)
+    msg = "shots must be at most 9223372036854775807"
+    with pytest.raises(ValueError, match=msg):
+        sample_counts(probs, 2**63, 0, 0)
+    with pytest.raises(ValueError, match=msg):
+        run_experiment(np.array([0.3]), shots=2**63)
+    counts = sample_counts(probs, 100, 0, 0)
+    with pytest.raises(ValueError, match=msg):
+        bootstrap_measures(counts, 2**63, n_resamples=2)
+    assert sample_counts(probs[:1], 2**63 - 1, 0, 0).sum() == 2**63 - 1
+
+
 def test_sample_counts_converges():
     p = np.array([0.05, 0.15, 0.35, 0.45])
     counts = sample_counts(p[None], 10**6, 9, 0)[0]
@@ -191,6 +204,25 @@ def test_noise_params_validation():
         NoiseParams(visibility=1.5)
     with pytest.raises(ValueError):
         NoiseParams(depolarizing=-0.1)
+    with pytest.raises(ValueError, match=r"noise parameters must lie in \[0,1\]"):
+        NoiseParams(1.0, 1.5)
+    noise = NoiseParams(depolarizing=0.02)
+    assert noise == (1.0, 0.02) and noise._fields == ("visibility", "depolarizing")
+    with pytest.raises(AttributeError):
+        noise.visibility = 0.5
+
+
+def test_result_types_keep_their_fields():
+    run = run_experiment(np.array([0.3, 0.6]), shots=500, seed=2)
+    assert run._fields == ("params", "counts", "shots", "result")
+    assert run.result._fields == ("rho_hat", "fidelity_to_target", "measures")
+    assert run.result.measures._fields == (
+        "mutual_information", "concurrence", "entropy_A", "entropy_B", "entropy_AB")
+    boot = bootstrap_measures(run.counts[0], run.shots, n_resamples=3)
+    assert boot._fields == ("i_values", "e_values", "i_err", "e_err")
+    one = reconstruct(run.counts[1], run.shots)
+    assert all(type(v) is float for v in one.measures)
+    assert one.measures == tuple(float(v[1]) for v in run.result.measures)
 
 
 def test_correlators_agree_across_settings_on_exact_data():
