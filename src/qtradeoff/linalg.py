@@ -1,11 +1,12 @@
 """Dense complex linear algebra on small Hilbert spaces (dimension <= 16).
 
 Partial traces, a LAPACK-backed Hermitian eigensolver and spectral matrix
-functions, plus the DensityMatrix container used everywhere else in the
-package.  Partial traces, eigendecompositions, spectral functions and
-density-matrix checks also work on (..., n, n) stacks.  spectral_fn is the one
-place that rebuilds a matrix from its eigendecomposition, so eigenvectors carry
-no order or phase contract.
+functions, plus DensityMatrix, the container for a single checked state.
+Partial traces, eigendecompositions, spectral functions and density-matrix
+checks also work on (..., n, n) stacks; a stack of states is a plain array
+that density_spectrum has checked.  spectral_fn is the one place that rebuilds
+a matrix from its eigendecomposition, so eigenvectors carry no order or phase
+contract.
 """
 
 from collections import namedtuple

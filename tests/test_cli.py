@@ -301,7 +301,7 @@ def test_process_exit_freezes_the_collector(tmp_path, argv):
 
 # Public names that nothing loads yet, kept for the work that will.
 UNCALLED_PUBLIC_NAMES = {
-    "measures.k_function": "the falsifier of the bound on general CC states (ROADMAP item 4)",
+    "measures.k_function": "the falsifier of the bound on general CC states (ROADMAP item 6)",
     "bound.simplex_grid": "perfbench/test_perfbench.py counts grid tuples against it",
 }
 
@@ -485,6 +485,10 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["--command", "sweep", "--p-step", "-0.1"]) == 2
     assert cli.main(["--command", "bound", "--resolution", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # A NaN step fails the positivity check and the message names its flag.
+    for flag in ("--p-step", "--q-step"):
+        assert cli.main(["--command", "sweep", flag, "nan"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} nan must be positive\n"
     # 0 resamples means no error bars; a negative count is a usage error.
     assert cli.main(["--command", "experiment", "--theta", "1/4", "--bootstrap", "-5"]) == 2
     assert capsys.readouterr().err.startswith("error: bootstrap must be non-negative")

@@ -9,6 +9,7 @@ from qtradeoff.linalg import (
     spectral_fn,
 )
 from qtradeoff import linalg, states
+from reference_states import dephase, spdc_state, timebin_mix
 
 
 def random_density(rng, dims):
@@ -35,13 +36,13 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_bell_marginal():
-    bell = states.spdc_state(np.pi / 4)
+    bell = spdc_state(np.pi / 4)
     red = partial_trace(bell, keep=[0])
     assert np.max(np.abs(red.mat - np.eye(2) / 2)) < 1e-12
 
 
 def test_partial_trace_half_mix_is_maximally_mixed_on_A():
-    rho = states.timebin_mix(states.dephase(states.spdc_state(np.pi / 4)), 0.5)
+    rho = timebin_mix(dephase(spdc_state(np.pi / 4)), 0.5)
     red = partial_trace(rho, keep=[0, 1])
     assert np.max(np.abs(red.mat - np.eye(4) / 4)) < 1e-12
 

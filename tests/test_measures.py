@@ -13,6 +13,7 @@ from qtradeoff.measures import (
     mutual_information,
     spin_flip_eigenvalues,
 )
+from reference_states import dephase, spdc_state, timebin_mix
 
 LN2 = np.log(2.0)
 
@@ -59,7 +60,7 @@ def test_shannon_entropy_rejects_negative():
 
 
 def test_von_neumann_pure_state():
-    assert entropy(states.spdc_state(0.3)) < 1e-10
+    assert entropy(spdc_state(0.3)) < 1e-10
 
 
 def test_von_neumann_maximally_mixed():
@@ -73,7 +74,7 @@ def test_von_neumann_timebin_state():
     weights = np.array([p**2, (1 - p) ** 2, p * (1 - p), p * (1 - p)])
     expected = float(-np.sum(weights * np.log(weights)))
     theta = float(np.arccos(np.sqrt(p)))
-    rho = states.timebin_mix(states.dephase(states.spdc_state(theta)), p)
+    rho = timebin_mix(dephase(spdc_state(theta)), p)
     assert abs(entropy(rho) - expected) < 1e-10
 
 
@@ -83,7 +84,7 @@ def test_mutual_information_product_state():
 
 
 def test_mutual_information_half_mix():
-    rho = states.timebin_mix(states.dephase(states.spdc_state(np.pi / 4)), 0.5)
+    rho = timebin_mix(dephase(spdc_state(np.pi / 4)), 0.5)
     assert abs(mutual_information(rho, cut=[0, 1]) - 2 * LN2) < 1e-10
 
 
@@ -91,12 +92,12 @@ def test_mutual_information_quarter():
     p = 0.25
     expected = -2 * (p * np.log(p) + (1 - p) * np.log(1 - p))
     theta = float(np.arccos(np.sqrt(p)))
-    rho = states.timebin_mix(states.dephase(states.spdc_state(theta)), p)
+    rho = timebin_mix(dephase(spdc_state(theta)), p)
     assert abs(mutual_information(rho, cut=[0, 1]) - expected) < 1e-9
 
 
 def test_mutual_information_invalid_cut():
-    rho = states.spdc_state(0.2)
+    rho = spdc_state(0.2)
     with pytest.raises(ValueError):
         mutual_information(rho, cut=[0, 1])
 
@@ -127,7 +128,7 @@ def test_concurrence_family_point():
 
 def test_concurrence_pure_states_sin_2theta():
     for theta in np.linspace(0.0, np.pi / 2, 25):
-        c = concurrence(states.spdc_state(theta))
+        c = concurrence(spdc_state(theta))
         assert abs(c - abs(np.sin(2 * theta))) < 1e-10
 
 

@@ -1,54 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtradeoff import measures, states
 from qtradeoff.linalg import DensityMatrix
+from reference_states import dephase, spdc_state, timebin_mix
 
 
 def test_spdc_bell_state():
-    rho = states.spdc_state(np.pi / 4)
+    rho = spdc_state(np.pi / 4)
     assert abs(measures.concurrence(rho) - 1.0) < 1e-10
 
 
 def test_spdc_theta_zero():
-    rho = states.spdc_state(0.0)
+    rho = spdc_state(0.0)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
 
 
 def test_spdc_concurrence_is_sin_2theta():
-    rho = states.spdc_state(np.pi / 8)
+    rho = spdc_state(np.pi / 8)
     assert abs(measures.concurrence(rho) - np.sin(np.pi / 4)) < 1e-10
 
 
 def test_spdc_rejects_out_of_range():
     with pytest.raises(ValueError):
-        states.spdc_state(-0.1)
+        spdc_state(-0.1)
 
 
 def test_dephase_bell():
-    out = states.dephase(states.spdc_state(np.pi / 4))
+    out = dephase(spdc_state(np.pi / 4))
     assert np.max(np.abs(out.mat - np.diag([0.5, 0, 0, 0.5]))) < 1e-12
 
 
 def test_dephase_diagonal_fixed_point():
-    rho = states.spdc_state(0.0)
-    assert np.max(np.abs(states.dephase(rho).mat - rho.mat)) < 1e-12
+    rho = spdc_state(0.0)
+    assert np.max(np.abs(dephase(rho).mat - rho.mat)) < 1e-12
 
 
 def test_dephase_preserves_trace():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T).real, (2, 2))
-    assert abs(np.trace(states.dephase(rho).mat) - 1.0) < 1e-12
+    assert abs(np.trace(dephase(rho).mat) - 1.0) < 1e-12
 
 
 def test_isometry_images():
     u1 = states.isometry("U1")
-    assert np.max(np.abs(u1 @ np.array([1, 0]) - states.KET11)) < 1e-12
+    assert np.max(np.abs(u1 @ np.array([1, 0]) - states.KET_11)) < 1e-12
     v2 = states.isometry("V2")
-    assert np.max(np.abs(v2 @ np.array([0, 1]) - states.KET11)) < 1e-12
+    assert np.max(np.abs(v2 @ np.array([0, 1]) - states.KET_11)) < 1e-12
     u2 = states.isometry("U2")
     assert np.max(np.abs(u2 @ np.array([0, 1]) - states.KET_MINUS)) < 1e-12
 
@@ -66,27 +69,27 @@ def test_isometry_unknown_label():
 
 def test_timebin_endpoints():
     # p=0 (theta=pi/2): |+><+| (x) |10><10|
-    rho = states.timebin_mix(states.dephase(states.spdc_state(np.pi / 2)), 0.0)
+    rho = timebin_mix(dephase(spdc_state(np.pi / 2)), 0.0)
     beta = np.zeros(4)
     beta[states.BETA] = 1.0
     expected = np.kron(np.outer(states.KET_PLUS, states.KET_PLUS), np.outer(beta, beta))
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
     # p=1 (theta=0): |00><00| (x) |01><01|
-    rho = states.timebin_mix(states.dephase(states.spdc_state(0.0)), 1.0)
+    rho = timebin_mix(dephase(spdc_state(0.0)), 1.0)
     alpha = np.zeros(4)
     alpha[states.ALPHA] = 1.0
-    expected = np.kron(np.outer(states.KET00, states.KET00), np.outer(alpha, alpha))
+    expected = np.kron(np.outer(states.KET_00, states.KET_00), np.outer(alpha, alpha))
     assert np.max(np.abs(rho.mat - expected)) < 1e-12
 
 
 def test_timebin_half_matches_direct_assembly():
-    rho = states.timebin_mix(states.dephase(states.spdc_state(np.pi / 4)), 0.5)
+    rho = timebin_mix(dephase(spdc_state(np.pi / 4)), 0.5)
     eye4 = np.eye(4)
     direct = np.zeros((16, 16), dtype=complex)
     for w, a_vec, b_idx in [
-        (0.25, states.KET00, states.ALPHA),
+        (0.25, states.KET_00, states.ALPHA),
         (0.25, states.KET_PLUS, states.BETA),
-        (0.25, states.KET11, states.GAMMA),
+        (0.25, states.KET_11, states.GAMMA),
         (0.25, states.KET_MINUS, states.DELTA),
     ]:
         direct += w * np.kron(np.outer(a_vec, a_vec.conj()), np.outer(eye4[b_idx], eye4[b_idx]))
@@ -95,14 +98,14 @@ def test_timebin_half_matches_direct_assembly():
 
 def test_timebin_rejects_coherent_input():
     with pytest.raises(ValueError):
-        states.timebin_mix(states.spdc_state(np.pi / 4), 0.5)
+        timebin_mix(spdc_state(np.pi / 4), 0.5)
 
 
 def test_timebin_matches_cc_family_random_p():
     rng = np.random.default_rng(21)
     for p in rng.random(50):
         theta = float(np.arccos(np.sqrt(p)))
-        tb = states.timebin_mix(states.dephase(states.spdc_state(theta)), p)
+        tb = timebin_mix(dephase(spdc_state(theta)), p)
         cc = states.cc_family(p, 1.0 - p)
         assert np.max(np.abs(tb.mat - cc.mat)) < 1e-12
 
@@ -126,7 +129,7 @@ def test_cc_family_diagonal_in_its_eigenbasis():
     # A-basis {|00>,|+>,|11>,|->} times the B basis diagonalizes the state.
     p, q = 0.3, 0.6
     rho = states.cc_family(p, q)
-    a_basis = np.stack([states.KET00, states.KET_PLUS, states.KET11, states.KET_MINUS], axis=1)
+    a_basis = np.stack([states.KET_00, states.KET_PLUS, states.KET_11, states.KET_MINUS], axis=1)
     full = np.kron(a_basis, np.eye(4))
     rotated = full.conj().T @ rho.mat @ full
     off = rotated - np.diag(np.diag(rotated))
@@ -180,7 +183,7 @@ def test_constructed_states_are_valid_density_matrices():
     for p, q in rng.random((5, 2)):
         states.cc_family(p, q)
         theta = float(np.arccos(np.sqrt(p)))
-        states.timebin_mix(states.dephase(states.spdc_state(theta)), p)
+        timebin_mix(dephase(spdc_state(theta)), p)
 
 
 def test_state_params_from_theta():
@@ -209,10 +212,72 @@ def test_timebin_states_match_chain():
     assert stack.shape == (len(thetas), 16, 16)
     for theta, mat in zip(thetas, stack):
         p = states.StateParams.from_theta(float(theta)).p
-        chain = states.timebin_mix(states.dephase(states.spdc_state(float(theta))), p).mat
+        chain = timebin_mix(dephase(spdc_state(float(theta))), p).mat
         for a, b in ((chain, mat), (chain, states.timebin_states(float(theta)))):
             assert np.array_equal(a, b)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
     with pytest.raises(ValueError):
         states.timebin_states([0.1, 2.0])
+
+
+def test_cc_family_stack_matches_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(37)
+    p, q = rng.random((3, 1)), rng.random(4)
+    p[0, 0], q[1] = 0.0, 1.0
+    stack = states.cc_family(p, q)
+    assert stack.shape == (3, 4, 16, 16)
+    for i in range(3):
+        for j in range(4):
+            rho = states.cc_family(float(p[i, 0]), float(q[j]))
+            assert rho.dims == (2, 2, 4)
+            assert np.array_equal(stack[i, j], rho.mat)
+    with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
+        states.cc_family(np.array([0.5, 1.5]), 0.5)
+
+
+def test_classical_classical_stack_rejects_one_bad_table():
+    good = np.full((3, 2, 2), 0.25)
+    for bad in (np.array([[0.5, 0.5], [0.25, -0.25]]), np.full((2, 2), 0.26)):
+        weights = good.copy()
+        weights[1] = bad
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            states.classical_classical(weights, np.eye(2), np.eye(2))
+
+
+def test_classical_classical_stack_matches_per_table_calls():
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, r = np.linalg.qr(a)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    b = np.eye(4)[:, rng.permutation(4)]
+    weights = rng.dirichlet(np.ones(16), size=20).reshape(20, 4, 4)
+    stack = states.classical_classical(weights, u, b)
+    assert stack.shape == (20, 16, 16)
+    for w, mat in zip(weights, stack):
+        rho = states.classical_classical(w, u, b)
+        assert rho.dims == (4, 4)
+        assert np.max(np.abs(rho.mat - mat)) <= 1e-15
+
+
+def test_timebin_states_match_stacked_cc_family():
+    thetas = np.arange(65) * np.pi / 128
+    family = states.cc_family(np.cos(thetas) ** 2, np.sin(thetas) ** 2)
+    assert np.max(np.abs(states.timebin_states(thetas) - family)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=50, database=None, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+@example(pairs=[(0.5, 4.337639724760935e-15)])  # E is 6.6e-8 off here
+def test_stacked_cc_family_measures_match_closed_forms(pairs):
+    p, q = np.array(pairs).T
+    rep = measures.cut_measures(states.cc_family(p, q), (2, 2, 4), cut=(0, 1))
+    assert np.max(np.abs(rep.mutual_information - measures.closed_form_I(p, q))) <= 1e-9
+    # The square roots behind the concurrence count an eigenvalue of rho_A
+    # below 1e-14 of the largest as 0.  Where a nonzero one lies there, E
+    # loses the two spin-flip roots p sqrt(q~(1-q~)), each at most
+    # sqrt(2e-14): the known cost of that floor.  Elsewhere E holds to 1e-9.
+    lam = np.stack([p * (1 - q), (1 - p) * q, p * q, (1 - p) * (1 - q)])
+    floored = np.any((lam > 0) & (lam < 2e-14 * lam.max(axis=0)), axis=0)
+    tol = np.where(floored, 2 * np.sqrt(2e-14), 1e-9)
+    assert np.all(np.abs(rep.concurrence - measures.closed_form_E(p, q)) <= tol)
