@@ -6,7 +6,11 @@ of the sorted probability 4-simplex, through
 k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
 maximizes k over the tuples of entropy at least c, a one-sided check that
 never exceeds zeta, and oracle_zeta over the tuples within a band of entropy
-c.  All functions broadcast over numpy arrays.
+c.  oracle_frontier searches chains, the tuples of one (l1, l2) pair with l3
+from ceil(r/2) to min(l2, r) and l4 = r - l3.  As l3 rises, h strictly falls
+(x log x is strictly convex and (l3, l4) leave balance) and k strictly rises
+(dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0), so a chain's best tuple for
+c is its last with h >= c.  All functions broadcast over numpy arrays.
 """
 
 import operator
@@ -126,31 +130,40 @@ def simplex_grid(resolution):
 _BLOCK = 2 ** 13
 
 
-def _grid_blocks(resolution):
-    """(h, k) of the simplex_grid tuples in simplex_grid order, in blocks of
-    consecutive (l1, l2) pairs.  A block starts where the running tuple count
-    crosses a multiple of _BLOCK, so it holds at most _BLOCK tuples plus its
-    first pair (at most n/2 + 1).  h and k index (n + 1)-entry tables of l/n
-    and of x log x with the integer parts, for the floats of the same formulas
-    on the simplex_grid rows, bit for bit."""
-    n = int(resolution)
-    l1, l2, r2, counts = _pairs(n)
-    cuts = [0, *(np.flatnonzero(np.diff(np.cumsum(counts) // _BLOCK)) + 1).tolist(), len(counts)]
-    x = np.arange(n + 1) / n
-    t = _xlogx(x)
+def _h(t, t12, l3, l4):
+    """h = -(((t1 + t2) + t3) + t4) from the table t of x log x at x = l/n:
+    np.sum's order over a simplex_grid row, so h and k (_k) equal its floats."""
+    h = t12 + t[l3]
+    h += t[l4]
+    return np.negative(h, out=h)
+
+
+def _k(x, x1, x2, l3, l4):
+    return (x1 - x[l3]) - 2.0 * np.sqrt(x2 * x[l4])
+
+
+def _cuts(size, *pairs):
+    """The pair arrays (l1, l2, r2, counts) in runs, cut where the running tuple
+    count crosses a multiple of size: each holds at most size tuples plus its
+    first pair (at most n/2 + 1)."""
+    counts = pairs[-1]
+    cuts = [0, *(np.flatnonzero(np.diff(np.cumsum(counts) // size)) + 1).tolist(), len(counts)]
     for a, b in zip(cuts, cuts[1:]):
-        l3, l4, pair = _tuples(r2[a:b], counts[a:b])
-        # h = -(((t1 + t2) + t3) + t4), the summation order of np.sum over a
-        # row; in place, which is faster than the expression on a block.
-        h = (t[l1[a:b]] + t[l2[a:b]])[pair]
-        h += t[l3]
-        h += t[l4]
-        root = x[l2[a:b]][pair]
-        root *= x[l4]
-        k = x[l1[a:b]][pair]
-        k -= x[l3]
-        k -= 2.0 * np.sqrt(root, out=root)
-        yield np.negative(h, out=h), k
+        yield [p[a:b] for p in pairs]
+
+
+def _runs(t, x, *pairs):
+    """(h, k) of the pairs' tuples in order, in _cuts runs of _BLOCK tuples."""
+    for l1, l2, r2, counts in _cuts(_BLOCK, *pairs):
+        l3, l4, pair = _tuples(r2, counts)
+        yield _h(t, (t[l1] + t[l2])[pair], l3, l4), _k(x, x[l1][pair], x[l2][pair], l3, l4)
+
+
+def _grid_blocks(resolution):
+    """(h, k) of the simplex_grid tuples in simplex_grid order, in _runs."""
+    n = int(resolution)
+    x = np.arange(n + 1) / n
+    yield from _runs(_xlogx(x), x, *_pairs(n))
 
 
 def grid_h_k(resolution):
@@ -175,15 +188,37 @@ def _oracle_args(c, resolution):
 def oracle_frontier(c, resolution=200):
     """Grid frontier of zeta: Z_n(c) = max of max{0, k(lambda)} over the grid
     tuples with h(lambda) >= c, per entropy c, as a flat array.  Every tuple
-    obeys k <= zeta(h) and zeta is non-increasing, so Z_n <= zeta(c)."""
-    c, resolution = _oracle_args(c, resolution)
+    obeys k <= zeta(h) and zeta is non-increasing, so Z_n <= zeta(c).  A
+    chain's end tuple serves each c up to its h; each c between that and the
+    top tuple's h bisects l3 for its tuple, unless a scan costs less."""
+    c, n = _oracle_args(c, resolution)
     order = np.argsort(c)
     sorted_c = c[order]
-    # Slot j holds the tuples with exactly j queries at or below their h, so
-    # the j-th smallest query takes the max over slots j + 1 and up.
+    # Slot j holds tuples with h at or above the j smallest queries, so the
+    # j-th smallest query takes the max over slots j + 1 and up.
     best = np.full(len(c) + 1, -np.inf)
-    for h, k in _grid_blocks(resolution):
-        np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
+    x = np.arange(n + 1) / n
+    t = _xlogx(x)
+    # A block of 8 _BLOCK tuples has about as many chains and (chain, query)
+    # pairs as a _BLOCK-tuple run has tuples.
+    for p1, p2, r, count in _cuts(8 * _BLOCK, *_pairs(n)):
+        t12, x1, x2, top, end = t[p1] + t[p2], x[p1], x[p2], (r + 1) // 2, np.minimum(p2, r)
+        low = np.searchsorted(sorted_c, _h(t, t12, end, r - end), side="right")
+        np.maximum.at(best, low, _k(x, x1, x2, end, r - end))
+        m = np.searchsorted(sorted_c, _h(t, t12, top, r - top), side="right") - low
+        # Bisection takes m ceil(log2 count) h evaluations; a scan takes count
+        # tuples at about two each (h, k and a search of the queries).
+        scan = m * np.ceil(np.log2(count)) > 2 * count
+        if np.any(scan):
+            for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], count[scan]):
+                np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
+        # lo climbs by falling powers of two while h >= c; h(end) < c stops it.
+        q, chain = _expand(low, np.where(scan, 0, m))
+        lo, end, r, t12, cq = top[chain], end[chain], r[chain], t12[chain], sorted_c[q]
+        for step in 2 ** np.arange(int(np.max(end - lo, initial=0)).bit_length())[::-1]:
+            mid = np.minimum(lo + step, end)
+            lo = np.where(_h(t, t12, mid, r - mid) >= cq, mid, lo)
+        np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], lo, r - lo))
     out = np.empty_like(c)
     out[order] = np.maximum.accumulate(best[::-1])[::-1][1:]
     return np.maximum(0.0, out)

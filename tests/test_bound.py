@@ -214,11 +214,33 @@ def test_grid_blocks_are_runs_of_pairs(n):
     assert start == len(rows)
 
 
+@pytest.mark.parametrize("n", [100, 257, 600, 1000])
+def test_grid_chains_are_strictly_monotone(n):
+    # The frontier's search rests on this: along the chain of one (l1, l2)
+    # pair, as l3 rises, h strictly falls and k strictly rises, in floats too.
+    # The smallest steps read 1.1e-5 in h and 8.4e-6 in k at n = 600, and
+    # 4.0e-6 and 3.0e-6 at n = 1000.  The blocks of _grid_blocks are runs of
+    # whole pairs, so the walk never holds the grid.
+    ends = np.cumsum(bound._pairs(n)[3])
+    start, fall, rise = 0, np.inf, np.inf
+    for h, k in bound._grid_blocks(n):
+        stop = start + len(h)
+        assert stop in ends
+        inner = np.ones(len(h) - 1, dtype=bool)
+        inner[ends[(ends > start) & (ends < stop)] - start - 1] = False
+        fall = min(fall, np.min(-np.diff(h)[inner], initial=np.inf))
+        rise = min(rise, np.min(np.diff(k)[inner], initial=np.inf))
+        start = stop
+    assert start == ends[-1]
+    assert fall > 1e-7 and rise > 1e-7
+
+
 @pytest.mark.parametrize("n", [150, 257, 401])
 def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
-    # Both oracles' passes over the grid blocks; the band oracle at the size
-    # `verify` uses, where two of the 50 bands are empty, so its
-    # nearest-entropy fallback runs too.
+    # Both oracles' passes over the grid: the band oracle's blocks, and the
+    # frontier's blocks of chains and its scans of them, all cut from _BLOCK.
+    # The band oracle runs at the size `verify` uses, where two of the 50
+    # bands are empty, so its nearest-entropy fallback runs too.
     queries = [np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200)]
 
     def scan():
@@ -360,6 +382,72 @@ def test_oracle_scan_matches_brute_force_at_grid_sizes(n):
         assert oracle_zeta(cs, n, band).tolist() == [v for v, _ in expected], band
         if band == 1e-6:  # the narrow bands take the nearest-entropy fallback
             assert sum(w for _, w in expected) >= 20
+
+
+@pytest.mark.parametrize("n, spread, dense", [(600, 0, 0), (600, 30, 0), (200, 30, 2000)])
+def test_oracle_frontier_search_matches_brute_force(monkeypatch, n, spread, dense):
+    # The frontier bisects a chain for the queries within its entropy range,
+    # or scans it where they are dense.  Queries on the h of chains' first
+    # and last tuples, where a chain's range opens and closes, and on the
+    # floats next to them: for the 10 longest chains, whose bisections take
+    # the most steps, and for `spread` random ones; on as many grid
+    # entropies and their neighbours; on the oracle command's points; and on
+    # `dense` random entropies.  Each side takes some of the chains.
+    h, k = grid_h_k(n)
+    rng = np.random.default_rng(n + spread)
+    counts = bound._pairs(n)[3]
+    chains = np.concatenate([np.argsort(counts)[-10:], rng.choice(len(counts), spread)])
+    last = np.cumsum(counts)[chains] - 1
+    edges = np.concatenate([h[rng.choice(len(h), spread)], h[last], h[last - counts[chains] + 1]])
+    cs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                         np.linspace(0.0, TWO_LN2, 50), rng.random(dense) * TWO_LN2])
+    scanned, runs = [], bound._runs
+    monkeypatch.setattr(bound, "_runs",
+                        lambda t, x, *pairs: scanned.append(len(pairs[0])) or runs(t, x, *pairs))
+    values = bound.oracle_frontier(cs, n)
+    assert values.tolist() == [_brute_force_frontier(h, k, c) for c in cs]
+    assert not np.any(np.signbit(values))
+    assert 0 < sum(scanned) < len(counts)
+    empty = bound.oracle_frontier(cs[:0], n)
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
+    # On a pair plan cut down to one chain, the frontier at c is the k of the
+    # chain's last tuple with h >= c, so a search that stops short shows.
+    # Queries on each tuple's h and on the floats next to it put the boundary
+    # at every position of the chain, for the longest chains, whose
+    # bisections take the most steps, and for three random ones: one query
+    # at a time, which the frontier bisects, and all at once, which it scans.
+    h, k = grid_h_k(n)
+    pairs = bound._pairs(n)
+    counts = pairs[3]
+    starts = np.cumsum(counts) - counts
+    for i in [*np.argsort(counts)[-3:], *np.random.default_rng(n).choice(len(counts), 3)]:
+        chain = slice(starts[i], starts[i] + counts[i])
+        monkeypatch.setattr(bound, "_pairs", lambda _, i=i: [p[i:i + 1] for p in pairs])
+        cs = np.concatenate([h[chain], np.nextafter(h[chain], -np.inf),
+                             np.nextafter(h[chain], np.inf)])
+        expected = [_brute_force_frontier(h[chain], k[chain], c) for c in cs]
+        assert [bound.oracle_frontier(c, n)[0] for c in cs] == expected
+        assert bound.oracle_frontier(cs, n).tolist() == expected
+
+
+@pytest.mark.parametrize("n, queries, limit", [(600, 50, 2.5), (200, 10_000, 4.0)])
+def test_oracle_frontier_memory_does_not_grow(n, queries, limit):
+    # The frontier holds the pair plan, one block of chains with its (chain,
+    # query) pairs and one scan run of at most 2^13 tuples, and one maximum
+    # per query.  Its tracemalloc peak read 2.09 MiB at n = 600, the pair
+    # plan's own peak, and 1.50 MiB for 10 000 queries at n = 200.
+    cs = np.linspace(0.0, TWO_LN2, queries)
+    tracemalloc.start()
+    try:
+        bound.oracle_frontier(cs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2 ** 20
 
 
 def test_oracle_scan_with_no_tuple_near_a_band_edge():

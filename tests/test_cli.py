@@ -190,11 +190,12 @@ def _src_env():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # At resolution 1000 the grid has 7 049 112 tuples, 113 MB for h and k
-    # alone; the oracle holds one block of them and one maximum per query,
-    # and writes the bytes the whole-grid frontier writes.  Against a
-    # `bound --resolution 2` process, which pays the same interpreter and
-    # imports, it may add less than 14 MB: blocks of about 2^13 tuples add
-    # 11 MB, blocks of about 2^16 added 15-17.5 MB.
+    # alone; the oracle holds the (l1, l2) pair plan, one block of chains
+    # and one maximum per query, and writes the bytes the whole-grid frontier
+    # writes.  Against a `bound --resolution 2` process, which pays the same
+    # interpreter and imports, it may add less than 14 MB: the chain search
+    # adds 6.5 MB (35.3 against 28.8 MB), as the pass over every tuple in
+    # blocks of about 2^13 did; blocks of about 2^16 tuples added 15-17.5 MB.
     # Both run under a small parent process, because a child's peak RSS
     # includes the peak of the process it was forked from, here pytest.
     script = (
