@@ -3,10 +3,13 @@
 81 local Pauli settings (X/Y/Z per qubit) with 16 outcomes each, held as an
 (81, 16) count table; reconstruction by unbiased linear inversion of Pauli
 expectations followed by projection of the spectrum onto the probability
-simplex.  An experiment runs all its angles as one stack.  Each angle draws
-its whole count table in one call from its own RNG stream, derived from the
-seed and the float64 bits of the angle, so results do not depend on evaluation
-order or on the other angles.
+simplex.  The noise model (interferometer visibility on the path qubits and
+per-qubit depolarizing) scales the 256 Pauli expectations of the target states
+on their way to the Born probabilities; no noisy state is built.  An
+experiment runs all its angles as one stack.  Each angle draws its whole count
+table in one call from its own RNG stream, derived from the seed and the
+float64 bits of the angle, so results do not depend on evaluation order or on
+the other angles.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
-from .linalg import density_spectrum, spectral_fn
+from .linalg import spectral_fn
 from .measures import MeasureReport
 
 PAULI = {
@@ -72,43 +75,6 @@ def _kron_table(factors):
     return table
 
 
-def _depolarize_qubit(mat, i, p):
-    t = mat.reshape(mat.shape[:-2] + (2,) * 8)
-    row = list(range(4))
-    col = list(range(4, 8))
-    col_tr = list(col)
-    col_tr[i] = row[i]
-    out_row = [a for j, a in enumerate(row) if j != i]
-    out_col = [a for j, a in enumerate(col) if j != i]
-    # 3-qubit marginal, qubit i traced out
-    traced = np.einsum(t, [Ellipsis] + row + col_tr, [Ellipsis] + out_row + out_col)
-    eye = np.eye(2, dtype=complex) / 2.0
-    full = np.einsum(traced, [Ellipsis] + out_row + out_col, eye, [row[i], col[i]],
-                     [Ellipsis] + row + col)
-    return (1.0 - p) * mat + p * full.reshape(mat.shape)
-
-
-def apply_noise(mats, noise: NoiseParams):
-    """Interferometer model on a four-qubit state or a (..., 16, 16) stack:
-    path-qubit dephasing scaled by the visibility, plus optional isotropic
-    per-qubit depolarizing.  The noisy stack is checked as density matrices."""
-    m = np.asarray(mats, dtype=complex)
-    if m.shape[-2:] != (N_OUT, N_OUT):
-        raise ValueError("noise model expects four-qubit states")
-    v = noise.visibility
-    if v < 1.0:
-        idx = np.arange(16)
-        for qubit in PATH_QUBITS:
-            bit = (idx >> (3 - qubit)) & 1
-            differ = bit[:, None] != bit[None, :]
-            m = np.where(differ, v * m, m)
-    if noise.depolarizing > 0.0:
-        for qubit in range(N_QUBITS):
-            m = _depolarize_qubit(m, qubit, noise.depolarizing)
-    density_spectrum(m)
-    return m
-
-
 def _build_inversion_tables():
     place = np.arange(N_QUBITS - 1, -1, -1)  # qubit i is digit 3-i
     bits = (np.arange(16)[:, None] >> place) & 1  # outcome z or subset mask, per qubit
@@ -128,25 +94,35 @@ def _build_inversion_tables():
     # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
     # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled.
     flat = _kron_table(np.stack([PAULI[ch] for ch in "IXYZ"])).reshape(256, 256)
-    return signs, pauli_idx, by_string, starts, mult, flat
+    # Letters (0-3 for I, X, Y, Z) of each string per qubit.  The noise model
+    # scales a string's expectation by the visibility per X or Y on a path
+    # qubit and by 1 - depolarizing per non-identity letter.
+    digits = (np.arange(256)[:, None] >> 2 * place) & 3
+    on_path = digits[:, PATH_QUBITS]
+    path_xy = np.count_nonzero((on_path == 1) | (on_path == 2), axis=-1)
+    return signs, pauli_idx, by_string, starts, mult, flat, path_xy, np.count_nonzero(digits, -1)
 
 
 (_SIGNS, _PAULI_IDX, _BY_STRING, _STRING_START, _PAULI_MULT,
- _PAULI_FLAT) = _build_inversion_tables()
+ _PAULI_FLAT, _PATH_XY, _WEIGHT) = _build_inversion_tables()
 
 
-def born_probabilities(mats):
+def born_probabilities(mats, noise=NoiseParams()):
     """Probabilities of the 16 joint outcomes of every setting, (..., 81, 16),
-    for a four-qubit state or a (..., 16, 16) stack of them:
-    p(z|s) = (1/16) sum_T sign(z, T) <P_{s,T}>, the inversion tables read
-    forwards.  Each state takes its own (1, 256) product with the Pauli table,
-    so its probabilities do not depend on the rest of the stack."""
+    for a four-qubit state or a (..., 16, 16) stack of them under the noise
+    model: p(z|s) = (1/16) sum_T sign(z, T) <P_{s,T}>, the inversion tables
+    read forwards, with each <P> scaled by visibility^(X or Y factors of P on
+    the path qubits) and (1 - depolarizing)^(non-identity factors of P); both
+    channels are diagonal in the Pauli basis.  Each state takes its own
+    (1, 256) product with the Pauli table, so its probabilities do not depend
+    on the rest of the stack."""
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (N_OUT, N_OUT):
         raise ValueError("tomography expects four-qubit states")
     # Tr(rho P) = sum_ij conj(rho_ij) P_ij for Hermitian rho and P.
     flat = np.conj(mats).reshape(mats.shape[:-2] + (1, N_OUT * N_OUT))
     exps = np.real(flat @ _PAULI_FLAT.T)[..., 0, :]
+    exps *= noise.visibility ** _PATH_XY * (1.0 - noise.depolarizing) ** _WEIGHT
     p = exps[..., _PAULI_IDX] @ _SIGNS / N_OUT
     np.clip(p, 0.0, None, out=p)
     p /= np.sum(p, axis=-1, keepdims=True)
@@ -292,7 +268,7 @@ def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False)
     repeated angle repeats its results (see sample_counts)."""
     params = states.StateParams.from_theta(np.asarray(theta, dtype=float))
     targets = states.timebin_states(params.theta)
-    counts = born_probabilities(apply_noise(targets, noise))
+    counts = born_probabilities(targets, noise)
     if exact:
         shots = 0
     else:

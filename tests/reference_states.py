@@ -1,15 +1,19 @@
 """The scalar construction of the paper's states, step by step: the SPDC pair
-cos(theta)|00> + sin(theta)|11>, full dephasing, then the time-bin mixture.
+cos(theta)|00> + sin(theta)|11>, full dephasing, then the time-bin mixture;
+and the experiment's noise model as a channel on 16x16 density matrices.
 
 qtradeoff.states builds the same states as one stack (timebin_states) and as
 members of the classical-classical family (cc_family); the tests check both
-against this chain, one state at a time.
+against this chain, one state at a time.  qtradeoff.tomo applies the noise
+model to the Pauli expectations inside born_probabilities; the tests check it
+against the Born probabilities of apply_noise's noisy states.
 """
 
 import numpy as np
 
-from qtradeoff.linalg import DensityMatrix
+from qtradeoff.linalg import DensityMatrix, density_spectrum
 from qtradeoff.states import _check_theta, _mix
+from qtradeoff.tomo import N_OUT, N_QUBITS, PATH_QUBITS, NoiseParams
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -47,3 +51,40 @@ def timebin_mix(rho_d: DensityMatrix, p) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     return DensityMatrix(_mix(rho_d.mat, p), (2, 2, 2, 2))
+
+
+def _depolarize_qubit(mat, i, p):
+    t = mat.reshape(mat.shape[:-2] + (2,) * 8)
+    row = list(range(4))
+    col = list(range(4, 8))
+    col_tr = list(col)
+    col_tr[i] = row[i]
+    out_row = [a for j, a in enumerate(row) if j != i]
+    out_col = [a for j, a in enumerate(col) if j != i]
+    # 3-qubit marginal, qubit i traced out
+    traced = np.einsum(t, [Ellipsis] + row + col_tr, [Ellipsis] + out_row + out_col)
+    eye = np.eye(2, dtype=complex) / 2.0
+    full = np.einsum(traced, [Ellipsis] + out_row + out_col, eye, [row[i], col[i]],
+                     [Ellipsis] + row + col)
+    return (1.0 - p) * mat + p * full.reshape(mat.shape)
+
+
+def apply_noise(mats, noise: NoiseParams):
+    """Interferometer model on a four-qubit state or a (..., 16, 16) stack:
+    path-qubit dephasing scaled by the visibility, plus optional isotropic
+    per-qubit depolarizing.  The noisy stack is checked as density matrices."""
+    m = np.asarray(mats, dtype=complex)
+    if m.shape[-2:] != (N_OUT, N_OUT):
+        raise ValueError("noise model expects four-qubit states")
+    v = noise.visibility
+    if v < 1.0:
+        idx = np.arange(16)
+        for qubit in PATH_QUBITS:
+            bit = (idx >> (3 - qubit)) & 1
+            differ = bit[:, None] != bit[None, :]
+            m = np.where(differ, v * m, m)
+    if noise.depolarizing > 0.0:
+        for qubit in range(N_QUBITS):
+            m = _depolarize_qubit(m, qubit, noise.depolarizing)
+    density_spectrum(m)
+    return m

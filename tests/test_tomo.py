@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from qtradeoff.measures import closed_form_E, closed_form_I
 from qtradeoff.tomo import (
     NoiseParams,
     SETTINGS,
-    apply_noise,
     bootstrap_measures,
     born_probabilities,
     physical_spectrum,
@@ -17,9 +18,13 @@ from qtradeoff.tomo import (
     visibility_from_contrast,
 )
 from qtradeoff.states import timebin_states
+from reference_states import apply_noise
 
 SCAN_THETAS = np.arange(65) * np.pi / 128
 SCAN_NOISE = [NoiseParams(v, d) for v in (1.0, 0.96) for d in (0.0, 0.02)]
+# The scan settings and the channels' extremes: no path coherence left, and
+# every qubit replaced by I/2.
+NOISE_CASES = SCAN_NOISE + [NoiseParams(0.0, 0.0), NoiseParams(1.0, 1.0)]
 
 # Columns are the +1 and -1 eigenvectors (outcome 0 and 1) of each local
 # measurement: the reference the Born probabilities are checked against.
@@ -30,8 +35,10 @@ EIGVECS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _setting_w(setting):
-    """The setting's product eigenbasis, built as a kron chain."""
+    """The setting's product eigenbasis, built as a kron chain (once per
+    setting; callers only read it)."""
     w = EIGVECS[setting[0]]
     for ch in setting[1:]:
         w = np.kron(w, EIGVECS[ch])
@@ -87,13 +94,15 @@ def test_born_probabilities_rejects_non_four_qubit_state():
 
 
 def test_born_probabilities_match_per_setting_products():
-    # The Pauli-table probabilities agree with each setting's own 16x16 product
-    # in the kron-chain eigenbasis, for every scan angle and noise setting.
-    # The sums run in another order, so equality holds to 1e-15 absolute.
+    # The noise model acts on the Pauli expectations; the reference applies it
+    # as a channel on the 16x16 states.  The probabilities agree with each
+    # setting's own 16x16 product of the reference's noisy state, in the
+    # kron-chain eigenbasis, for every scan angle and noise setting.  The sums
+    # run in another order, so equality holds to 1e-15 absolute.
     targets = states.timebin_states(SCAN_THETAS)
-    for noise in SCAN_NOISE:
+    for noise in NOISE_CASES:
         noisy = apply_noise(targets, noise)
-        probs = born_probabilities(noisy)
+        probs = born_probabilities(targets, noise)
         assert probs.shape == (len(SCAN_THETAS), 81, 16)
         for a, rho in enumerate(noisy):
             assert np.array_equal(apply_noise(targets[a], noise), rho)
@@ -105,11 +114,10 @@ def test_born_probabilities_stack_rows_are_single_calls():
     # Row independence of the experiment rests on this: each state of a stack
     # gets bit for bit the probabilities of a call of its own.
     targets = states.timebin_states(SCAN_THETAS)
-    for noise in SCAN_NOISE:
-        noisy = apply_noise(targets, noise)
-        probs = born_probabilities(noisy)
-        for a, rho in enumerate(noisy):
-            assert np.array_equal(probs[a], born_probabilities(rho))
+    for noise in NOISE_CASES:
+        probs = born_probabilities(targets, noise)
+        for a, rho in enumerate(targets):
+            assert np.array_equal(probs[a], born_probabilities(rho, noise))
 
 
 def test_sample_counts_deterministic():
@@ -149,8 +157,7 @@ def test_sample_counts_per_table_streams():
     # Table a draws its whole (81, 16) table in one call from the stream
     # (seed, keys[a]); the sampler normalizes each row once more.  A table
     # sampled alone gives its row of the stack.
-    probs = born_probabilities(apply_noise(states.timebin_states(SCAN_THETAS[::8]),
-                                           SCAN_NOISE[3]))
+    probs = born_probabilities(states.timebin_states(SCAN_THETAS[::8]), SCAN_NOISE[3])
     keys = np.arange(len(probs)) * 1000 + 3
     counts = sample_counts(probs, 500, 11, keys)
     assert counts.shape == probs.shape
