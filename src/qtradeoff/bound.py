@@ -6,11 +6,12 @@ of the sorted probability 4-simplex, through
 k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
 maximizes k over the tuples of entropy at least c, a one-sided check that
 never exceeds zeta, and oracle_zeta over the tuples within a band of entropy
-c.  oracle_frontier searches chains, the tuples of one (l1, l2) pair with l3
-from ceil(r/2) to min(l2, r) and l4 = r - l3.  As l3 rises, h strictly falls
-(x log x is strictly convex and (l3, l4) leave balance) and k strictly rises
-(dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0), so a chain's best tuple for
-c is its last with h >= c.  All functions broadcast over numpy arrays.
+c, which must hold one.  oracle_frontier searches chains, the tuples of one
+(l1, l2) pair with l3 from ceil(r/2) to min(l2, r) and l4 = r - l3.  As l3
+rises, h strictly falls (x log x is strictly convex and (l3, l4) leave
+balance) and k strictly rises (dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0),
+so a chain's best tuple for c is its last with h >= c.  All functions
+broadcast over numpy arrays.
 """
 
 import operator
@@ -226,27 +227,23 @@ def oracle_frontier(c, resolution=200):
 
 def oracle_zeta(c, resolution=200, band=0.01):
     """Brute-force zeta: max over grid tuples with |h(lambda) - c| <= band of
-    max{0, k(lambda)}.  A band that holds no grid tuple is widened to the
-    nearest grid entropy (both neighbours on a tie)."""
+    max{0, k(lambda)}.  A band that holds no grid tuple raises ValueError."""
     shape = np.shape(c)
     c, resolution = _oracle_args(c, resolution)
     if not 0.0 < band < np.inf:
         raise ValueError("band must be positive and finite")
-    best, nearest = np.full(c.shape, -np.inf), np.full(c.shape, -np.inf)
-    gap = np.full(c.shape, np.inf)
+    best = np.full(c.shape, -np.inf)
     for h, k in _grid_blocks(resolution):
         # Queries in runs of 8, so that a (queries x block) temporary holds
         # at most 8 blocks' entries, whatever the number of queries.
         for q in range(0, len(c), 8):
             s = slice(q, q + 8)
-            dist = np.abs(h - c[s, None])
-            best[s] = np.maximum(best[s], np.max(np.where(dist <= band, k, -np.inf), axis=1))
-            near = np.min(dist, axis=1)
-            at = np.max(np.where(dist == near[:, None], k, -np.inf), axis=1)
-            nearest[s] = np.where(near < gap[s], at,
-                                  np.where(near == gap[s], np.maximum(nearest[s], at), nearest[s]))
-            gap[s] = np.minimum(gap[s], near)
-    out = np.maximum(0.0, np.where(best > -np.inf, best, nearest)).reshape(shape)
+            inside = np.abs(h - c[s, None]) <= band
+            best[s] = np.maximum(best[s], np.max(np.where(inside, k, -np.inf), axis=1))
+    if np.any(best == -np.inf):
+        raise ValueError(f"the band of width {band} around c = {c[best == -np.inf][0]} "
+                         f"holds no grid tuple at resolution {resolution}")
+    out = np.maximum(0.0, best).reshape(shape)
     return out if out.ndim else float(out)
 
 

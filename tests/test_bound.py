@@ -240,11 +240,17 @@ def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
     # Both oracles' passes over the grid: the band oracle's blocks, and the
     # frontier's blocks of chains and its scans of them, all cut from _BLOCK.
     # The band oracle runs at the size `verify` uses, where two of the 50
-    # bands are empty, so its nearest-entropy fallback runs too.
+    # bands are empty and raise.
     queries = [np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200)]
+    h, _ = grid_h_k(n)
+    populated = np.any(np.abs(h - queries[0][:, None]) <= 0.01, axis=1)
+    assert np.sum(~populated) == (2 if n == 150 else 0)
 
     def scan():
-        band = [oracle_zeta(queries[0], n)] if n == 150 else []
+        for c in queries[0][~populated]:
+            with pytest.raises(ValueError, match="no grid tuple"):
+                oracle_zeta(c, n)
+        band = [oracle_zeta(queries[0][populated], n)] if n == 150 else []
         return [bound.oracle_frontier(cs, n) for cs in queries] + band
 
     default = scan()
@@ -295,12 +301,23 @@ def test_grid_tuples_never_exceed_bound():
 
 
 def _brute_force_oracle(h, k, c, band):
-    # Reference: the exact band test over the whole grid; an empty band is
-    # widened to the distance of the nearest grid entropy.
+    # Reference: the exact band test over the whole grid; None for a band that
+    # holds no tuple.
     mask = np.abs(h - c) <= band
-    if not np.any(mask):
-        mask = np.abs(h - c) <= np.min(np.abs(h - c))
-    return max(0.0, float(np.max(k[mask]))), not np.any(np.abs(h - c) <= band)
+    return max(0.0, float(np.max(k[mask]))) if np.any(mask) else None
+
+
+def _check_band_oracle(h, k, cs, n, band):
+    """oracle_zeta at the populated bands of cs, as one query, against the
+    brute force, bit for bit; each empty band raises.  Returns the queries of
+    the populated bands."""
+    expected = [_brute_force_oracle(h, k, c, band) for c in cs]
+    populated = np.array([v is not None for v in expected], dtype=bool)
+    assert oracle_zeta(cs[populated], n, band).tolist() == [v for v in expected if v is not None]
+    for c in cs[~populated]:
+        with pytest.raises(ValueError, match="no grid tuple"):
+            oracle_zeta(c, n, band)
+    return cs[populated]
 
 
 def test_oracle_zeta_array_matches_brute_force_mask():
@@ -311,11 +328,10 @@ def test_oracle_zeta_array_matches_brute_force_mask():
     edges = h[rng.choice(len(h), 100)]
     cs = np.concatenate([rng.random(200) * TWO_LN2, edges - 0.01, edges + 0.01,
                          [0.0, 0.012, 0.015, 0.021, TWO_LN2]])
-    values = oracle_zeta(cs)
-    expected = [_brute_force_oracle(h, k, c, 0.01) for c in cs]
-    assert values.tolist() == [v for v, _ in expected]
-    assert sum(w for _, w in expected) >= 3
-    assert oracle_zeta(cs.reshape(5, 81)).tolist() == values.reshape(5, 81).tolist()
+    populated = _check_band_oracle(h, k, cs, 200, 0.01)
+    assert len(cs) - len(populated) == 7
+    values = oracle_zeta(populated)
+    assert oracle_zeta(populated.reshape(2, -1)).tolist() == values.reshape(2, -1).tolist()
 
 
 def test_oracle_zeta_memory_does_not_grow_with_the_queries():
@@ -327,14 +343,20 @@ def test_oracle_zeta_memory_does_not_grow_with_the_queries():
     rng = np.random.default_rng(400)
     edges = h[rng.choice(len(h), 100)]
     cs = np.concatenate([rng.random(200) * TWO_LN2, edges - 0.01, edges + 0.01])
+    expected = [_brute_force_oracle(h, k, c, 0.01) for c in cs]
+    populated = cs[[v is not None for v in expected]]
+    assert len(cs) - len(populated) == 4
     tracemalloc.start()
     try:
-        values = oracle_zeta(cs)
+        values = oracle_zeta(populated)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
-    assert values.tolist() == [_brute_force_oracle(h, k, c, 0.01)[0] for c in cs]
+    assert values.tolist() == [v for v in expected if v is not None]
+    for c in cs[[v is None for v in expected]]:
+        with pytest.raises(ValueError, match="no grid tuple"):
+            oracle_zeta(c)
 
 
 def _brute_force_frontier(h, k, c):
@@ -378,10 +400,9 @@ def test_oracle_scan_matches_brute_force_at_grid_sizes(n):
     if n not in (150, 200):
         return
     for cs, band in _band_query_sets(h, rng):
-        expected = [_brute_force_oracle(h, k, c, band) for c in cs]
-        assert oracle_zeta(cs, n, band).tolist() == [v for v, _ in expected], band
-        if band == 1e-6:  # the narrow bands take the nearest-entropy fallback
-            assert sum(w for _, w in expected) >= 20
+        populated = _check_band_oracle(h, k, cs, n, band)
+        if band == 1e-6:  # the narrow bands around non-grid entropies are empty
+            assert len(cs) - len(populated) >= 20
 
 
 @pytest.mark.parametrize("n, spread, dense", [(600, 0, 0), (600, 30, 0), (200, 30, 2000)])
@@ -452,30 +473,33 @@ def test_oracle_frontier_memory_does_not_grow(n, queries, limit):
 
 def test_oracle_scan_with_no_tuple_near_a_band_edge():
     # Every band edge lies outside the entropy range: the wide bands hold the
-    # pure tuple (k = 1), and the bands beyond either end of the range widen
-    # to the pure tuple or to the uniform one (k = -1/2).  The frontier takes
-    # every tuple below the range and none above it.
+    # pure tuple (k = 1), and the bands beyond either end of the range hold no
+    # tuple and raise.  The frontier takes every tuple below the range and
+    # none above it.
     assert oracle_zeta([0.0, 0.7, TWO_LN2], 100, 2.0).tolist() == [1.0] * 3
-    assert oracle_zeta([-1.0, 3.0], 100, 0.01).tolist() == [1.0, 0.0]
+    for c in (-1.0, 3.0):
+        with pytest.raises(ValueError, match="no grid tuple"):
+            oracle_zeta([0.5, c], 100, 0.01)
     assert bound.oracle_frontier([-1.0, 3.0], 100).tolist() == [1.0, 0.0]
 
 
-def test_oracle_widens_empty_band_to_nearest_entropy():
+def test_oracle_zeta_rejects_an_empty_band():
     # On the resolution-200 grid no entropy lies in (0, 0.0315): the band of
-    # c = 0.015 is empty and widens to h = 0, the pure tuple with k = 1.
+    # c = 0.015 holds no tuple.
     h, _ = grid_h_k(200)
     assert not np.any(np.abs(h - 0.015) <= 0.01)
-    assert oracle_zeta(0.015, 200, 0.01) == 1.0
+    with pytest.raises(ValueError, match="band of width 0.01 around c = 0.015 holds no grid tuple"):
+        oracle_zeta([0.5, 0.015], 200, 0.01)
 
 
-def test_oracle_widening_takes_both_neighbours_on_a_tie(monkeypatch):
-    # A grid of three tuples in two blocks, so each tie spans both blocks.
-    def blocks(resolution):
-        yield np.array([0.0, 1.0]), np.array([0.2, -0.1])
-        yield np.array([0.5]), np.array([0.7])
-
-    monkeypatch.setattr(bound, "_grid_blocks", blocks)
-    assert oracle_zeta([0.25, 0.75, 0.1], 100, 0.01).tolist() == [0.7, 0.7, 0.2]
+@pytest.mark.parametrize("n, points", [(150, 8), (200, 50)])
+def test_band_oracle_callers_query_populated_bands(n, points):
+    # The band oracle's callers, `verify` (8 points at n = 150) and acceptance
+    # criterion 04 (50 points at n = 200), both at band 0.01, never meet an
+    # empty band.
+    h, _ = grid_h_k(n)
+    cs = np.linspace(0.0, TWO_LN2, points)
+    assert np.all(np.any(np.abs(h - cs[:, None]) <= 0.01, axis=1))
 
 
 @pytest.mark.parametrize("n, flagged", [(200, 25), (600, 135)])
