@@ -12,6 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .bound import _xlogx
 from .linalg import DensityMatrix, density_spectrum, partial_trace_stack, spectral_fn
 
 SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -44,7 +45,7 @@ def _safe_sqrt(w):
 def _entropy(w):
     """-sum p ln p in nats over the last axis of a density_spectrum output,
     with 0 ln 0 = 0; its float-noise negatives (down to EIG_FLOOR) add 0."""
-    return -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
+    return -np.sum(_xlogx(w), axis=-1)
 
 
 def _cut_entropies(mats, dims, cut):
@@ -105,10 +106,8 @@ def concurrence(rho_a: DensityMatrix):
 
 
 def _h2(p):
-    """Binary entropy in nats, 0 at p = 0 and p = 1."""
-    inside = (p > 0.0) & (p < 1.0)
-    s = np.where(inside, p, 0.5)
-    return np.where(inside, -s * np.log(s) - (1 - s) * np.log(1 - s), 0.0)
+    """Binary entropy in nats, +0.0 at p = 0 and p = 1."""
+    return 0.0 - (_xlogx(p) + _xlogx(1 - p))
 
 
 def _family_args(p, q):
