@@ -176,7 +176,7 @@ def cmd_experiment(args):
                               seed=args.seed, noise=noise, exact=args.exact)
     m = run.result.measures
     errs = np.zeros((2, len(thetas)))
-    if not args.exact and args.bootstrap > 0:
+    if args.bootstrap > 0:
         for a in range(len(thetas)):
             boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
             errs[:, a] = boot.i_err, boot.e_err
