@@ -71,8 +71,8 @@ def zeta_inv(e):
 
 
 def zeta(c):
-    """The bound curve: 0 for c >= ln(2 sqrt(3)); otherwise the unique e in
-    [0,1] with zeta_inv(e) = c, found by bisection to 1e-12 in e."""
+    """The bound curve: 1 at c = 0 and 0 for c >= ln(2 sqrt(3)); otherwise the
+    unique e in [0,1] with zeta_inv(e) = c, found by bisection to 1e-12 in e."""
     c = np.asarray(c, dtype=float)
     if np.any(c < -1e-9) or np.any(c > TWO_LN2 + 1e-9):
         raise ValueError("zeta requires c in [0, 2 ln 2]")
@@ -85,7 +85,7 @@ def zeta(c):
         bigger = f > cc  # zeta_inv decreasing: value too large means e too small
         lo = np.where(bigger, mid, lo)
         hi = np.where(bigger, hi, mid)
-    out = np.where(cc >= LN2SQRT3, 0.0, (lo + hi) / 2.0)
+    out = np.where(cc >= LN2SQRT3, 0.0, np.where(cc > 0.0, (lo + hi) / 2.0, 1.0))
     return out if out.ndim else float(out)
 
 

@@ -76,6 +76,13 @@ def test_zeta_endpoints():
     assert zeta((LN2SQRT3 + TWO_LN2) / 2.0) == 0.0
 
 
+def test_zeta_is_exactly_one_at_zero():
+    # The bisection alone stops at 1 - 2^-49; c = 0 (clipped from c >= -1e-9)
+    # returns 1.0 exactly, as c >= ln(2 sqrt 3) returns 0.0.
+    assert zeta(0.0) == 1.0
+    assert zeta(np.array([-1e-10, 0.0, 0.1])).tolist()[:2] == [1.0, 1.0]
+
+
 def test_zeta_roundtrip():
     es = np.linspace(0.001, 0.999, 97)
     back = np.asarray(zeta(np.asarray(zeta_inv(es))))

@@ -86,6 +86,15 @@ def test_sweep_single_point_row(tmp_path):
     assert all(float(r["margin"]) >= -1e-9 for r in rows)
 
 
+def test_default_sweep_has_no_negative_margin(tmp_path):
+    # At I = 0, the rows (p, q) = (0, 0), (0, 1) and the red line's p = 0,
+    # E = 1 meets zeta(0) = 1 exactly: margin 0, not -1.8e-15.
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["--command", "sweep", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert min(float(r["margin"]) for r in rows) >= 0.0
+
+
 def test_bound_table_endpoints(tmp_path):
     out = tmp_path / "bound.csv"
     assert cli.main(["--command", "bound", "--resolution", "10", "--out", str(out)]) == 0
@@ -153,14 +162,14 @@ def test_oracle_exits_1_when_zeta_is_lowered(monkeypatch, argv):
 
 @pytest.mark.parametrize("argv, digest", [
     (["--command", "oracle", "--resolution", "150"],
-     "a144198d90082d11c7b983a7d0bcb72568f185245f598319d5ab1037cfe1faea"),
+     "6b0d758098f3536e69da7bfc4c1d23eb0d24363739b1fbf6275c24a46dd32fbf"),
     (["--command", "oracle", "--resolution", "200"],
-     "9f6acc7985c1ba407bec3783d74fa8f36d7b53403e95dcdb33e01b603cce3bb1"),
+     "e3a4682e70da68f0cedee5407203a633eaaca28b3847a61db9eeb0eab7ac1245"),
     (["--command", "oracle", "--resolution", "600"],
-     "0407439645045ab45064eed288850699850a5711e033b1b947d26eb221cff92f"),
+     "ba9d118da64abd108637a99257773fc4fc2fd69d05a58f80d2065c86317aa4bd"),
     (["--command", "bound", "--resolution", "200", "--oracle"],
-     "8c4065d97e6e798d58818bdb4af61df731bd5f637e9cf44ac2c33e093540fb75"),
-])
+     "a01d5b89c90e263a90eb1af796eb05b67b26c22f0b57b8860a6a42f8c321ad77"),
+], ids=["oracle-150", "oracle-200", "oracle-600", "bound-200-oracle"])
 def test_oracle_tables_keep_their_bytes(tmp_path, argv, digest):
     # Digests of the frontier tables; the grid built from integer partitions
     # and lookup tables gives the h and k of the float-lambda grid bit for
@@ -177,7 +186,7 @@ def test_verify_table_keeps_its_bytes(tmp_path):
     out = tmp_path / "verify.csv"
     assert cli.main(["--command", "verify", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "1092325b7b8971216be533b663de79632a40cb9bf5ed1ee825da4d4eb1976f5b")
+        "c3ca0ab920f804b0b65fc0b4b1ec7ce817689fc4ffafb09cbb4b1497a557c014")
 
 
 def _src_env():
@@ -219,7 +228,7 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     assert oracle < 100 * 1024
     assert oracle - peak_kib("bound", "2", tmp_path / "bound.csv") < 14 * 1024
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "30562e3c26ec73a98298073b72dfb69775b8a0e50bd327d765d976abc3b540c9")
+        "96b22b350409182406464f8172e6d488d0a72eaf394975bc6d2b629323303439")
 
 
 def test_bound_layer_commands_skip_tomography_import():
