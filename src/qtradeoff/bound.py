@@ -1,8 +1,10 @@
 """The monogamy bound between internal concurrence and external mutual information.
 
-zeta_inv is the closed-form inverse of the tradeoff curve; zeta recovers the
-curve by bisection.  Two brute-force oracles check it on an exhaustive grid
-of the sorted probability 4-simplex, through
+zeta_inv is the closed-form inverse of the tradeoff curve: the larger of two
+branches, each the entropy of an explicit spectrum, written with the _xlogx
+the oracles use.  zeta recovers the curve by bisection on the branches, one
+domain check per step.  Two brute-force oracles check it on an exhaustive
+grid of the sorted probability 4-simplex, through
 k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
 maximizes k over the tuples of entropy at least c, a one-sided check that
 never exceeds zeta, and oracle_zeta over the tuples within a band of entropy
@@ -30,43 +32,25 @@ def _xlogx(x):
     return out
 
 
-def mu_aux(e):
-    """mu(e) = -e ln(e/2) / 2, extended by continuity with mu(0) = 0."""
-    e = np.asarray(e, dtype=float)
-    if np.any(e < -1e-12):
-        raise ValueError("mu_aux requires a nonnegative argument")
-    e = np.maximum(e, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(e > 0, -e * np.log(np.maximum(e, 1e-300) / 2.0) / 2.0, 0.0)
-    return out if out.ndim else float(out)
-
-
-def kappa_aux(e):
-    """kappa(e) = (sqrt(4 - 3 e^2) - 1) / 3 on |e| <= 2/sqrt(3)."""
-    e = np.asarray(e, dtype=float)
-    if np.any(np.abs(e) > 2.0 / np.sqrt(3.0) + 1e-12):
-        raise ValueError("kappa_aux argument outside |e| <= 2/sqrt(3)")
-    out = (np.sqrt(np.maximum(4.0 - 3.0 * e * e, 0.0)) - 1.0) / 3.0
-    return out if out.ndim else float(out)
-
-
 def zeta_inv_branches(e):
-    """The two candidate maxima whose pointwise max is zeta^{-1}(e)."""
+    """The two candidate maxima whose pointwise max is zeta^{-1}(e), on e in
+    [0, 1]: the entropies H(lambda) of the spectra
+    lambda_1 = ((1+e)/2, (1-e)/6, (1-e)/6, (1-e)/6) and
+    lambda_2 = ((1+e-kappa)/2, (1-e-kappa)/2, kappa, 0), where
+    kappa = (sqrt(4 - 3 e^2) - 1) / 3.  The leading 0.0 keeps +0.0 at e = 1."""
     e = np.asarray(e, dtype=float)
-    b1 = mu_aux(1.0 + e) + mu_aux(1.0 - e) + (1.0 - e) * np.log(3.0) / 2.0
-    k = np.asarray(kappa_aux(e))
-    b2 = mu_aux(1.0 + e - k) + mu_aux(1.0 - e - k) - _xlogx(k)
+    if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
+        raise ValueError("zeta_inv requires e in [0,1]")
+    e = np.clip(e, 0.0, 1.0)
+    b1 = 0.0 - _xlogx((1.0 + e) / 2.0) - _xlogx((1.0 - e) / 2.0) + (1.0 - e) * np.log(3.0) / 2.0
+    k = (np.sqrt(4.0 - 3.0 * e * e) - 1.0) / 3.0
+    b2 = 0.0 - _xlogx((1.0 + e - k) / 2.0) - _xlogx((1.0 - e - k) / 2.0) - _xlogx(k)
     return np.asarray(b1), np.asarray(b2)
 
 
 def zeta_inv(e):
     """Closed-form inverse bound zeta^{-1}(e) on e in [0, 1]."""
-    e = np.asarray(e, dtype=float)
-    if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
-        raise ValueError("zeta_inv requires e in [0,1]")
-    e = np.clip(e, 0.0, 1.0)
-    b1, b2 = zeta_inv_branches(e)
-    out = np.maximum(b1, b2)
+    out = np.maximum(*zeta_inv_branches(e))
     return out if out.ndim else float(out)
 
 
@@ -81,8 +65,8 @@ def zeta(c):
     hi = np.ones_like(cc)
     for _ in range(48):  # 2^-48 < 1e-12
         mid = (lo + hi) / 2.0
-        f = np.asarray(zeta_inv(mid))
-        bigger = f > cc  # zeta_inv decreasing: value too large means e too small
+        # zeta_inv decreasing: value too large means e too small
+        bigger = np.maximum(*zeta_inv_branches(mid)) > cc
         lo = np.where(bigger, mid, lo)
         hi = np.where(bigger, hi, mid)
     out = np.where(cc >= LN2SQRT3, 0.0, np.where(cc > 0.0, (lo + hi) / 2.0, 1.0))

@@ -82,10 +82,9 @@ def build_parser():
 
 
 def config_header(args):
-    skip = {"out"}
     lines = [f"# version={__version__}", f"# command={args.command}"]
     for key in sorted(vars(args)):
-        if key in ("command",) or key in skip:
+        if key in ("command", "out"):
             continue
         val = getattr(args, key)
         if key == "theta":

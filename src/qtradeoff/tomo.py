@@ -238,20 +238,8 @@ def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
     return ReconstructionResult(rho_hat, fid, rep)
 
 
-DEFAULT_ANGLES = (
-    0.0,
-    np.pi / 16,
-    np.pi / 8,
-    3 * np.pi / 16,
-    np.pi / 4,
-    9 * np.pi / 32,
-    11 * np.pi / 32,
-    3 * np.pi / 8,
-    13 * np.pi / 32,
-    7 * np.pi / 16,
-    15 * np.pi / 32,
-    np.pi / 2,
-)
+# The floats that cli.DEFAULT_THETAS parses to.
+DEFAULT_ANGLES = tuple(k * np.pi / 32 for k in (0, 2, 4, 6, 8, 9, 11, 12, 13, 14, 15, 16))
 
 
 # One experiment; for an array of A angles every array field holds a stack along

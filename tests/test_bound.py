@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,6 @@ from qtradeoff.bound import (
     LN2SQRT3,
     TWO_LN2,
     grid_h_k,
-    kappa_aux,
-    mu_aux,
     oracle_zeta,
     region_check,
     simplex_grid,
@@ -20,29 +19,6 @@ from qtradeoff.bound import (
 )
 
 
-def test_mu_aux_examples():
-    assert mu_aux(0.0) == 0.0
-    assert abs(mu_aux(1.0) - np.log(2.0) / 2.0) < 1e-12
-    assert abs(mu_aux(2.0)) < 1e-12
-    assert abs(mu_aux(0.5) - (-0.5 * np.log(0.25) / 2.0)) < 1e-12
-
-
-def test_mu_aux_rejects_negative():
-    with pytest.raises(ValueError):
-        mu_aux(-0.5)
-
-
-def test_kappa_aux_examples():
-    assert abs(kappa_aux(0.0) - 1.0 / 3.0) < 1e-12
-    assert abs(kappa_aux(1.0)) < 1e-12
-    assert abs(kappa_aux(0.5) - (np.sqrt(13.0) / 2.0 - 1.0) / 3.0) < 1e-12
-
-
-def test_kappa_aux_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        kappa_aux(1.5)
-
-
 def test_zeta_inv_endpoints():
     assert abs(zeta_inv(0.0) - LN2SQRT3) < 1e-12
     assert abs(zeta_inv(1.0)) < 1e-12
@@ -50,10 +26,54 @@ def test_zeta_inv_endpoints():
 
 def test_zeta_inv_branch_values_at_zero():
     b1, b2 = zeta_inv_branches(0.0)
-    # branch 1 at e=0: 2 mu(1) + ln3/2 = ln2 + ln3/2 = ln(2 sqrt 3)
+    # branch 1 at e=0: H(1/2, 1/6, 1/6, 1/6) = ln2 + ln3/2 = ln(2 sqrt 3)
     assert abs(float(b1) - LN2SQRT3) < 1e-12
-    # branch 2 at e=0 with kappa = 1/3: 2 mu(2/3) + ln(3)/3 = ln 3
+    # branch 2 at e=0 with kappa = 1/3: H(1/3, 1/3, 1/3, 0) = ln 3
     assert abs(float(b2) - np.log(3.0)) < 1e-12
+
+
+def _spectra(e, kappa):
+    """The spectra lambda_1 and lambda_2 whose entropies are the two branches."""
+    third = (1.0 - e) / 6.0
+    lam1 = np.stack([(1.0 + e) / 2.0, third, third, third])
+    lam2 = np.stack([(1.0 + e - kappa) / 2.0, (1.0 - e - kappa) / 2.0, kappa, np.zeros_like(e)])
+    return lam1, lam2
+
+
+def test_zeta_inv_branches_are_spectrum_entropies():
+    es = np.linspace(0.0, 1.0, 1001)
+    lam1, lam2 = _spectra(es, (np.sqrt(4.0 - 3.0 * es * es) - 1.0) / 3.0)
+    assert np.allclose(lam1.sum(axis=0), 1.0) and np.allclose(lam2.sum(axis=0), 1.0)
+    b1, b2 = zeta_inv_branches(es)
+    assert np.max(np.abs(b1 + bound._xlogx(lam1).sum(axis=0))) <= 1e-15
+    assert np.max(np.abs(b2 + bound._xlogx(lam2).sum(axis=0))) <= 1e-15
+    # kappa(0) = 1/3, kappa(1) = 0 and kappa(1/2) = (sqrt(13)/2 - 1)/3, written out.
+    for e, kappa in [(0.0, 1.0 / 3.0), (1.0, 0.0), (0.5, (np.sqrt(13.0) / 2.0 - 1.0) / 3.0)]:
+        _, lam2 = _spectra(e, kappa)
+        assert abs(float(zeta_inv_branches(e)[1]) + float(bound._xlogx(lam2).sum())) <= 1e-15
+
+
+@pytest.mark.parametrize("f", [zeta_inv_branches, zeta_inv])
+def test_zeta_inv_domain(f):
+    for e in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"zeta_inv requires e in \[0,1\]"):
+            f(e)
+    # Within 1e-12 of [0, 1] an argument is clipped into it.
+    for e, edge in ((-1e-13, 0.0), (1.0 + 1e-13, 1.0)):
+        assert np.array_equal(f(e), f(edge))
+
+
+def _digest(*arrays):
+    return hashlib.sha256(np.stack(arrays).astype("<f8").tobytes()).hexdigest()
+
+
+def test_zeta_inv_branches_and_zeta_digests():
+    # Every float bit, signed zeros included: no CSV prints a branch, so a
+    # -0.0 at e = 1 would leave every CSV pin as it is.
+    assert _digest(*zeta_inv_branches(np.linspace(0.0, 1.0, 10001))) == (
+        "7865cee3bbb20b05aee9099650fdf76f0c6c97ba86b5625d378a1308f9069e68")
+    assert _digest(zeta(np.linspace(0.0, TWO_LN2, 10001))) == (
+        "5f8e7b6224a8f123bf6f1edca6550dce5f5833b797e50ff0935dddd749fb8ffd")
 
 
 def test_zeta_inv_both_branches_active():

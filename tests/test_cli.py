@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qtradeoff
-from qtradeoff import bound, cli
+from qtradeoff import bound, cli, tomo
 from qtradeoff.bound import TWO_LN2
 
 def run_cli(argv, capsys=None):
@@ -33,6 +33,11 @@ def test_parse_theta():
     assert abs(theta - 9 * np.pi / 32) < 1e-15
     with pytest.raises(Exception):
         cli.parse_theta("3/4")  # beyond pi/2
+
+
+def test_default_angles_are_the_default_thetas():
+    parsed = [cli.parse_theta(t)[1] for t in cli.DEFAULT_THETAS]
+    assert np.array(tomo.DEFAULT_ANGLES).tobytes() == np.array(parsed).tobytes()
 
 
 THETA_ACCEPTED = ["0", "-0", "1/2", "9/32", "1/3", "+1/4", "1_000/4096", "0.25", ".5",
