@@ -19,18 +19,6 @@ SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _SS = np.kron(SPIN_FLIP, SPIN_FLIP)
 
 
-def spectrum_tuple(values):
-    """Validate a descending 4-tuple of probabilities summing to 1."""
-    lam = np.asarray(values, dtype=float)
-    if lam.shape != (4,):
-        raise ValueError("spectrum tuple must have exactly four entries")
-    if np.min(lam) < 0 or abs(np.sum(lam) - 1.0) > 1e-12:
-        raise ValueError("spectrum tuple must be nonnegative and sum to 1")
-    if np.any(np.diff(lam) > 1e-12):
-        raise ValueError("spectrum tuple must be in decreasing order")
-    return lam
-
-
 # Measures of one state (floats) or of a stack of states (arrays).
 MeasureReport = namedtuple("MeasureReport",
                            "mutual_information concurrence entropy_A entropy_B entropy_AB")
@@ -111,6 +99,7 @@ def _h2(p):
 
 
 def _family_args(p, q):
+    """p and q as float arrays, checked to lie in [0, 1]; states uses it too."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if not np.all((0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)):
         raise ValueError("p and q must lie in [0,1]")
@@ -145,8 +134,3 @@ def fidelities(rhos, sigmas):
         raise ValueError(f"fidelity {np.max(f)} exceeds 1 beyond tolerance")
     return np.minimum(f, 1.0)
 
-
-def k_function(lam):
-    """k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4)."""
-    lam = spectrum_tuple(lam)
-    return float(lam[0] - lam[2] - 2.0 * np.sqrt(lam[1] * lam[3]))

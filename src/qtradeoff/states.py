@@ -11,6 +11,7 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import DensityMatrix, density_spectrum
+from .measures import _family_args
 
 SQ2 = np.sqrt(2.0)
 
@@ -29,11 +30,6 @@ def _check_theta(theta):
         raise ValueError("theta must lie in [0, pi/2]")
 
 
-def _check_pq(p, q):
-    if not np.all((0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)):
-        raise ValueError("p and q must lie in [0,1]")
-
-
 class StateParams(namedtuple("StateParams", "theta p q")):
     """Parameters (theta, p, q) selecting a member of the state families; the
     fields are arrays when built from an array of angles.  An immutable named
@@ -42,7 +38,7 @@ class StateParams(namedtuple("StateParams", "theta p q")):
     __slots__ = ()
 
     def __new__(cls, theta, p, q):
-        _check_pq(p, q)
+        _family_args(p, q)
         return super().__new__(cls, theta, p, q)
 
     @classmethod
@@ -52,22 +48,15 @@ class StateParams(namedtuple("StateParams", "theta p q")):
         return cls(theta=theta, p=p, q=1.0 - p)
 
 
-def isometry(label):
-    """One of the four experimental operations U1, U2, V1, V2 as a 4x2 matrix
-    M embedding one qubit into two, with M^dag M = I.
-
-    U1: (|0>,|1>) -> (|11>, |+>),  U2: (|0>,|1>) -> (|00>, |->),
-    V1: (|0>,|1>) -> (|00>, |10>), V2: (|0>,|1>) -> (|01>, |11>).
-    """
-    cols = {
-        "U1": (KET_11, KET_PLUS),
-        "U2": (KET_00, KET_MINUS),
-        "V1": (KET_00, np.array([0, 0, 1, 0], dtype=complex)),
-        "V2": (np.array([0, 1, 0, 0], dtype=complex), KET_11),
-    }
-    if label not in cols:
-        raise ValueError(f"unknown isometry label {label!r}")
-    return np.stack(cols[label], axis=1)
+# The four operations of the setup, each a 4x2 isometry M (M^dag M = I)
+# embedding one qubit into two; U1 and U2 act on photon A, V1 and V2 on B.
+# U1: (|0>,|1>) -> (|11>, |+>),  U2: (|0>,|1>) -> (|00>, |->),
+# V1: (|0>,|1>) -> (|00>, |10>), V2: (|0>,|1>) -> (|01>, |11>).
+U1 = np.stack((KET_11, KET_PLUS), axis=1)
+U2 = np.stack((KET_00, KET_MINUS), axis=1)
+V1 = np.stack((KET_00, np.array([0, 0, 1, 0], dtype=complex)), axis=1)
+V2 = np.stack((np.array([0, 1, 0, 0], dtype=complex), KET_11), axis=1)
+_W1, _W2 = np.kron(U1, V1), np.kron(U2, V2)
 
 
 def _mix(rho_d, p):
@@ -75,9 +64,7 @@ def _mix(rho_d, p):
     each diagonal state of a (..., 4, 4) stack rho_d with its weight p (an
     array of the stack's shape, or a scalar), in the fixed 16x16 basis order."""
     p = np.asarray(p)[..., None, None]
-    w1 = np.kron(isometry("U1"), isometry("V1"))
-    w2 = np.kron(isometry("U2"), isometry("V2"))
-    return (1.0 - p) * w1 @ rho_d @ w1.conj().T + p * w2 @ rho_d @ w2.conj().T
+    return (1.0 - p) * _W1 @ rho_d @ _W1.conj().T + p * _W2 @ rho_d @ _W2.conj().T
 
 
 def timebin_states(theta):
@@ -104,8 +91,7 @@ def cc_family(p, q):
     with a,b,c,d = |01>,|10>,|00>,|11> of B.  Scalar p and q give a
     DensityMatrix with dims (2, 2, 4); arrays broadcast and give a stack.
     """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    _check_pq(p, q)
+    p, q = np.broadcast_arrays(*_family_args(p, q))
     w = np.stack([p * (1 - q), (1 - p) * q, p * q, (1 - p) * (1 - q)], axis=-1)
     a_basis = np.stack([KET_00, KET_PLUS, KET_11, KET_MINUS], axis=1).reshape(2, 2, 4)
     b_basis = np.eye(4)[:, [ALPHA, BETA, GAMMA, DELTA]]

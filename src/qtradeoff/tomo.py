@@ -271,7 +271,11 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     """Nonparametric bootstrap of (I, E) over resampled counts of one (81, 16)
     table, reconstructed as one stack.  Setting idx draws all its resamples
     from the stream (seed, 7_000_000, idx), so a run's values prefix those of
-    a longer run.  Exact frequencies (shots = 0) have no resamples."""
+    a longer run.  Exact frequencies (shots = 0) have no resamples.
+
+    The per-setting draw and `_invert`'s one product are kept on purpose: one
+    call over all angles, draws through `sample_counts` and `reconstruct`'s
+    per-table inversion were each measured slower (ROADMAP item 8)."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     counts = _count_table(counts)

@@ -176,10 +176,10 @@ def test_simplex_grid_properties():
 
 
 def test_grid_h_k_consistency():
-    # Every grid tuple's entropy and k, by the measures module's own
-    # functions, appear in grid_h_k: the same values as a multiset.  The
-    # entropy of the tuple is that of the diagonal state it is the spectrum of.
-    from qtradeoff.measures import cut_measures, k_function
+    # Every grid tuple's entropy, by the measures module's own function, and
+    # its k appear in grid_h_k: the same values as a multiset.  The entropy of
+    # the tuple is that of the diagonal state it is the spectrum of.
+    from qtradeoff.measures import cut_measures
 
     h, k = grid_h_k(50)
     lam = simplex_grid(50)
@@ -187,8 +187,8 @@ def test_grid_h_k_consistency():
     diagonal = lam[:, :, None] * np.eye(4)
     s = cut_measures(diagonal.astype(complex), (2, 2, 1), cut=(0, 1)).entropy_AB
     assert np.allclose(np.sort(h), np.sort(s), rtol=0, atol=1e-12)
-    assert np.allclose(np.sort(k), np.sort([k_function(row) for row in lam]),
-                       rtol=0, atol=1e-12)
+    k_ref = lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3])
+    assert np.allclose(np.sort(k), np.sort(k_ref), rtol=0, atol=1e-12)
 
 
 def _float_lambda_h_k(n):

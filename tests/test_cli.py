@@ -259,6 +259,24 @@ def test_bound_layer_commands_skip_tomography_import():
         assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
 
 
+def test_sweep_loads_measures_but_not_states():
+    # A fresh interpreter: sweep needs only the closed forms of measures.
+    # states imports measures for its p, q check, never the reverse, so this
+    # fails if measures ever imports states.
+    script = (
+        "import os, sys\n"
+        "from qtradeoff.cli import main\n"
+        "argv = ['--command', 'sweep', '--p-step', '0.5', '--q-step', '0.5', '--out', os.devnull]\n"
+        "assert main(argv) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qtradeoff'))))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli",
+                                  "qtradeoff.linalg", "qtradeoff.measures"]
+
+
 def test_experiment_loads_neither_dataclasses_nor_fractions():
     # A fresh interpreter: an experiment builds its result types as named
     # tuples and parses its angles with int and float.
@@ -316,7 +334,6 @@ def test_process_exit_freezes_the_collector(tmp_path, argv):
 
 # Public names that nothing loads yet, kept for the work that will.
 UNCALLED_PUBLIC_NAMES = {
-    "measures.k_function": "the falsifier of the bound on general CC states (ROADMAP item 6)",
     "bound.simplex_grid": "perfbench/test_perfbench.py counts grid tuples against it",
 }
 

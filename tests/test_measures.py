@@ -9,7 +9,6 @@ from qtradeoff.measures import (
     concurrence,
     cut_measures,
     fidelities,
-    k_function,
     mutual_information,
     spin_flip_eigenvalues,
 )
@@ -272,17 +271,6 @@ def test_fidelities_stack_matches_pairs():
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
         fidelities(np.eye(2) / 2, np.eye(4) / 4)
-
-
-def test_k_function_examples():
-    assert abs(k_function([1, 0, 0, 0]) - 1.0) < 1e-12
-    assert abs(k_function([0.25] * 4) + 0.5) < 1e-12
-    assert abs(k_function([0.5, 0.5, 0, 0]) - 0.5) < 1e-12
-
-
-def test_k_function_rejects_unsorted():
-    with pytest.raises(ValueError):
-        k_function([0.1, 0.4, 0.3, 0.2])
 
 
 def test_report_consistency():

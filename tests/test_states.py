@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,23 +50,47 @@ def test_dephase_preserves_trace():
 
 
 def test_isometry_images():
-    u1 = states.isometry("U1")
-    assert np.max(np.abs(u1 @ np.array([1, 0]) - states.KET_11)) < 1e-12
-    v2 = states.isometry("V2")
-    assert np.max(np.abs(v2 @ np.array([0, 1]) - states.KET_11)) < 1e-12
-    u2 = states.isometry("U2")
-    assert np.max(np.abs(u2 @ np.array([0, 1]) - states.KET_MINUS)) < 1e-12
+    # The eight column images of the mapping beside the constants.
+    ket = np.eye(4, dtype=complex)
+    plus, minus = (ket[1] + ket[2]) / np.sqrt(2.0), (ket[1] - ket[2]) / np.sqrt(2.0)
+    images = {"U1": (ket[3], plus), "U2": (ket[0], minus),
+              "V1": (ket[0], ket[2]), "V2": (ket[1], ket[3])}
+    for name, cols in images.items():
+        m = getattr(states, name)
+        assert m.shape == (4, 2)
+        for j, expected in enumerate(cols):
+            assert np.max(np.abs(m @ np.eye(2)[j] - expected)) < 1e-12
 
 
 def test_isometry_condition():
-    for label in ("U1", "U2", "V1", "V2"):
-        m = states.isometry(label)
+    for m in (states.U1, states.U2, states.V1, states.V2):
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
 
 
-def test_isometry_unknown_label():
-    with pytest.raises(ValueError):
-        states.isometry("U3")
+def test_mix_products_are_the_isometry_products():
+    assert np.array_equal(states._W1, np.kron(states.U1, states.V1))
+    assert np.array_equal(states._W2, np.kron(states.U2, states.V2))
+
+
+def test_state_stacks_keep_their_bytes():
+    # Pinned bytes, signed zeros included, that no change to how the stacks
+    # are built may move.  Each entry sums at most one nonzero product, so its
+    # value does not depend on the order in which a BLAS sums.
+    stack = states.timebin_states(np.arange(65) * np.pi / 128)
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == (
+        "15876e56c5508472889ae1951b940cb84cce957a121e6ab79ac120960ce20950")
+    p, q = np.random.default_rng(43).random((2, 2000))
+    assert hashlib.sha256(states.cc_family(p, q).tobytes()).hexdigest() == (
+        "c5eac48403f37f03b5cf19bdadbb763528c40eb4547af4cbbf056b3058056e03")
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 0.5), (0.5, -0.1)])
+@pytest.mark.parametrize("build", [states.cc_family, lambda p, q: states.StateParams(0.0, p, q),
+                                   measures.closed_form_I, measures.closed_form_E],
+                         ids=["cc_family", "StateParams", "closed_form_I", "closed_form_E"])
+def test_family_parameters_out_of_range_raise(build, p, q):
+    with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
+        build(p, q)
 
 
 def test_timebin_endpoints():
