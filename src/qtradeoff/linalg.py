@@ -1,12 +1,11 @@
 """Dense complex linear algebra on small Hilbert spaces (dimension <= 16).
 
-Partial traces, a LAPACK-backed Hermitian eigensolver and spectral matrix
-functions, plus DensityMatrix, the container for a single checked state.
-Partial traces, eigendecompositions, spectral functions and density-matrix
-checks also work on (..., n, n) stacks; a stack of states is a plain array
-that density_spectrum has checked.  spectral_fn is the one place that rebuilds
-a matrix from its eigendecomposition, so eigenvectors carry no order or phase
-contract.
+DensityMatrix, the one container for a checked state or a (..., n, n) stack
+of them, with its tensor-factor dims and the spectrum its check computes;
+partial traces of states and stacks; a LAPACK-backed Hermitian eigensolver
+and spectral matrix functions, which also work on stacks.  spectral_fn is the
+one place that rebuilds a matrix from its eigendecomposition, so eigenvectors
+carry no order or phase contract.
 """
 
 from collections import namedtuple
@@ -45,32 +44,33 @@ def density_spectrum(mats):
     return w
 
 
-class DensityMatrix(namedtuple("DensityMatrix", "mat dims")):
-    """Hermitian, PSD, unit-trace matrix with attached tensor-factor dimensions:
-    an immutable named tuple whose __new__ runs the checks of __post_init__."""
+class DensityMatrix(namedtuple("DensityMatrix", "mat dims spectrum")):
+    """Hermitian, PSD, unit-trace matrix, or (..., n, n) stack of them, with
+    attached tensor-factor dimensions and the ascending eigenvalues of each
+    matrix: an immutable named tuple whose __new__ runs the checks of
+    __post_init__."""
 
     __slots__ = ()
 
     def __new__(cls, mat, dims):
-        self = super().__new__(cls, _as_complex(mat), tuple(int(d) for d in dims))
-        self.__post_init__()
-        return self
+        a, dims = _as_complex(mat), tuple(int(d) for d in dims)
+        return super().__new__(cls, a, dims, cls.__post_init__(a, dims))
 
-    def __post_init__(self):
-        # A method of its own, so that perfbench/trace_child.py can time the checks.
-        a, dims = self
-        n = a.shape[0]
-        if a.ndim != 2 or a.shape[1] != n:
+    @staticmethod
+    def __post_init__(a, dims):
+        # A function of its own, so that perfbench/trace_child.py can time the checks.
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError("density matrix must be square")
+        n = a.shape[-1]
         if int(np.prod(dims)) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-        density_spectrum(a)
+        return density_spectrum(a)
 
 
-def partial_trace_stack(mats, dims, keep):
-    """Reduced states over the kept tensor factors (indices into dims) of each
-    matrix in a (..., d, d) stack; returns the stack and the kept dims."""
-    dims = tuple(dims)
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state, or stack of them, over the kept tensor factors (indices
+    into rho.dims)."""
+    mats, dims = rho.mat, rho.dims
     n = len(dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or any(k < 0 or k >= n for k in keep):
@@ -83,12 +83,7 @@ def partial_trace_stack(mats, dims, keep):
     kept = tuple(dims[i] for i in keep)
     d = int(np.prod(kept))
     red = red.reshape(red.shape[: red.ndim - 2 * len(keep)] + (d, d))
-    return (red + _dagger(red)) / 2, kept
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept tensor factors (indices into rho.dims)."""
-    return DensityMatrix(*partial_trace_stack(rho.mat, rho.dims, keep))
+    return DensityMatrix((red + _dagger(red)) / 2, kept)
 
 
 def herm_eig(m):

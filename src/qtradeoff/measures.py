@@ -4,8 +4,9 @@ All entropies are in natural log (nats).  Concurrence follows the spin-flip
 construction with sigma = -|1><0| + |0><1|; the square roots of the eigenvalues
 of the spin-flipped product are the singular values of
 sqrt(rho) (sigma x sigma) sqrt(rho)*.  Mutual information, concurrence and
-the entropies of a cut (cut_measures) and fidelity (fidelities) also run on
-(..., d, d) stacks of states.
+the entropies of a cut (cut_measures) take a DensityMatrix, one state or a
+stack; the entropies read the spectra its checks computed.  Fidelity
+(fidelities) takes two (..., d, d) stacks of matrices.
 """
 
 from collections import namedtuple
@@ -13,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .bound import _xlogx
-from .linalg import DensityMatrix, density_spectrum, partial_trace_stack, spectral_fn
+from .linalg import DensityMatrix, partial_trace, spectral_fn
 
 SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _SS = np.kron(SPIN_FLIP, SPIN_FLIP)
@@ -31,51 +32,51 @@ def _safe_sqrt(w):
 
 
 def _entropy(w):
-    """-sum p ln p in nats over the last axis of a density_spectrum output,
+    """-sum p ln p in nats over the last axis of a DensityMatrix spectrum,
     with 0 ln 0 = 0; its float-noise negatives (down to EIG_FLOOR) add 0."""
     return -np.sum(_xlogx(w), axis=-1)
 
 
-def _cut_entropies(mats, dims, cut):
-    """(I, S_A, S_B, S_AB, (rho_A, dims_A)) for each state of a (..., d, d)
-    stack, with every state and both reduced stacks checked as density
-    matrices."""
+def _cut_entropies(rho: DensityMatrix, cut):
+    """(I, S_A, S_B, S_AB, rho_A) for a state or each state of a stack, with
+    both reduced states checked as density matrices."""
     side_a = tuple(sorted(set(int(i) for i in cut)))
-    side_b = tuple(i for i in range(len(dims)) if i not in side_a)
+    side_b = tuple(i for i in range(len(rho.dims)) if i not in side_a)
     if not side_a or not side_b:
         raise ValueError("cut must split the factors into two nonempty groups")
-    rho_a, dims_a = partial_trace_stack(mats, dims, side_a)
-    rho_b, _ = partial_trace_stack(mats, dims, side_b)
-    s_a, s_b, s_ab = (_entropy(density_spectrum(m)) for m in (rho_a, rho_b, mats))
+    rho_a = partial_trace(rho, side_a)
+    s_a, s_b, s_ab = (_entropy(r.spectrum) for r in (rho_a, partial_trace(rho, side_b), rho))
     i = s_a + s_b - s_ab  # >= 0; values in [-1e-12, 0) are float noise
     if np.min(i) < -1e-12:
         raise ValueError(f"mutual information {np.min(i)} below -1e-12")
-    return np.where(i < 0.0, 0.0, i), s_a, s_b, s_ab, (rho_a, dims_a)
+    return np.where(i < 0.0, 0.0, i), s_a, s_b, s_ab, rho_a
 
 
 def mutual_information(rho: DensityMatrix, cut):
     """S(rho_A) + S(rho_B) - S(rho) across the bipartition given by the factor
-    indices in `cut` (side A); the complement is side B."""
-    return float(_cut_entropies(rho.mat, rho.dims, cut)[0])
+    indices in `cut` (side A); the complement is side B.  A float for one
+    state, an array for a stack."""
+    out = _cut_entropies(rho, cut)[0]
+    return out if out.ndim else float(out)
 
 
-def cut_measures(mats, dims, cut) -> MeasureReport:
+def cut_measures(rho: DensityMatrix, cut) -> MeasureReport:
     """Mutual information across `cut`, the concurrence of the reduced state
     on side A (which must consist of two qubit factors) and the three
-    entropies, for each state of a (..., d, d) stack with factor dims `dims`.
-    The report's fields are arrays of the stack's shape."""
-    i, s_a, s_b, s_ab, (rho_a, dims_a) = _cut_entropies(mats, dims, cut)
-    return MeasureReport(i, _concurrence(_spin_flip_roots(rho_a, dims_a)), s_a, s_b, s_ab)
+    entropies, for a state or each state of a stack.  The report's fields are
+    arrays of the stack's shape."""
+    i, s_a, s_b, s_ab, rho_a = _cut_entropies(rho, cut)
+    return MeasureReport(i, _concurrence(_spin_flip_roots(rho_a)), s_a, s_b, s_ab)
 
 
-def _spin_flip_roots(mats, dims):
-    """sqrt(mu_i), descending, of states with factor dims `dims`, which must be
-    two qubits.  rho (s x s) rho* (s x s) is similar to A A^dagger with
+def _spin_flip_roots(rho: DensityMatrix):
+    """sqrt(mu_i), descending, of a state or stack, whose dims must be two
+    qubits.  rho (s x s) rho* (s x s) is similar to A A^dagger with
     A = sqrt(rho) (s x s) sqrt(rho)*, so these are the singular values of A,
     which an SVD gets to absolute accuracy even where mu_i is tiny."""
-    if dims != (2, 2):
+    if rho.dims != (2, 2):
         raise ValueError("concurrence is defined for two-qubit states")
-    sq = spectral_fn(mats, _safe_sqrt)
+    sq = spectral_fn(rho.mat, _safe_sqrt)
     return np.linalg.svd(sq @ _SS @ sq.conj(), compute_uv=False)
 
 
@@ -85,12 +86,14 @@ def _concurrence(r):
 
 def spin_flip_eigenvalues(rho_a: DensityMatrix):
     """Eigenvalues mu_i of rho (s x s) rho* (s x s), descending, clamped at 0."""
-    return _spin_flip_roots(rho_a.mat, rho_a.dims) ** 2
+    return _spin_flip_roots(rho_a) ** 2
 
 
 def concurrence(rho_a: DensityMatrix):
-    """Wootters concurrence max{0, 2 max_i sqrt(mu_i) - sum_i sqrt(mu_i)}."""
-    return float(_concurrence(_spin_flip_roots(rho_a.mat, rho_a.dims)))
+    """Wootters concurrence max{0, 2 max_i sqrt(mu_i) - sum_i sqrt(mu_i)}: a
+    float for one state, an array for a stack."""
+    out = _concurrence(_spin_flip_roots(rho_a))
+    return out if out.ndim else float(out)
 
 
 def _h2(p):

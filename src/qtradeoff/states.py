@@ -1,4 +1,5 @@
-"""Stacked constructors for the state families, and the isometries of the photonic setup.
+"""State-family constructors, each returning one DensityMatrix (a state or a
+stack), and the isometries of the photonic setup.
 
 Basis convention, fixed for the whole package: four qubits ordered
 [A-polarization, A-path, B-polarization, B-path] with |H> = |0>,
@@ -10,7 +11,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, density_spectrum
+from .linalg import DensityMatrix
 from .measures import _family_args
 
 SQ2 = np.sqrt(2.0)
@@ -69,18 +70,16 @@ def _mix(rho_d, p):
 
 def timebin_states(theta):
     """The paper's time-bin states, for an angle or each angle of an array, as
-    one (..., 16, 16) stack of checked density matrices: _mix with weight
-    p = cos^2 theta of the SPDC pair stripped of coherence, diag(cos theta
-    cos theta, 0, 0, sin theta sin theta).  tests/reference_states.py builds
-    the same floats step by step."""
+    one DensityMatrix with dims (2, 2, 2, 2): _mix with weight p = cos^2 theta
+    of the SPDC pair stripped of coherence, diag(cos theta cos theta, 0, 0,
+    sin theta sin theta).  tests/reference_states.py builds the same floats
+    step by step."""
     params = StateParams.from_theta(np.asarray(theta, dtype=float))
     c, s = np.cos(params.theta), np.sin(params.theta)
     rho_d = np.zeros(np.shape(c) + (4, 4), dtype=complex)
     rho_d[..., 0, 0] = c * c
     rho_d[..., 3, 3] = s * s
-    out = _mix(rho_d, params.p)
-    density_spectrum(out)
-    return out
+    return DensityMatrix(_mix(rho_d, params.p), (2, 2, 2, 2))
 
 
 def cc_family(p, q):
@@ -88,8 +87,8 @@ def cc_family(p, q):
 
     p(1-q)|00><00| (x) |a><a| + (1-p)q |+><+| (x) |b><b|
     + pq |11><11| (x) |c><c| + (1-p)(1-q) |-><-| (x) |d><d|
-    with a,b,c,d = |01>,|10>,|00>,|11> of B.  Scalar p and q give a
-    DensityMatrix with dims (2, 2, 4); arrays broadcast and give a stack.
+    with a,b,c,d = |01>,|10>,|00>,|11> of B, as a DensityMatrix with dims
+    (2, 2, 4); arrays of p and q broadcast and give a stack.
     """
     p, q = np.broadcast_arrays(*_family_args(p, q))
     w = np.stack([p * (1 - q), (1 - p) * q, p * q, (1 - p) * (1 - q)], axis=-1)
@@ -104,9 +103,9 @@ def classical_classical(weights, a_basis, b_basis):
     (..., d_A, d_B) stack.  a_basis and b_basis hold orthonormal states along
     their last axis; their other axes are the tensor factors of each side.
 
-    One table gives a DensityMatrix; a stack gives a (..., n, n) array that
-    density_spectrum has checked.  Every state is one row of a single product
-    of the flattened tables with the (d_A d_B, n^2) table of projector products.
+    Returns a DensityMatrix: one state, or a (..., n, n) stack.  Every state
+    is one row of a single product of the flattened tables with the
+    (d_A d_B, n^2) table of projector products.
     """
     w = np.asarray(weights, dtype=float)
     a = np.asarray(a_basis, dtype=complex)
@@ -123,7 +122,4 @@ def classical_classical(weights, a_basis, b_basis):
     kets = np.einsum("xi,uj->ijxu", a, b).reshape(w.shape[-2] * w.shape[-1], -1)
     products = (kets[:, :, None] * kets.conj()[:, None, :]).reshape(len(kets), -1)
     out = (w.reshape(-1, len(kets)) @ products).reshape(w.shape[:-2] + (kets.shape[1],) * 2)
-    if out.ndim == 2:
-        return DensityMatrix(out, dims)
-    density_spectrum(out)
-    return out
+    return DensityMatrix(out, dims)

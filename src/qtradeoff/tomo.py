@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
-from .linalg import spectral_fn
+from .linalg import DensityMatrix, spectral_fn
 from .measures import MeasureReport
 
 PAULI = {
@@ -154,9 +154,11 @@ def sample_counts(probs, shots, seed, keys):
     return counts.reshape(p.shape)
 
 
-def _count_table(counts):
+def _count_table(counts, shots):
     """Counts checked to be an (81, 16) table in SETTINGS order or an
-    (A, 81, 16) stack of them."""
+    (A, 81, 16) stack of them, with `shots` checked to be non-negative."""
+    if shots < 0:
+        raise ValueError("shots must be non-negative (0 for exact frequencies)")
     counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
@@ -226,10 +228,10 @@ def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
     target state when one is given (NaN otherwise).  For an (A, 81, 16) stack,
     with A targets, every table is inverted on its own and the result holds
     arrays with a leading axis of length A."""
-    counts = _count_table(counts)
+    counts = _count_table(counts, shots)
     stack = counts.reshape(-1, len(SETTINGS), N_OUT)
     rho_hat = _invert(stack[:, None], shots)[:, 0]
-    rep = measures.cut_measures(rho_hat, FOUR_QUBITS, (0, 1))
+    rep = measures.cut_measures(DensityMatrix(rho_hat, FOUR_QUBITS), (0, 1))
     fid = (np.full(len(stack), np.nan) if targets is None
            else measures.fidelities(rho_hat, np.reshape(targets, rho_hat.shape)))
     if counts.ndim == 2:
@@ -256,12 +258,12 @@ def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False)
     repeated angle repeats its results (see sample_counts)."""
     params = states.StateParams.from_theta(np.asarray(theta, dtype=float))
     targets = states.timebin_states(params.theta)
-    counts = born_probabilities(targets, noise)
+    counts = born_probabilities(targets.mat, noise)
     if exact:
         shots = 0
     else:
         counts = sample_counts(counts, shots, seed, np.asarray(params.theta + 0.0).view(np.uint64))
-    return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets))
+    return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets.mat))
 
 
 BootstrapResult = namedtuple("BootstrapResult", "i_values e_values i_err e_err")
@@ -278,12 +280,12 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     per-table inversion were each measured slower (ROADMAP item 8)."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    counts = _count_table(counts)
+    counts = _count_table(counts, shots)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots must be at most {_MAX_SHOTS}")
-    if shots <= 0:
+    if shots == 0:
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
     totals = np.sum(counts, axis=-1, keepdims=True)
     if np.min(totals) <= 0:
@@ -292,6 +294,6 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
         np.random.default_rng((seed, 7_000_000, idx)).multinomial(shots, p, size=n_resamples)
         for idx, p in enumerate(counts / totals)
     ], axis=1)
-    rep = measures.cut_measures(_invert(stack, shots), FOUR_QUBITS, (0, 1))
+    rep = measures.cut_measures(DensityMatrix(_invert(stack, shots), FOUR_QUBITS), (0, 1))
     i_vals, e_vals = rep.mutual_information, rep.concurrence
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))

@@ -394,6 +394,15 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"public but never loaded: {uncalled}"
 
 
+def test_only_linalg_checks_states():
+    # States are checked where a DensityMatrix is built; every other module
+    # reads the spectrum that check keeps.
+    package = os.path.dirname(qtradeoff.__file__)
+    loaders = [f for f in sorted(os.listdir(package)) if f.endswith(".py")
+               and "linalg.density_spectrum" in _references(os.path.join(package, f))]
+    assert loaders == ["linalg.py"]
+
+
 def test_sweep_rows_match_per_point_evaluation(tmp_path):
     from qtradeoff.measures import closed_form_E, closed_form_I
 

@@ -49,11 +49,21 @@ def test_partial_trace_half_mix_is_maximally_mixed_on_A():
 
 def test_partial_trace_composition():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        rho = random_density(rng, (2, 2, 3))
+    rhos = [random_density(rng, (2, 2, 3)) for _ in range(10)]
+    for rho in rhos:
         direct = partial_trace(rho, keep=[0])
         staged = partial_trace(partial_trace(rho, keep=[0, 1]), keep=[0])
         assert np.max(np.abs(direct.mat - staged.mat)) < 1e-10
+    # A stack's reduced states, matrices and spectra, are the per-state ones
+    # bit for bit.
+    stack = DensityMatrix(np.array([r.mat for r in rhos]).reshape(2, 5, 12, 12), (2, 2, 3))
+    for keep, dims in (([0], (2,)), ([0, 2], (2, 3)), ([1, 2], (2, 3))):
+        red = partial_trace(stack, keep)
+        assert isinstance(red, DensityMatrix) and red.dims == dims
+        for k, rho in enumerate(rhos):
+            one = partial_trace(rho, keep)
+            assert np.array_equal(red.mat[divmod(k, 5)], one.mat)
+            assert np.array_equal(red.spectrum[divmod(k, 5)], one.spectrum)
 
 
 def test_partial_trace_rejects_bad_indices():
@@ -217,3 +227,11 @@ def test_density_matrix_checks_in_new_and_is_immutable():
         DensityMatrix(np.eye(4) / 4, (2, 3))
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(np.array([[np.nan, 0], [0, 1]]), (2,))
+    # A stack holds one checked state per matrix, with its spectrum.
+    stack = DensityMatrix(np.array([np.eye(4) / 4, np.diag([0.7, 0.1, 0.1, 0.1])]), (2, 2))
+    assert stack._fields == ("mat", "dims", "spectrum")
+    assert np.array_equal(stack.spectrum, density_spectrum(stack.mat))
+    with pytest.raises(ValueError, match="must be square"):
+        DensityMatrix(np.full((3, 2, 4), 1 / 8), (2,))
+    with pytest.raises(ValueError, match=r"dims \(2, 3\) incompatible with matrix dimension 4"):
+        DensityMatrix(np.array([np.eye(4) / 4] * 3), (2, 3))

@@ -27,12 +27,12 @@ def entropy(rho):
     """S(rho) in nats as cut_measures reports it, for a state whose first two
     factors are qubits; a trivial factor appended as side B makes any such
     state cuttable."""
-    return cut_measures(rho.mat, rho.dims + (1,), cut=(0, 1)).entropy_AB
+    return cut_measures(DensityMatrix(rho.mat, rho.dims + (1,)), cut=(0, 1)).entropy_AB
 
 
-def diagonal(probs):
-    """The two-qubit state diag(probs)."""
-    return DensityMatrix(np.diag(probs).astype(complex), (2, 2))
+def diagonal(probs, dims=(2, 2)):
+    """The state diag(probs), two qubits by default."""
+    return DensityMatrix(np.diag(probs).astype(complex), dims)
 
 
 def test_shannon_entropy_examples():
@@ -44,18 +44,16 @@ def test_shannon_entropy_examples():
 
 def test_shannon_entropy_rejects_negative():
     with pytest.raises(ValueError):
-        cut_measures(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), (2, 2, 1), cut=(0, 1))
+        diagonal([1.1, -0.1, 0.0, 0.0])
     # A spectrum entry down to EIG_FLOOR is float noise and counts as 0 in
     # the entropies; anything below is rejected.
     top = 0.6 - EIG_FLOOR / 2
-    noisy = cut_measures(np.diag([top, 0.4, EIG_FLOOR / 2, 0.0]).astype(complex), (2, 2, 1),
-                         cut=(0, 1))
+    noisy = cut_measures(diagonal([top, 0.4, EIG_FLOOR / 2, 0.0], (2, 2, 1)), cut=(0, 1))
     assert noisy.entropy_AB == noisy.entropy_A
     assert abs(noisy.entropy_AB + 0.4 * np.log(0.4) + top * np.log(top)) < 1e-15
     assert noisy.mutual_information == 0.0
     with pytest.raises(ValueError, match="below -1e-9"):
-        cut_measures(np.diag([0.6 - 2 * EIG_FLOOR, 0.4, 2 * EIG_FLOOR, 0.0]).astype(complex),
-                     (2, 2, 1), cut=(0, 1))
+        diagonal([0.6 - 2 * EIG_FLOOR, 0.4, 2 * EIG_FLOOR, 0.0])
 
 
 def test_von_neumann_pure_state():
@@ -148,7 +146,7 @@ def test_concurrence_equals_the_stack_path_bit_for_bit():
     values = []
     for rho, cut in cuts:
         values.append(concurrence(partial_trace(rho, keep=cut)))
-        assert values[-1] == cut_measures(rho.mat, rho.dims, cut).concurrence
+        assert values[-1] == cut_measures(rho, cut).concurrence
     assert sum(v > 0.0 for v in values) > 100
 
 
@@ -275,25 +273,34 @@ def test_fidelity_dim_mismatch():
 
 def test_report_consistency():
     rho = states.cc_family(0.35, 0.55)
-    rep = measures.cut_measures(rho.mat, rho.dims, cut=(0, 1))
+    rep = measures.cut_measures(rho, cut=(0, 1))
     assert abs(rep.mutual_information - (rep.entropy_A + rep.entropy_B - rep.entropy_AB)) < 1e-10
     assert 0.0 <= rep.concurrence <= 1.0
 
 
 def test_cut_measures_on_a_stack_match_the_state_functions():
-    rng = np.random.default_rng(37)
-    rhos = [states.cc_family(p, q) for p, q in rng.random((4, 2))]
-    rep = measures.cut_measures(np.array([r.mat for r in rhos]), rhos[0].dims, cut=(0, 1))
-    for k, rho in enumerate(rhos):
-        assert abs(rep.mutual_information[k] - mutual_information(rho, cut=[0, 1])) < 1e-14
-        assert abs(rep.concurrence[k] - concurrence(partial_trace(rho, keep=[0, 1]))) < 1e-14
-        assert abs(rep.entropy_AB[k] - cut_measures(rho.mat, rho.dims, (0, 1)).entropy_AB) < 1e-14
+    # On a stack, mutual_information and concurrence return the arrays that
+    # cut_measures reports, and each entry is the float of its own state.
+    p, q = np.random.default_rng(37).random((2, 4))
+    stack = states.cc_family(p, q)
+    rep = measures.cut_measures(stack, cut=(0, 1))
+    i_arr = mutual_information(stack, cut=[0, 1])
+    e_arr = concurrence(partial_trace(stack, keep=[0, 1]))
+    assert np.array_equal(i_arr, rep.mutual_information)
+    assert np.array_equal(e_arr, rep.concurrence)
+    for k in range(4):
+        rho = states.cc_family(p[k], q[k])
+        i_one, e_one = mutual_information(rho, cut=[0, 1]), concurrence(partial_trace(rho, [0, 1]))
+        assert type(i_one) is float and type(e_one) is float
+        assert abs(i_arr[k] - i_one) < 1e-14
+        assert abs(e_arr[k] - e_one) < 1e-14
+        assert abs(rep.entropy_AB[k] - cut_measures(rho, (0, 1)).entropy_AB) < 1e-14
 
 
 def test_cut_measures_needs_a_two_qubit_side_a():
     rho = states.cc_family(0.3, 0.6)
     with pytest.raises(ValueError):
-        measures.cut_measures(rho.mat[None], rho.dims, cut=(0,))
+        measures.cut_measures(DensityMatrix(rho.mat[None], rho.dims), cut=(0,))
 
 
 def test_concurrence_accurate_at_tiny_spin_flip_eigenvalues():

@@ -6,8 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import DensityMatrix
+from qtradeoff.linalg import DensityMatrix, density_spectrum
 from reference_states import dephase, spdc_state, timebin_mix
+
+
+def assert_checked(rho, dims, shape):
+    """rho is a DensityMatrix of the given dims and matrix shape, and its
+    spectrum is density_spectrum of its matrices, bit for bit."""
+    assert isinstance(rho, DensityMatrix)
+    assert rho.dims == dims and rho.mat.shape == shape
+    assert np.array_equal(rho.spectrum, density_spectrum(rho.mat))
 
 
 def test_spdc_bell_state():
@@ -77,10 +85,10 @@ def test_state_stacks_keep_their_bytes():
     # are built may move.  Each entry sums at most one nonzero product, so its
     # value does not depend on the order in which a BLAS sums.
     stack = states.timebin_states(np.arange(65) * np.pi / 128)
-    assert hashlib.sha256(stack.tobytes()).hexdigest() == (
+    assert hashlib.sha256(stack.mat.tobytes()).hexdigest() == (
         "15876e56c5508472889ae1951b940cb84cce957a121e6ab79ac120960ce20950")
     p, q = np.random.default_rng(43).random((2, 2000))
-    assert hashlib.sha256(states.cc_family(p, q).tobytes()).hexdigest() == (
+    assert hashlib.sha256(states.cc_family(p, q).mat.tobytes()).hexdigest() == (
         "c5eac48403f37f03b5cf19bdadbb763528c40eb4547af4cbbf056b3058056e03")
 
 
@@ -167,7 +175,7 @@ def test_cc_family_entropies_coincide():
     rng = np.random.default_rng(23)
     for p, q in rng.random((10, 2)):
         rho = states.cc_family(p, q)
-        rep = measures.cut_measures(rho.mat, rho.dims, cut=(0, 1))
+        rep = measures.cut_measures(rho, cut=(0, 1))
         s_ab, s_a, s_b = rep.entropy_AB, rep.entropy_A, rep.entropy_B
         assert abs(s_ab - s_a) < 1e-10
         assert abs(s_ab - s_b) < 1e-10
@@ -235,11 +243,13 @@ def test_timebin_states_match_chain():
     thetas = np.concatenate([np.arange(65) * np.pi / 128,
                              np.random.default_rng(31).random(40) * np.pi / 2])
     stack = states.timebin_states(thetas)
-    assert stack.shape == (len(thetas), 16, 16)
-    for theta, mat in zip(thetas, stack):
+    assert_checked(stack, (2, 2, 2, 2), (len(thetas), 16, 16))
+    for theta, mat in zip(thetas, stack.mat):
         p = states.StateParams.from_theta(float(theta)).p
         chain = timebin_mix(dephase(spdc_state(float(theta))), p).mat
-        for a, b in ((chain, mat), (chain, states.timebin_states(float(theta)))):
+        one = states.timebin_states(float(theta))
+        assert_checked(one, (2, 2, 2, 2), (16, 16))
+        for a, b in ((chain, mat), (chain, one.mat)):
             assert np.array_equal(a, b)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
@@ -252,12 +262,12 @@ def test_cc_family_stack_matches_scalar_calls_bit_for_bit():
     p, q = rng.random((3, 1)), rng.random(4)
     p[0, 0], q[1] = 0.0, 1.0
     stack = states.cc_family(p, q)
-    assert stack.shape == (3, 4, 16, 16)
+    assert_checked(stack, (2, 2, 4), (3, 4, 16, 16))
     for i in range(3):
         for j in range(4):
             rho = states.cc_family(float(p[i, 0]), float(q[j]))
-            assert rho.dims == (2, 2, 4)
-            assert np.array_equal(stack[i, j], rho.mat)
+            assert_checked(rho, (2, 2, 4), (16, 16))
+            assert np.array_equal(stack.mat[i, j], rho.mat)
     with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
         states.cc_family(np.array([0.5, 1.5]), 0.5)
 
@@ -279,17 +289,17 @@ def test_classical_classical_stack_matches_per_table_calls():
     b = np.eye(4)[:, rng.permutation(4)]
     weights = rng.dirichlet(np.ones(16), size=20).reshape(20, 4, 4)
     stack = states.classical_classical(weights, u, b)
-    assert stack.shape == (20, 16, 16)
-    for w, mat in zip(weights, stack):
+    assert_checked(stack, (4, 4), (20, 16, 16))
+    for w, mat in zip(weights, stack.mat):
         rho = states.classical_classical(w, u, b)
-        assert rho.dims == (4, 4)
+        assert_checked(rho, (4, 4), (16, 16))
         assert np.max(np.abs(rho.mat - mat)) <= 1e-15
 
 
 def test_timebin_states_match_stacked_cc_family():
     thetas = np.arange(65) * np.pi / 128
     family = states.cc_family(np.cos(thetas) ** 2, np.sin(thetas) ** 2)
-    assert np.max(np.abs(states.timebin_states(thetas) - family)) <= 1e-12
+    assert np.max(np.abs(states.timebin_states(thetas).mat - family.mat)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=50, database=None, deadline=None)
@@ -297,7 +307,7 @@ def test_timebin_states_match_stacked_cc_family():
 @example(pairs=[(0.5, 4.337639724760935e-15)])  # E is 6.6e-8 off here
 def test_stacked_cc_family_measures_match_closed_forms(pairs):
     p, q = np.array(pairs).T
-    rep = measures.cut_measures(states.cc_family(p, q), (2, 2, 4), cut=(0, 1))
+    rep = measures.cut_measures(states.cc_family(p, q), cut=(0, 1))
     assert np.max(np.abs(rep.mutual_information - measures.closed_form_I(p, q))) <= 1e-9
     # The square roots behind the concurrence count an eigenvalue of rho_A
     # below 1e-14 of the largest as 0.  Where a nonzero one lies there, E

@@ -1,3 +1,4 @@
+import collections
 import functools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from qtradeoff import states, tomo
 from qtradeoff.linalg import DensityMatrix
-from qtradeoff.measures import closed_form_E, closed_form_I
+from qtradeoff.measures import closed_form_E, closed_form_I, mutual_information
 from qtradeoff.tomo import (
     NoiseParams,
     SETTINGS,
@@ -67,7 +68,7 @@ def test_visibility_from_contrast():
 
 
 def test_born_probabilities_z_basis():
-    rho = timebin_states(0.0)  # |00> (x) |01> in the fixed ordering
+    rho = timebin_states(0.0).mat  # |00> (x) |01> in the fixed ordering
     p = born_probabilities(rho)[SETTINGS.index("ZZZZ")]
     expected = np.zeros(16)
     expected[0b0001] = 1.0
@@ -99,7 +100,7 @@ def test_born_probabilities_match_per_setting_products():
     # setting's own 16x16 product of the reference's noisy state, in the
     # kron-chain eigenbasis, for every scan angle and noise setting.  The sums
     # run in another order, so equality holds to 1e-15 absolute.
-    targets = states.timebin_states(SCAN_THETAS)
+    targets = states.timebin_states(SCAN_THETAS).mat
     for noise in NOISE_CASES:
         noisy = apply_noise(targets, noise)
         probs = born_probabilities(targets, noise)
@@ -113,7 +114,7 @@ def test_born_probabilities_match_per_setting_products():
 def test_born_probabilities_stack_rows_are_single_calls():
     # Row independence of the experiment rests on this: each state of a stack
     # gets bit for bit the probabilities of a call of its own.
-    targets = states.timebin_states(SCAN_THETAS)
+    targets = states.timebin_states(SCAN_THETAS).mat
     for noise in NOISE_CASES:
         probs = born_probabilities(targets, noise)
         for a, rho in enumerate(targets):
@@ -157,7 +158,7 @@ def test_sample_counts_per_table_streams():
     # Table a draws its whole (81, 16) table in one call from the stream
     # (seed, keys[a]); the sampler normalizes each row once more.  A table
     # sampled alone gives its row of the stack.
-    probs = born_probabilities(states.timebin_states(SCAN_THETAS[::8]), SCAN_NOISE[3])
+    probs = born_probabilities(states.timebin_states(SCAN_THETAS[::8]).mat, SCAN_NOISE[3])
     keys = np.arange(len(probs)) * 1000 + 3
     counts = sample_counts(probs, 500, 11, keys)
     assert counts.shape == probs.shape
@@ -175,20 +176,20 @@ def test_run_experiment_streams_are_keyed_by_angle():
     # with -0.0 keyed as 0.0, and a repeated angle repeats its counts.
     run = run_experiment(np.array([0.0, 0.3, -0.0, 0.3]), shots=700, seed=8)
     for a, theta in enumerate([0.0, 0.3]):
-        p = born_probabilities(states.timebin_states(theta))
+        p = born_probabilities(states.timebin_states(theta).mat)
         key = np.float64(theta).view(np.uint64)
         assert np.array_equal(run.counts[a], sample_counts(p, 700, 8, key))
     assert np.array_equal(run.counts[2:], run.counts[:2])
 
 
 def test_apply_noise_identity():
-    rho = timebin_states(0.4)
+    rho = timebin_states(0.4).mat
     out = apply_noise(rho, NoiseParams())
     assert np.max(np.abs(out - rho)) < 1e-12
 
 
 def test_apply_noise_dephasing_scales_path_coherences():
-    rho = timebin_states(np.pi / 4)
+    rho = timebin_states(np.pi / 4).mat
     v = 0.8
     out = apply_noise(rho, NoiseParams(visibility=v))
     idx = np.arange(16)
@@ -201,7 +202,7 @@ def test_apply_noise_dephasing_scales_path_coherences():
 
 
 def test_apply_noise_full_depolarizing_fixed_point():
-    rho = timebin_states(0.7)
+    rho = timebin_states(0.7).mat
     out = apply_noise(rho, NoiseParams(depolarizing=1.0))
     assert np.max(np.abs(out - np.eye(16) / 16.0)) < 1e-12
 
@@ -233,7 +234,7 @@ def test_result_types_keep_their_fields():
 
 
 def test_correlators_agree_across_settings_on_exact_data():
-    rho = timebin_states(np.pi / 8)
+    rho = timebin_states(np.pi / 8).mat
     corr = tomo._correlators(born_probabilities(rho))
     exps = np.add.reduceat(corr, tomo._STRING_START) / tomo._PAULI_MULT
     assert abs(exps[0] - 1.0) < 1e-12
@@ -289,7 +290,7 @@ def test_inversion_tables_match_loop_construction():
 
 
 def test_incomplete_count_table_is_rejected():
-    counts = sample_counts(born_probabilities(timebin_states(0.5)), 100, 0, 0)[:-1]
+    counts = sample_counts(born_probabilities(timebin_states(0.5).mat), 100, 0, 0)[:-1]
     with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
         reconstruct(counts, 100)
     with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
@@ -448,6 +449,20 @@ def test_reconstruct_rejects_setting_without_counts():
         bootstrap_measures(counts, run.shots, n_resamples=2)
 
 
+def test_reconstruct_rejects_negative_shots():
+    # A negative count used to run as exact frequencies, unthresholded.
+    counts = np.full((len(SETTINGS), 16), 10)
+    with pytest.raises(ValueError, match=r"must be non-negative \(0 for exact frequencies\)"):
+        reconstruct(counts, -5)
+
+
+def test_bootstrap_rejects_negative_shots():
+    # A negative count used to return zero error bars and no resamples.
+    counts = np.full((len(SETTINGS), 16), 10)
+    with pytest.raises(ValueError, match=r"must be non-negative \(0 for exact frequencies\)"):
+        bootstrap_measures(counts, -5, n_resamples=2)
+
+
 def test_bootstrap_skips_exact_records():
     run = run_experiment(0.5, exact=True)
     assert run.shots == 0
@@ -456,9 +471,38 @@ def test_bootstrap_skips_exact_records():
     assert len(boot.i_values) == 0
 
 
+def test_eigensolver_calls_per_step(monkeypatch):
+    # Each state is checked once, and its check's spectrum is the one its
+    # entropy reads: a second check or decomposition on the experiment path
+    # raises these counts.
+    calls = collections.Counter()
+    for name in ("eigvalsh", "eigh", "svd"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, dict(calls)
+
+    # The experiment checks the targets, the estimates and both reduced
+    # states (eigvalsh); it projects the estimates onto physical spectra and
+    # takes the square roots for concurrence and fidelity (eigh); and one SVD
+    # each gives concurrence and fidelity.  The bootstrap has no targets and
+    # no fidelity.
+    run, made = count(run_experiment, np.array([0.3, 0.6, 0.9]), 2000, 1)
+    assert made == {"eigvalsh": 4, "eigh": 4, "svd": 2}
+    assert count(bootstrap_measures, run.counts[0], run.shots, 8, 1)[1] == {
+        "eigvalsh": 3, "eigh": 2, "svd": 1}
+    rho = states.cc_family(0.3, 0.6)
+    assert count(mutual_information, rho, (0, 1))[1] == {"eigvalsh": 2}
+
+
 def test_target_state_matches_family():
     # The experiment's target states are the red line of the cc family.
     for theta in (0.2, 0.9, 1.4):
         p = float(np.cos(theta) ** 2)
         direct = states.cc_family(p, 1.0 - p)
-        assert np.max(np.abs(timebin_states(theta) - direct.mat)) < 1e-12
+        assert np.max(np.abs(timebin_states(theta).mat - direct.mat)) < 1e-12
