@@ -171,8 +171,8 @@ def cmd_experiment(args):
         raise ValueError("bootstrap must be non-negative (0 for no error bars)")
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
-    run = tomo.run_experiment(np.array([theta for _, theta in thetas]), shots=args.shots,
-                              seed=args.seed, noise=noise, exact=args.exact)
+    angles = np.array([theta for _, theta in thetas])
+    run = tomo.run_experiment(angles, args.shots, args.seed, noise, args.exact)
     m = run.result.measures
     errs = np.zeros((2, len(thetas)))
     if args.bootstrap > 0:
@@ -182,8 +182,8 @@ def cmd_experiment(args):
     lines = config_header(args)
     lines.append("theta,p,I_hat,E_hat,I_err,E_err,fidelity")
     lines += [f"{label},{row}" for (label, _), row in
-              zip(thetas, table_rows(run.params.p, m.mutual_information, m.concurrence, *errs,
-                                     run.result.fidelity_to_target))]
+              zip(thetas, table_rows(np.cos(angles) ** 2, m.mutual_information, m.concurrence,
+                                     *errs, run.result.fidelity_to_target))]
     emit(args, lines)
     return 0
 

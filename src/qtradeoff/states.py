@@ -7,8 +7,6 @@ Basis convention, fixed for the whole package: four qubits ordered
 8*a_pol + 4*a_path + 2*b_pol + b_path.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from .linalg import DensityMatrix
@@ -29,24 +27,6 @@ ALPHA, BETA, GAMMA, DELTA = 1, 2, 0, 3
 def _check_theta(theta):
     if not np.all((0.0 <= theta) & (theta <= np.pi / 2 + 1e-12)):
         raise ValueError("theta must lie in [0, pi/2]")
-
-
-class StateParams(namedtuple("StateParams", "theta p q")):
-    """Parameters (theta, p, q) selecting a member of the state families; the
-    fields are arrays when built from an array of angles.  An immutable named
-    tuple whose __new__ checks that p and q lie in [0, 1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, theta, p, q):
-        _family_args(p, q)
-        return super().__new__(cls, theta, p, q)
-
-    @classmethod
-    def from_theta(cls, theta):
-        _check_theta(theta)
-        p = np.cos(theta) ** 2
-        return cls(theta=theta, p=p, q=1.0 - p)
 
 
 # The four operations of the setup, each a 4x2 isometry M (M^dag M = I)
@@ -74,12 +54,13 @@ def timebin_states(theta):
     of the SPDC pair stripped of coherence, diag(cos theta cos theta, 0, 0,
     sin theta sin theta).  tests/reference_states.py builds the same floats
     step by step."""
-    params = StateParams.from_theta(np.asarray(theta, dtype=float))
-    c, s = np.cos(params.theta), np.sin(params.theta)
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(theta)
+    c, s = np.cos(theta), np.sin(theta)
     rho_d = np.zeros(np.shape(c) + (4, 4), dtype=complex)
     rho_d[..., 0, 0] = c * c
     rho_d[..., 3, 3] = s * s
-    return DensityMatrix(_mix(rho_d, params.p), (2, 2, 2, 2))
+    return DensityMatrix(_mix(rho_d, c ** 2), (2, 2, 2, 2))
 
 
 def cc_family(p, q):

@@ -5,11 +5,12 @@
 expectations followed by projection of the spectrum onto the probability
 simplex.  The noise model (interferometer visibility on the path qubits and
 per-qubit depolarizing) scales the 256 Pauli expectations of the target states
-on their way to the Born probabilities; no noisy state is built.  An
-experiment runs all its angles as one stack.  Each angle draws its whole count
-table in one call from its own RNG stream, derived from the seed and the
-float64 bits of the angle, so results do not depend on evaluation order or on
-the other angles.
+on their way to the Born probabilities; no noisy state is built.
+measure_states runs a state or a stack of states as one pass.  Each state
+draws its whole count table in one call from its own RNG stream (seed, key),
+so its results do not depend on evaluation order or on the other states;
+run_experiment measures the time-bin states keyed by the float64 bits of
+their angles.
 """
 
 import itertools
@@ -107,7 +108,7 @@ def _build_inversion_tables():
  _PAULI_FLAT, _PATH_XY, _WEIGHT) = _build_inversion_tables()
 
 
-def born_probabilities(mats, noise=NoiseParams()):
+def born_probabilities(rho: DensityMatrix, noise=NoiseParams()):
     """Probabilities of the 16 joint outcomes of every setting, (..., 81, 16),
     for a four-qubit state or a (..., 16, 16) stack of them under the noise
     model: p(z|s) = (1/16) sum_T sign(z, T) <P_{s,T}>, the inversion tables
@@ -116,7 +117,7 @@ def born_probabilities(mats, noise=NoiseParams()):
     channels are diagonal in the Pauli basis.  Each state takes its own
     (1, 256) product with the Pauli table, so its probabilities do not depend
     on the rest of the stack."""
-    mats = np.asarray(mats, dtype=complex)
+    mats = rho.mat
     if mats.shape[-2:] != (N_OUT, N_OUT):
         raise ValueError("tomography expects four-qubit states")
     # Tr(rho P) = sum_ij conj(rho_ij) P_ij for Hermitian rho and P.
@@ -222,18 +223,18 @@ def _invert(counts, shots):
     return spectral_fn(rho_lin, physical_spectrum)
 
 
-def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
+def reconstruct(counts, shots, targets: DensityMatrix = None) -> ReconstructionResult:
     """Physical estimate (see _invert) from an (81, 16) count table of `shots`
     per setting (0 for exact frequencies), its measures, and its fidelity to the
     target state when one is given (NaN otherwise).  For an (A, 81, 16) stack,
-    with A targets, every table is inverted on its own and the result holds
-    arrays with a leading axis of length A."""
+    with a stack of A targets, every table is inverted on its own and the
+    result holds arrays with a leading axis of length A."""
     counts = _count_table(counts, shots)
     stack = counts.reshape(-1, len(SETTINGS), N_OUT)
     rho_hat = _invert(stack[:, None], shots)[:, 0]
     rep = measures.cut_measures(DensityMatrix(rho_hat, FOUR_QUBITS), (0, 1))
     fid = (np.full(len(stack), np.nan) if targets is None
-           else measures.fidelities(rho_hat, np.reshape(targets, rho_hat.shape)))
+           else measures.fidelities(rho_hat, np.reshape(targets.mat, rho_hat.shape)))
     if counts.ndim == 2:
         return ReconstructionResult(rho_hat[0], float(fid[0]),
                                     MeasureReport(*(float(v[0]) for v in rep)))
@@ -244,26 +245,32 @@ def reconstruct(counts, shots, targets=None) -> ReconstructionResult:
 DEFAULT_ANGLES = tuple(k * np.pi / 32 for k in (0, 2, 4, 6, 8, 9, 11, 12, 13, 14, 15, 16))
 
 
-# One experiment; for an array of A angles every array field holds a stack along
+# One experiment; for a stack of A states every array field holds a stack along
 # a leading axis of length A.  counts holds (81, 16) counts, or exact
 # (infinite-shot) frequencies when shots is 0.
-ExperimentRun = namedtuple("ExperimentRun", "params counts shots result")
+ExperimentRun = namedtuple("ExperimentRun", "counts shots result")
+
+
+def measure_states(targets: DensityMatrix, keys, shots=10000, seed=0,
+                   noise=NoiseParams()) -> ExperimentRun:
+    """Full pipeline for a four-qubit state, or as one pass over an (A, 16, 16)
+    stack of them: add noise, measure every setting, reconstruct.  State a
+    draws its counts from the stream (seed, keys[a]) (see sample_counts), or
+    takes exact frequencies when shots is 0, so its results do not depend on
+    the other states of the stack."""
+    counts = born_probabilities(targets, noise)
+    if shots != 0:
+        counts = sample_counts(counts, shots, seed, keys)
+    return ExperimentRun(counts, shots, reconstruct(counts, shots, targets))
 
 
 def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False) -> ExperimentRun:
-    """Full pipeline for one angle, or as one pass over a 1-d array of angles:
-    prepare, add noise, measure every setting, reconstruct.  An angle draws its
-    counts from the stream (seed, float64 bits of the angle), -0.0 counting as
-    0.0, so its results do not depend on the other angles of the array and a
-    repeated angle repeats its results (see sample_counts)."""
-    params = states.StateParams.from_theta(np.asarray(theta, dtype=float))
-    targets = states.timebin_states(params.theta)
-    counts = born_probabilities(targets.mat, noise)
-    if exact:
-        shots = 0
-    else:
-        counts = sample_counts(counts, shots, seed, np.asarray(params.theta + 0.0).view(np.uint64))
-    return ExperimentRun(params, counts, shots, reconstruct(counts, shots, targets.mat))
+    """measure_states of the time-bin states of an angle or a 1-d array of
+    angles.  An angle is keyed by its float64 bits, -0.0 counting as 0.0, so a
+    repeated angle repeats its results."""
+    theta = np.asarray(theta, dtype=float) + 0.0
+    return measure_states(states.timebin_states(theta), theta.view(np.uint64),
+                          0 if exact else shots, seed, noise)
 
 
 BootstrapResult = namedtuple("BootstrapResult", "i_values e_values i_err e_err")

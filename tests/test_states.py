@@ -93,9 +93,9 @@ def test_state_stacks_keep_their_bytes():
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 0.5), (0.5, -0.1)])
-@pytest.mark.parametrize("build", [states.cc_family, lambda p, q: states.StateParams(0.0, p, q),
-                                   measures.closed_form_I, measures.closed_form_E],
-                         ids=["cc_family", "StateParams", "closed_form_I", "closed_form_E"])
+@pytest.mark.parametrize("build", [states.cc_family, measures.closed_form_I,
+                                   measures.closed_form_E],
+                         ids=["cc_family", "closed_form_I", "closed_form_E"])
 def test_family_parameters_out_of_range_raise(build, p, q):
     with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
         build(p, q)
@@ -220,23 +220,6 @@ def test_constructed_states_are_valid_density_matrices():
         timebin_mix(dephase(spdc_state(theta)), p)
 
 
-def test_state_params_from_theta():
-    sp = states.StateParams.from_theta(np.pi / 3)
-    assert abs(sp.p - 0.25) < 1e-12
-    assert abs(sp.q - 0.75) < 1e-12
-    with pytest.raises(ValueError):
-        states.StateParams(theta=0.0, p=1.2, q=0.0)
-
-
-def test_state_params_check_arrays_and_are_immutable():
-    sp = states.StateParams.from_theta(np.array([0.0, np.pi / 4]))
-    assert sp._fields == ("theta", "p", "q")
-    with pytest.raises(AttributeError):
-        sp.p = 0.5
-    with pytest.raises(ValueError, match=r"p and q must lie in \[0,1\]"):
-        states.StateParams(np.zeros(2), np.array([0.5, -0.1]), np.array([0.5, 1.1]))
-
-
 def test_timebin_states_match_chain():
     # The stack has the floats of spdc -> dephase -> timebin_mix, signed zeros
     # included, whether an angle comes alone or in an array.
@@ -245,7 +228,7 @@ def test_timebin_states_match_chain():
     stack = states.timebin_states(thetas)
     assert_checked(stack, (2, 2, 2, 2), (len(thetas), 16, 16))
     for theta, mat in zip(thetas, stack.mat):
-        p = states.StateParams.from_theta(float(theta)).p
+        p = np.cos(float(theta)) ** 2
         chain = timebin_mix(dephase(spdc_state(float(theta))), p).mat
         one = states.timebin_states(float(theta))
         assert_checked(one, (2, 2, 2, 2), (16, 16))
@@ -253,8 +236,9 @@ def test_timebin_states_match_chain():
             assert np.array_equal(a, b)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
-    with pytest.raises(ValueError):
-        states.timebin_states([0.1, 2.0])
+    for bad in (-1e-3, np.pi / 2 + 1e-9, [0.1, 2.0], np.array([0.0, np.pi / 4, -0.0, -0.5])):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+            states.timebin_states(bad)
 
 
 def test_cc_family_stack_matches_scalar_calls_bit_for_bit():

@@ -12,6 +12,7 @@ from qtradeoff.tomo import (
     SETTINGS,
     bootstrap_measures,
     born_probabilities,
+    measure_states,
     physical_spectrum,
     reconstruct,
     run_experiment,
@@ -68,7 +69,7 @@ def test_visibility_from_contrast():
 
 
 def test_born_probabilities_z_basis():
-    rho = timebin_states(0.0).mat  # |00> (x) |01> in the fixed ordering
+    rho = timebin_states(0.0)  # |00> (x) |01> in the fixed ordering
     p = born_probabilities(rho)[SETTINGS.index("ZZZZ")]
     expected = np.zeros(16)
     expected[0b0001] = 1.0
@@ -80,7 +81,7 @@ def test_born_probabilities_pure_state_oracle():
     psi = np.zeros(16, dtype=complex)
     psi[0b0001] = 1.0
     rho = DensityMatrix(np.outer(psi, psi.conj()), (2, 2, 2, 2))
-    probs = born_probabilities(rho.mat)
+    probs = born_probabilities(rho)
     for setting in ("XXXX", "XYZX", "ZZZZ"):
         p = probs[SETTINGS.index(setting)]
         w = _setting_w(setting)
@@ -91,7 +92,7 @@ def test_born_probabilities_pure_state_oracle():
 
 def test_born_probabilities_rejects_non_four_qubit_state():
     with pytest.raises(ValueError):
-        born_probabilities(np.eye(4) / 4)
+        born_probabilities(DensityMatrix(np.eye(4) / 4, (2, 2)))
 
 
 def test_born_probabilities_match_per_setting_products():
@@ -100,13 +101,13 @@ def test_born_probabilities_match_per_setting_products():
     # setting's own 16x16 product of the reference's noisy state, in the
     # kron-chain eigenbasis, for every scan angle and noise setting.  The sums
     # run in another order, so equality holds to 1e-15 absolute.
-    targets = states.timebin_states(SCAN_THETAS).mat
+    targets = states.timebin_states(SCAN_THETAS)
     for noise in NOISE_CASES:
-        noisy = apply_noise(targets, noise)
+        noisy = apply_noise(targets.mat, noise)
         probs = born_probabilities(targets, noise)
         assert probs.shape == (len(SCAN_THETAS), 81, 16)
         for a, rho in enumerate(noisy):
-            assert np.array_equal(apply_noise(targets[a], noise), rho)
+            assert np.array_equal(apply_noise(targets.mat[a], noise), rho)
             ref = np.array([_born_per_setting(rho, s) for s in SETTINGS])
             assert np.max(np.abs(probs[a] - ref)) <= 1e-15
 
@@ -114,11 +115,12 @@ def test_born_probabilities_match_per_setting_products():
 def test_born_probabilities_stack_rows_are_single_calls():
     # Row independence of the experiment rests on this: each state of a stack
     # gets bit for bit the probabilities of a call of its own.
-    targets = states.timebin_states(SCAN_THETAS).mat
+    targets = states.timebin_states(SCAN_THETAS)
     for noise in NOISE_CASES:
         probs = born_probabilities(targets, noise)
-        for a, rho in enumerate(targets):
-            assert np.array_equal(probs[a], born_probabilities(rho, noise))
+        for a, rho in enumerate(targets.mat):
+            one = DensityMatrix(rho, targets.dims)
+            assert np.array_equal(probs[a], born_probabilities(one, noise))
 
 
 def test_sample_counts_deterministic():
@@ -158,7 +160,7 @@ def test_sample_counts_per_table_streams():
     # Table a draws its whole (81, 16) table in one call from the stream
     # (seed, keys[a]); the sampler normalizes each row once more.  A table
     # sampled alone gives its row of the stack.
-    probs = born_probabilities(states.timebin_states(SCAN_THETAS[::8]).mat, SCAN_NOISE[3])
+    probs = born_probabilities(states.timebin_states(SCAN_THETAS[::8]), SCAN_NOISE[3])
     keys = np.arange(len(probs)) * 1000 + 3
     counts = sample_counts(probs, 500, 11, keys)
     assert counts.shape == probs.shape
@@ -176,7 +178,7 @@ def test_run_experiment_streams_are_keyed_by_angle():
     # with -0.0 keyed as 0.0, and a repeated angle repeats its counts.
     run = run_experiment(np.array([0.0, 0.3, -0.0, 0.3]), shots=700, seed=8)
     for a, theta in enumerate([0.0, 0.3]):
-        p = born_probabilities(states.timebin_states(theta).mat)
+        p = born_probabilities(states.timebin_states(theta))
         key = np.float64(theta).view(np.uint64)
         assert np.array_equal(run.counts[a], sample_counts(p, 700, 8, key))
     assert np.array_equal(run.counts[2:], run.counts[:2])
@@ -222,7 +224,7 @@ def test_noise_params_validation():
 
 def test_result_types_keep_their_fields():
     run = run_experiment(np.array([0.3, 0.6]), shots=500, seed=2)
-    assert run._fields == ("params", "counts", "shots", "result")
+    assert run._fields == ("counts", "shots", "result")
     assert run.result._fields == ("rho_hat", "fidelity_to_target", "measures")
     assert run.result.measures._fields == (
         "mutual_information", "concurrence", "entropy_A", "entropy_B", "entropy_AB")
@@ -234,7 +236,7 @@ def test_result_types_keep_their_fields():
 
 
 def test_correlators_agree_across_settings_on_exact_data():
-    rho = timebin_states(np.pi / 8).mat
+    rho = timebin_states(np.pi / 8)
     corr = tomo._correlators(born_probabilities(rho))
     exps = np.add.reduceat(corr, tomo._STRING_START) / tomo._PAULI_MULT
     assert abs(exps[0] - 1.0) < 1e-12
@@ -245,7 +247,7 @@ def test_correlators_agree_across_settings_on_exact_data():
     # Oracle: direct trace against the Pauli matrices for a few strings.
     for k in (0b00000011, 0b01010101, 0b11111111):
         p_mat = tomo._PAULI_FLAT[k].reshape(16, 16)
-        assert abs(exps[k] - np.trace(rho @ p_mat).real) < 1e-10
+        assert abs(exps[k] - np.trace(rho.mat @ p_mat).real) < 1e-10
 
 
 def _loop_inversion_tables():
@@ -290,7 +292,7 @@ def test_inversion_tables_match_loop_construction():
 
 
 def test_incomplete_count_table_is_rejected():
-    counts = sample_counts(born_probabilities(timebin_states(0.5).mat), 100, 0, 0)[:-1]
+    counts = sample_counts(born_probabilities(timebin_states(0.5)), 100, 0, 0)[:-1]
     with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
         reconstruct(counts, 100)
     with pytest.raises(ValueError, match=r"expected \(81, 16\) count tables"):
@@ -300,11 +302,10 @@ def test_incomplete_count_table_is_rejected():
 def test_exact_reconstruction_is_faithful():
     for theta in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
         run = run_experiment(theta, exact=True)
+        p = np.cos(theta) ** 2
         assert run.result.fidelity_to_target >= 1.0 - 1e-9
-        assert abs(run.result.measures.mutual_information
-                   - closed_form_I(run.params.p, run.params.q)) < 1e-9
-        assert abs(run.result.measures.concurrence
-                   - closed_form_E(run.params.p, run.params.q)) < 1e-9
+        assert abs(run.result.measures.mutual_information - closed_form_I(p, 1.0 - p)) < 1e-9
+        assert abs(run.result.measures.concurrence - closed_form_E(p, 1.0 - p)) < 1e-9
 
 
 def test_sampled_reconstruction_converges_with_shots():
@@ -341,11 +342,30 @@ def test_run_experiment_stack_matches_single_angles():
         for a, theta in enumerate(thetas):
             one = run_experiment(theta, shots=2000, seed=6, noise=SCAN_NOISE[3], exact=exact)
             assert np.array_equal(one.counts, run.counts[a])
-            assert one.params.p == run.params.p[a]
             assert one.result.measures.mutual_information == \
                 run.result.measures.mutual_information[a]
             assert one.result.measures.concurrence == run.result.measures.concurrence[a]
             assert one.result.fidelity_to_target == run.result.fidelity_to_target[a]
+
+
+def test_measure_states_runs_the_cc_family_off_the_timebin_line():
+    # Any four-qubit stack runs through the one pipeline.  Exact frequencies
+    # reconstruct the family to its closed forms, and a sampled state draws
+    # from its own stream (seed, keys[a]).
+    p, q = np.random.default_rng(47).random((2, 12))
+    p[:3], q[:3] = (0.0, 1.0, 0.3), (0.0, 1.0, 0.7)  # two corners and one point on q = 1 - p
+    targets = states.cc_family(p, q)
+    keys = np.arange(12) * 7 + 5
+    run = measure_states(targets, keys, shots=0)
+    assert run.shots == 0 and run.counts.shape == (12, 81, 16)
+    m = run.result.measures
+    assert np.max(np.abs(m.mutual_information - closed_form_I(p, q))) <= 1e-9
+    assert np.max(np.abs(m.concurrence - closed_form_E(p, q))) <= 1e-9
+    assert np.max(np.abs(run.result.fidelity_to_target - 1.0)) <= 1e-9
+    run = measure_states(targets, keys, shots=400, seed=9, noise=SCAN_NOISE[3])
+    for a, rho in enumerate(targets.mat):
+        probs = born_probabilities(DensityMatrix(rho, targets.dims), SCAN_NOISE[3])
+        assert np.array_equal(run.counts[a], sample_counts(probs, 400, 9, keys[a]))
 
 
 def test_noise_lowers_fidelity_monotonically():
@@ -494,6 +514,10 @@ def test_eigensolver_calls_per_step(monkeypatch):
     # no fidelity.
     run, made = count(run_experiment, np.array([0.3, 0.6, 0.9]), 2000, 1)
     assert made == {"eigvalsh": 4, "eigh": 4, "svd": 2}
+    # measure_states takes its targets checked and never checks them again.
+    targets = states.timebin_states(np.array([0.3, 0.6, 0.9]))
+    assert count(measure_states, targets, np.arange(3), 2000, 1)[1] == {
+        "eigvalsh": 3, "eigh": 4, "svd": 2}
     assert count(bootstrap_measures, run.counts[0], run.shots, 8, 1)[1] == {
         "eigvalsh": 3, "eigh": 2, "svd": 1}
     rho = states.cc_family(0.3, 0.6)
