@@ -3,16 +3,19 @@
 81 local Pauli settings (X/Y/Z per qubit) with 16 outcomes each, held as an
 (81, 16) count table; reconstruction by unbiased linear inversion of Pauli
 expectations followed by projection of the spectrum onto the probability
-simplex.  The noise model (interferometer visibility on the path qubits and
-per-qubit depolarizing) scales the 256 Pauli expectations of the target states
-on their way to the Born probabilities; no noisy state is built.
-measure_states runs a state or a stack of states as one pass.  Each state
-draws its whole count table in one call from its own RNG stream (seed, key),
-so its results do not depend on evaluation order or on the other states;
-run_experiment measures the time-bin states keyed by the float64 bits of
-their angles.
+simplex.  The measurements are local, so every table of signs, Pauli indices,
+Pauli matrices and noise exponents is a Kronecker product or sum of four
+one-qubit tables (_fold).  The noise model (interferometer visibility on the
+path qubits and per-qubit depolarizing) scales the 256 Pauli expectations of
+the target states on their way to the Born probabilities; no noisy state is
+built.  measure_states runs a state or a stack of states as one pass.  Each
+state draws its whole count table in one call from its own RNG stream (seed,
+key), so its results do not depend on evaluation order or on the other states;
+run_experiment measures the time-bin states keyed by the float64 bits of their
+angles.
 """
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -49,10 +52,11 @@ class NoiseParams(namedtuple("NoiseParams", "visibility depolarizing")):
 
 
 def visibility_from_contrast(ratio):
-    """Off-diagonal scale v = (r-1)/(r+1) for an interferometer contrast r:1."""
-    if ratio < 1.0:
+    """Off-diagonal scale v = (r-1)/(r+1) for an interferometer contrast r:1,
+    and v = 1 for an infinite contrast (a perfect interferometer)."""
+    if not ratio >= 1.0:
         raise ValueError("contrast ratio must be at least 1")
-    return (ratio - 1.0) / (ratio + 1.0)
+    return 1.0 if ratio == np.inf else (ratio - 1.0) / (ratio + 1.0)
 
 
 # Estimates from one (81, 16) count table (floats and a 16x16 matrix) or from a
@@ -62,50 +66,40 @@ ReconstructionResult = namedtuple("ReconstructionResult",
                                   "rho_hat fidelity_to_target measures")
 
 
-def _kron_table(factors):
-    """Every 4-fold Kronecker product of the (n, 2, 2) factors as an
-    (n^4, 16, 16) stack, row (a b c d) in base n being
-    kron(kron(kron(F_a, F_b), F_c), F_d).  Built one factor at a time by
-    broadcasting, so that every entry, signed zeros included, is the product
-    the kron chain forms."""
-    table = factors
-    for _ in range(N_QUBITS - 1):
-        m = table.shape[-1]
-        table = (table[:, None, :, None, :, None]
-                 * factors[None, :, None, :, None, :]).reshape(-1, 2 * m, 2 * m)
-    return table
+def _fold(ufunc, tables):
+    """Kronecker product (np.multiply) or sum (np.add) of one-qubit tables,
+    qubit 0 first: each step is the outer ufunc with the next table, its axes
+    interleaved, so that qubit 0 is the most significant digit of every index.
+    Entries chain ufunc left to right, as a kron chain does.  Broadcasting
+    into the interleaved order skips the strided copy of a transpose."""
+    def step(acc, table):
+        odd, even = tuple(range(1, 2 * acc.ndim, 2)), tuple(range(0, 2 * acc.ndim, 2))
+        pairs = ufunc(np.expand_dims(acc, odd), np.expand_dims(table, even))
+        return pairs.reshape([m * n for m, n in zip(acc.shape, table.shape)])
+    return functools.reduce(step, tables)
 
 
-def _build_inversion_tables():
-    place = np.arange(N_QUBITS - 1, -1, -1)  # qubit i is digit 3-i
-    bits = (np.arange(16)[:, None] >> place) & 1  # outcome z or subset mask, per qubit
-    # Sign of outcome z for each subset mask: -1 per selected qubit reading 1.
-    signs = np.prod(1.0 - 2.0 * (bits[:, None, :] & bits[None, :, :]), axis=-1)
-    # Pauli index (base 4 over I,X,Y,Z) estimated by (setting, subset): the
-    # setting's letter on the subset's qubits, I elsewhere.  SETTINGS runs
-    # over XYZ^4 in base-3 order.
-    letters = (np.arange(len(SETTINGS))[:, None] // 3 ** place) % 3 + 1
-    pauli_idx = (letters[:, None, :] * bits[None, :, :]) @ 4 ** place
-    # Every string is estimated at least once, so grouping the flattened
-    # (setting, subset) estimates by string gives 256 contiguous runs.
-    flat_idx = pauli_idx.ravel()
-    by_string = np.argsort(flat_idx, kind="stable")
-    starts = np.searchsorted(flat_idx[by_string], np.arange(256))
-    mult = np.bincount(flat_idx, minlength=256).astype(float)
-    # Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
-    # k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled.
-    flat = _kron_table(np.stack([PAULI[ch] for ch in "IXYZ"])).reshape(256, 256)
-    # Letters (0-3 for I, X, Y, Z) of each string per qubit.  The noise model
-    # scales a string's expectation by the visibility per X or Y on a path
-    # qubit and by 1 - depolarizing per non-identity letter.
-    digits = (np.arange(256)[:, None] >> 2 * place) & 3
-    on_path = digits[:, PATH_QUBITS]
-    path_xy = np.count_nonzero((on_path == 1) | (on_path == 2), axis=-1)
-    return signs, pauli_idx, by_string, starts, mult, flat, path_xy, np.count_nonzero(digits, -1)
-
-
-(_SIGNS, _PAULI_IDX, _BY_STRING, _STRING_START, _PAULI_MULT,
- _PAULI_FLAT, _PATH_XY, _WEIGHT) = _build_inversion_tables()
+# Sign of outcome z (row) for each subset mask (column): -1 per selected
+# qubit reading 1.
+_SIGNS = _fold(np.multiply, [np.array([[1.0, 1.0], [1.0, -1.0]])] * N_QUBITS)
+# Pauli index (base 4 over I,X,Y,Z) estimated by (setting, subset): the
+# setting's letter (X, Y, Z in SETTINGS' base-3 order) on the subset's
+# qubits, I elsewhere.
+_PAULI_IDX = _fold(np.add, [np.array([[0, 1], [0, 2], [0, 3]]) * 4 ** (N_QUBITS - 1 - i)
+                            for i in range(N_QUBITS)])
+# Every string is estimated at least once, so grouping the flattened
+# (setting, subset) estimates by string gives 256 contiguous runs.
+_BY_STRING = np.argsort(_PAULI_IDX, axis=None, kind="stable")
+_STRING_START = np.searchsorted(np.sort(_PAULI_IDX, axis=None), np.arange(256))
+_PAULI_MULT = np.bincount(_PAULI_IDX.ravel(), minlength=256).astype(float)
+# Flattened 4-qubit Pauli matrices, for rho = (1/16) sum_k <P_k> P_k: row
+# k = (a b c d) in base 4 is kron(kron(kron(P_a, P_b), P_c), P_d) raveled.
+_PAULI_FLAT = _fold(np.multiply, [np.stack([PAULI[ch] for ch in "IXYZ"])] * N_QUBITS
+                    ).reshape(256, 256)
+# The noise model scales a string's expectation by the visibility per X or Y
+# on a path qubit and by 1 - depolarizing per non-identity letter.
+_PATH_XY = _fold(np.add, [np.array([0, 1, 1, 0]) * (i in PATH_QUBITS) for i in range(N_QUBITS)])
+_WEIGHT = _fold(np.add, [np.array([0, 1, 1, 1])] * N_QUBITS)
 
 
 def born_probabilities(rho: DensityMatrix, noise=NoiseParams()):
@@ -284,7 +278,7 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
 
     The per-setting draw and `_invert`'s one product are kept on purpose: one
     call over all angles, draws through `sample_counts` and `reconstruct`'s
-    per-table inversion were each measured slower (ROADMAP item 8)."""
+    per-table inversion were each measured slower (ROADMAP item 11)."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     counts = _count_table(counts, shots)

@@ -64,8 +64,11 @@ def test_settings_enumeration():
 def test_visibility_from_contrast():
     assert abs(visibility_from_contrast(50.0) - 49.0 / 51.0) < 1e-12
     assert visibility_from_contrast(1.0) == 0.0
-    with pytest.raises(ValueError):
-        visibility_from_contrast(0.5)
+    # A perfect interferometer: (inf - 1) / (inf + 1) would be NaN.
+    assert visibility_from_contrast(np.inf) == 1.0
+    for ratio in (0.5, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="contrast ratio must be at least 1"):
+            visibility_from_contrast(ratio)
 
 
 def test_born_probabilities_z_basis():
@@ -251,7 +254,7 @@ def test_correlators_agree_across_settings_on_exact_data():
 
 
 def _loop_inversion_tables():
-    # Reference: the per-entry loop construction the array code replaced.
+    # Reference: a per-entry loop construction, independent of the folds.
     z = np.arange(16)
     signs = np.ones((16, 16))
     for mask in range(16):
@@ -261,7 +264,7 @@ def _loop_inversion_tables():
                 s = s * (1.0 - 2.0 * ((z >> (3 - i)) & 1))
         signs[:, mask] = s
     code = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-    pauli_idx = np.zeros((81, 16), dtype=int)
+    pauli_idx = np.zeros((81, 16), dtype=np.int64)
     for s_i, setting in enumerate(SETTINGS):
         for mask in range(16):
             k = 0
@@ -269,26 +272,39 @@ def _loop_inversion_tables():
                 k = 4 * k + code[setting[i] if (mask >> (3 - i)) & 1 else "I"]
             pauli_idx[s_i, mask] = k
     flat = np.zeros((256, 256), dtype=complex)
+    path_xy = np.zeros(256, dtype=np.int64)
+    weight = np.zeros(256, dtype=np.int64)
     for k in range(256):
-        digits = [(k >> (2 * (3 - i))) & 3 for i in range(4)]
-        m = tomo.PAULI["IXYZ"[digits[0]]]
-        for d in digits[1:]:
-            m = np.kron(m, tomo.PAULI["IXYZ"[d]])
+        letters = ["IXYZ"[(k >> (2 * (3 - i))) & 3] for i in range(4)]
+        m = tomo.PAULI[letters[0]]
+        for ch in letters[1:]:
+            m = np.kron(m, tomo.PAULI[ch])
         flat[k] = m.ravel()
-    return signs, pauli_idx.ravel(), flat
+        path_xy[k] = sum(letters[i] in "XY" for i in tomo.PATH_QUBITS)
+        weight[k] = sum(ch != "I" for ch in letters)
+    return signs, pauli_idx, flat, path_xy, weight
 
 
 def test_inversion_tables_match_loop_construction():
-    signs, flat_idx, flat = _loop_inversion_tables()
-    assert np.array_equal(tomo._SIGNS, signs)
+    signs, pauli_idx, flat, path_xy, weight = _loop_inversion_tables()
+    flat_idx = pauli_idx.ravel()
+    for table, ref in ((tomo._SIGNS, signs), (tomo._PAULI_IDX, pauli_idx),
+                       (tomo._PAULI_FLAT, flat), (tomo._PATH_XY, path_xy),
+                       (tomo._WEIGHT, weight)):
+        assert table.dtype == ref.dtype and np.array_equal(table, ref)
     assert np.array_equal(tomo._BY_STRING, np.argsort(flat_idx, kind="stable"))
     assert np.array_equal(tomo._STRING_START,
                           np.searchsorted(np.sort(flat_idx), np.arange(256)))
     assert np.array_equal(tomo._PAULI_MULT, np.bincount(flat_idx, minlength=256))
-    assert np.array_equal(tomo._PAULI_FLAT, flat)
     # Signed zeros too: the linear inversion multiplies through this table.
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(tomo._PAULI_FLAT)), np.signbit(part(flat)))
+    # A fold of two one-qubit tables under np.multiply is their Kronecker
+    # product, rectangular tables included.
+    pairs = [(tomo.PAULI[a], tomo.PAULI[b]) for a, b in ("XY", "YZ", "IY")]
+    pairs.append((np.arange(6.0).reshape(2, 3), np.arange(1.0, 7.0).reshape(3, 2)))
+    for a, b in pairs:
+        assert np.array_equal(tomo._fold(np.multiply, [a, b]), np.kron(a, b))
 
 
 def test_incomplete_count_table_is_rejected():
