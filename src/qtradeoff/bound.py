@@ -39,7 +39,7 @@ def zeta_inv_branches(e):
     lambda_2 = ((1+e-kappa)/2, (1-e-kappa)/2, kappa, 0), where
     kappa = (sqrt(4 - 3 e^2) - 1) / 3.  The leading 0.0 keeps +0.0 at e = 1."""
     e = np.asarray(e, dtype=float)
-    if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
+    if not np.all((-1e-12 <= e) & (e <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("zeta_inv requires e in [0,1]")
     e = np.clip(e, 0.0, 1.0)
     b1 = 0.0 - _xlogx((1.0 + e) / 2.0) - _xlogx((1.0 - e) / 2.0) + (1.0 - e) * np.log(3.0) / 2.0
@@ -58,7 +58,7 @@ def zeta(c):
     """The bound curve: 1 at c = 0 and 0 for c >= ln(2 sqrt(3)); otherwise the
     unique e in [0,1] with zeta_inv(e) = c, found by bisection to 1e-12 in e."""
     c = np.asarray(c, dtype=float)
-    if np.any(c < -1e-9) or np.any(c > TWO_LN2 + 1e-9):
+    if not np.all((-1e-9 <= c) & (c <= TWO_LN2 + 1e-9)):  # NaN fails too
         raise ValueError("zeta requires c in [0, 2 ln 2]")
     cc = np.clip(c, 0.0, TWO_LN2)
     lo = np.zeros_like(cc)

@@ -3,7 +3,9 @@ simulated experiment runs, and an invariant suite.  All CSV output starts with
 '#'-prefixed header comments echoing the resolved configuration; identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error or oversized input.
+Each command returns its lines (column names, rows and trailing comments) and
+whether its checks held; main alone writes the header and the lines and sets
+the exit code: 0 success, 1 invariant failure, 2 usage error or oversized input.
 
 Only the bound layer is imported at start-up; the commands that need the
 measures, states or tomography modules import them when they run, so `bound`
@@ -56,15 +58,14 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def build_parser():
+def build_parser(commands):
     p = argparse.ArgumentParser(
         prog="qtradeoff",
         description="Monogamy tradeoff between internal concurrence and external "
         "mutual information: sweeps, bound tables, oracle checks, and a "
         "simulated tomography experiment.",
     )
-    p.add_argument("--command", required=True,
-                   choices=["sweep", "bound", "oracle", "experiment", "verify"])
+    p.add_argument("--command", required=True, choices=commands)
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shots", type=int, default=10000)
@@ -113,8 +114,6 @@ def cmd_sweep(args):
     for flag, step in (("--p-step", args.p_step), ("--q-step", args.q_step)):
         if not step > 0:  # a NaN step fails this too
             raise ValueError(f"{flag} {step} must be positive")
-    lines = config_header(args)
-    lines.append("family,p,q,I,E,zeta_of_I,margin")
     ps = np.arange(0.0, 1.0 + 1e-12, args.p_step)
     qs = np.arange(0.0, 1.0 + 1e-12, args.q_step)
     red = np.arange(0.0, 0.5 + 1e-12, args.p_step)
@@ -125,43 +124,34 @@ def cmd_sweep(args):
     e_val = measures.closed_form_E(p, q)
     z = bound.zeta(np.minimum(i_val, TWO_LN2))
     margin = z - e_val
-    lines += [f"{family},{row}" for family, row in
-              zip(families, table_rows(p, q, i_val, e_val, z, margin))]
-    emit(args, lines)
-    return 0 if np.min(margin) >= -1e-9 else 1
+    rows = table_rows(p, q, i_val, e_val, z, margin)
+    lines = ["family,p,q,I,E,zeta_of_I,margin", *map(",".join, zip(families, rows))]
+    return lines, np.min(margin) >= -1e-9
 
 
 def cmd_bound(args):
     if args.resolution < 2:
         raise ValueError("resolution must be at least 2")
-    lines = config_header(args)
-    cs = np.linspace(0.0, TWO_LN2, args.resolution)
-    zs = bound.zeta(cs)
-    sound = True
+    try:
+        cs = np.linspace(0.0, TWO_LN2, args.resolution)
+    except IndexError:  # numpy reads a count near 2**63 as 2**63 and builds no samples
+        raise ValueError(f"resolution {args.resolution} is too large") from None
+    cols = {"c": cs, "zeta_closed": bound.zeta(cs)}
     if args.oracle:
-        oracle = bound.oracle_frontier(cs)
-        sound = np.all(oracle <= zs + 1e-12)
-        lines.append("c,zeta_closed,zeta_oracle")
-        lines += table_rows(cs, zs, oracle)
-    else:
-        lines.append("c,zeta_closed")
-        lines += table_rows(cs, zs)
-    emit(args, lines)
-    return 0 if sound else 1
+        cols["zeta_oracle"] = bound.oracle_frontier(cs)
+    sound = not args.oracle or np.all(cols["zeta_oracle"] <= cols["zeta_closed"] + 1e-12)
+    return [",".join(cols)] + table_rows(*cols.values()), sound
 
 
 def cmd_oracle(args):
-    lines = config_header(args)
-    lines.append("c,zeta_closed,zeta_oracle,abs_diff")
     cs = np.linspace(0.0, TWO_LN2, 50)
     zs = bound.zeta(cs)
     oracle = bound.oracle_frontier(cs, resolution=args.resolution)
     diffs = np.abs(zs - oracle)
     worst = np.max(diffs)
-    lines += table_rows(cs, zs, oracle, diffs)
-    lines.append(f"# max_abs_diff={fmt(worst)}")
-    emit(args, lines)
-    return 0 if worst <= 0.02 and np.all(oracle <= zs + 1e-12) else 1
+    lines = ["c,zeta_closed,zeta_oracle,abs_diff", *table_rows(cs, zs, oracle, diffs),
+             f"# max_abs_diff={fmt(worst)}"]
+    return lines, worst <= 0.02 and np.all(oracle <= zs + 1e-12)
 
 
 def cmd_experiment(args):
@@ -179,13 +169,10 @@ def cmd_experiment(args):
         for a in range(len(thetas)):
             boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
             errs[:, a] = boot.i_err, boot.e_err
-    lines = config_header(args)
-    lines.append("theta,p,I_hat,E_hat,I_err,E_err,fidelity")
-    lines += [f"{label},{row}" for (label, _), row in
-              zip(thetas, table_rows(np.cos(angles) ** 2, m.mutual_information, m.concurrence,
-                                     *errs, run.result.fidelity_to_target))]
-    emit(args, lines)
-    return 0
+    rows = table_rows(np.cos(angles) ** 2, m.mutual_information, m.concurrence, *errs,
+                      run.result.fidelity_to_target)
+    return ["theta,p,I_hat,E_hat,I_err,E_err,fidelity",
+            *(f"{label},{row}" for (label, _), row in zip(thetas, rows))], True
 
 
 def family_points(p, q):
@@ -196,79 +183,65 @@ def family_points(p, q):
 
 
 def invariant_suite(seed=0):
-    """Named invariant checks; each entry is (name, ok, detail)."""
+    """Named invariant checks, yielded as (name, ok, detail)."""
     from . import states, tomo
 
-    checks = []
-
-    def add(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-
     z0 = bound.zeta(0.0)
-    add("zeta_at_zero", abs(z0 - 1.0) <= 1e-9, f"zeta(0)={fmt(z0)}")
+    yield "zeta_at_zero", abs(z0 - 1.0) <= 1e-9, f"zeta(0)={fmt(z0)}"
     tail = np.asarray(bound.zeta(np.linspace(LN2SQRT3, TWO_LN2, 100)))
-    add("zeta_vanishing_tail", np.max(np.abs(tail)) <= 1e-9, f"max={fmt(np.max(np.abs(tail)))}")
+    yield "zeta_vanishing_tail", np.max(np.abs(tail)) <= 1e-9, f"max={fmt(np.max(np.abs(tail)))}"
     es = np.linspace(0.0, 1.0, 1000)
     zi = np.asarray(bound.zeta_inv(es))
-    add("zeta_inv_strictly_decreasing", np.all(np.diff(zi) < 0))
+    yield "zeta_inv_strictly_decreasing", np.all(np.diff(zi) < 0), ""
     rt = np.asarray(bound.zeta(np.clip(zi, 0.0, TWO_LN2)))
-    add("zeta_roundtrip", np.max(np.abs(rt - es)) <= 1e-9, f"max={fmt(np.max(np.abs(rt - es)))}")
+    yield "zeta_roundtrip", np.max(np.abs(rt - es)) <= 1e-9, f"max={fmt(np.max(np.abs(rt - es)))}"
 
     ps = np.arange(0.0, 0.5 + 1e-12, 0.01)
     verdicts = bound.region_check(family_points(ps, 1 - ps))
-    add("red_curve_contained", all(v.inside_separable_region for v in verdicts),
-        f"worst margin={fmt(min(v.margin for v in verdicts))}")
+    yield ("red_curve_contained", all(v.inside_separable_region for v in verdicts),
+           f"worst margin={fmt(min(v.margin for v in verdicts))}")
 
     rng = np.random.default_rng(seed)
     pq = rng.random((100, 2))
     verdicts = bound.region_check(family_points(pq[:, 0], pq[:, 1]))
-    add("two_parameter_family_contained", all(v.inside_separable_region for v in verdicts))
+    yield "two_parameter_family_contained", all(v.inside_separable_region for v in verdicts), ""
 
     cs = np.linspace(0.0, TWO_LN2, 200)
     for name, ok in bound.validate_bound_curve(cs, bound.zeta(cs)):
-        add(name, ok)
+        yield name, ok, ""
 
     cs = np.linspace(0.0, TWO_LN2, 8)
     devs = np.abs(bound.zeta(cs) - bound.oracle_zeta(cs, 150, 0.01))
-    add("oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={fmt(np.max(devs))}")
+    yield "oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={fmt(np.max(devs))}"
 
     probs = np.full((len(tomo.SETTINGS), tomo.N_OUT), 1.0 / tomo.N_OUT)
     c1 = tomo.sample_counts(probs, 1000, seed, 0)
     c2 = tomo.sample_counts(probs, 1000, seed, 0)
-    add("sampling_deterministic", np.array_equal(c1, c2))
+    yield "sampling_deterministic", np.array_equal(c1, c2), ""
 
     p = rng.random(5)
     tb, cc = states.timebin_states(np.arccos(np.sqrt(p))), states.cc_family(p, 1.0 - p)
-    add("timebin_matches_cc_family", np.max(np.abs(tb.mat - cc.mat)) <= 1e-12)
-    return checks
+    yield "timebin_matches_cc_family", np.max(np.abs(tb.mat - cc.mat)) <= 1e-12, ""
 
 
 def cmd_verify(args):
-    checks = invariant_suite(args.seed)
-    lines = config_header(args)
-    lines.append("invariant,status,detail")
+    lines = ["invariant,status,detail"]
     failed = 0
-    for name, ok, detail in checks:
+    for name, ok, detail in invariant_suite(args.seed):
         status = "pass" if ok else "FAIL"
-        if not ok:
-            failed += 1
+        failed += not ok
         lines.append(f"{name},{status},{detail}")
         print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
-    if args.out:
-        emit(args, lines)
-    print(f"{len(checks) - failed}/{len(checks)} invariants passed")
-    return 0 if failed == 0 else 1
+    print(f"{len(lines) - 1 - failed}/{len(lines) - 1} invariants passed")
+    return (lines if args.out else None), failed == 0
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "sweep": cmd_sweep,
-        "bound": cmd_bound,
-        "oracle": cmd_oracle,
-        "experiment": cmd_experiment,
-        "verify": cmd_verify,
-    }
+    # Built per call from the module's names, so a wrapper set on cli.cmd_<name>
+    # (as perfbench/trace_child.py sets one) is the function that runs.
+    commands = {"sweep": cmd_sweep, "bound": cmd_bound, "oracle": cmd_oracle,
+                "experiment": cmd_experiment, "verify": cmd_verify}
+    args = build_parser(commands).parse_args(argv)
     try:
         if args.seed < 0:
             raise ValueError(f"--seed {args.seed} must be non-negative")
@@ -276,7 +249,10 @@ def main(argv=None):
             raise ValueError(f"--shots {args.shots} must be at least 1")
         if args.shots > 2**63 - 1:  # the sampler draws counts as C longs
             raise ValueError(f"--shots {args.shots} must be at most {2**63 - 1}")
-        return handlers[args.command](args)
+        lines, ok = commands[args.command](args)
+        if lines is not None:
+            emit(args, config_header(args) + lines)
+        return 0 if ok else 1
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy's MemoryError names the size it could not allocate; Python's has no text.
         text = str(exc) or ("Unable to allocate the memory this input needs"

@@ -55,7 +55,8 @@ def test_zeta_inv_branches_are_spectrum_entropies():
 
 @pytest.mark.parametrize("f", [zeta_inv_branches, zeta_inv])
 def test_zeta_inv_domain(f):
-    for e in (-0.5, 1.5):
+    # NaN, alone or in an array, is outside the domain too.
+    for e in (-0.5, 1.5, np.nan, np.array([0.5, np.nan, 0.25])):
         with pytest.raises(ValueError, match=r"zeta_inv requires e in \[0,1\]"):
             f(e)
     # Within 1e-12 of [0, 1] an argument is clipped into it.
@@ -119,10 +120,10 @@ def test_zeta_vectorized_matches_scalar():
 
 
 def test_zeta_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        zeta(-0.1)
-    with pytest.raises(ValueError):
-        zeta(TWO_LN2 + 0.1)
+    # NaN, alone or in an array, would otherwise bisect to zeta = 1.
+    for c in (-0.1, TWO_LN2 + 0.1, np.nan, np.array([0.5, np.nan, 1.0])):
+        with pytest.raises(ValueError, match=r"zeta requires c in \[0, 2 ln 2\]"):
+            zeta(c)
 
 
 def test_simplex_grid_small():

@@ -153,12 +153,51 @@ def test_oracle_is_one_sided_at_every_grid_size(tmp_path, n):
 
 
 @pytest.mark.parametrize("argv", [["--command", "oracle"],
-                                  ["--command", "bound", "--resolution", "200", "--oracle"]])
-def test_oracle_exits_1_when_zeta_is_lowered(monkeypatch, argv):
-    # The grid's pure tuple and the tuples on the curve then rise above it.
+                                  ["--command", "bound", "--resolution", "200", "--oracle"],
+                                  ["--command", "sweep"], ["--command", "verify"]])
+def test_oracle_exits_1_when_zeta_is_lowered(tmp_path, monkeypatch, argv):
+    # The grid's pure tuple and the tuples on the curve then rise above it, and
+    # zeta(0) no longer meets E = 1 at p = 0, q = 1, so the sweep margin there
+    # and verify's zeta_at_zero fail.  Each command still writes its table.
     zeta = bound.zeta
     monkeypatch.setattr(bound, "zeta", lambda c: np.maximum(zeta(c) - 1e-6, 0.0))
-    assert cli.main(argv + ["--out", os.devnull]) == 1
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    comments, rows = read_rows(out)
+    assert comments[1] == f"# command={argv[1]}" and rows
+
+
+def test_bound_without_oracle_exits_0_when_zeta_is_lowered(monkeypatch):
+    # Without the oracle column the bound table has nothing to check.
+    zeta = bound.zeta
+    monkeypatch.setattr(bound, "zeta", lambda c: np.maximum(zeta(c) - 1e-6, 0.0))
+    assert cli.main(["--command", "bound", "--resolution", "200", "--out", os.devnull]) == 0
+
+
+DISPATCH_ARGV = {
+    "sweep": ["--p-step", "0.5", "--q-step", "0.5"],
+    "bound": ["--resolution", "3"],
+    "oracle": ["--resolution", "100"],
+    "experiment": ["--exact", "--theta", "1/4"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("name", list(DISPATCH_ARGV))
+def test_main_runs_the_command_the_module_names(tmp_path, monkeypatch, name):
+    # perfbench/trace_child.py times a command by replacing cli.cmd_<name>; a
+    # command table bound at import would still call the function it replaced.
+    calls = []
+    command = getattr(cli, f"cmd_{name}")
+
+    def counted(args):
+        calls.append(args.command)
+        return command(args)
+
+    monkeypatch.setattr(cli, f"cmd_{name}", counted)
+    argv = ["--command", name, *DISPATCH_ARGV[name], "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert calls == [name]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -585,6 +624,28 @@ def test_input_too_large_to_allocate_exits_2(argv, capsys):
     # whose MemoryError carries no text.
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("resolution", [2**63 - 513, 2**63 - 512, 2**63 - 1, 2**63 + 1024,
+                                        2**63 + 1025])
+def test_bound_resolution_near_2_63_exits_2(resolution, capsys):
+    # np.linspace reads a count from 2**63 - 512 to 2**63 + 1024 as 2**63,
+    # builds an empty array and raises IndexError; the counts either side fail
+    # its size checks.  Nothing is allocated.
+    assert cli.main(["--command", "bound", "--resolution", str(resolution)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_reports_before_an_unwritable_output_fails(tmp_path, capsys):
+    # main writes the table once the command has returned, so the report and
+    # its summary are printed before the write fails.
+    assert cli.main(["--command", "verify", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    out, err = capsys.readouterr()
+    report = out.splitlines()
+    assert len(report) == 14 and all(ln.startswith("[pass] ") for ln in report[:-1])
+    assert report[-1] == "13/13 invariants passed"
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
