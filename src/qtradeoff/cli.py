@@ -6,6 +6,8 @@ configurations produce byte-identical files.
 Each command returns its lines (column names, rows and trailing comments) and
 whether its checks held; main alone writes the header and the lines and sets
 the exit code: 0 success, 1 invariant failure, 2 usage error or oversized input.
+A stdout whose reader has gone (`| head`) ends the command with exit 1 and
+nothing on stderr.
 
 Only the bound layer is imported at start-up; the commands that need the
 measures, states or tomography modules import them when they run, so `bound`
@@ -22,6 +24,7 @@ unaffected until that process exits.
 import argparse
 import atexit
 import gc
+import os
 import sys
 
 import numpy as np
@@ -33,6 +36,7 @@ atexit.register(gc.freeze)
 
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
                   "13/32", "7/16", "15/32", "1/2")
+ANGLE_PASS = 16  # most angles measured at once, so memory does not grow with the scan
 
 
 def parse_theta(text):
@@ -162,17 +166,19 @@ def cmd_experiment(args):
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
     angles = np.array([theta for _, theta in thetas])
-    run = tomo.run_experiment(angles, args.shots, args.seed, noise, args.exact)
-    m = run.result.measures
-    errs = np.zeros((2, len(thetas)))
-    if args.bootstrap > 0:
-        for a in range(len(thetas)):
-            boot = tomo.bootstrap_measures(run.counts[a], run.shots, args.bootstrap, args.seed)
-            errs[:, a] = boot.i_err, boot.e_err
-    rows = table_rows(np.cos(angles) ** 2, m.mutual_information, m.concurrence, *errs,
-                      run.result.fidelity_to_target)
+    cols = np.zeros((6, len(angles)))  # p, I, E, I_err, E_err, fidelity
+    cols[0] = np.cos(angles) ** 2
+    for lo in range(0, len(angles), ANGLE_PASS):
+        run = tomo.run_experiment(angles[lo:lo + ANGLE_PASS], args.shots, args.seed, noise,
+                                  args.exact)
+        m, fid = run.result.measures, run.result.fidelity_to_target
+        cols[[1, 2, 5], lo:lo + len(fid)] = m.mutual_information, m.concurrence, fid
+        if args.bootstrap > 0:
+            for a, table in enumerate(run.counts, lo):
+                boot = tomo.bootstrap_measures(table, run.shots, args.bootstrap, args.seed)
+                cols[3:5, a] = boot.i_err, boot.e_err
     return ["theta,p,I_hat,E_hat,I_err,E_err,fidelity",
-            *(f"{label},{row}" for (label, _), row in zip(thetas, rows))], True
+            *(f"{label},{row}" for (label, _), row in zip(thetas, table_rows(*cols)))], True
 
 
 def family_points(p, q):
@@ -252,7 +258,12 @@ def main(argv=None):
         lines, ok = commands[args.command](args)
         if lines is not None:
             emit(args, config_header(args) + lines)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0 if ok else 1
+    except BrokenPipeError:  # stdout's reader has gone, as under `| head`
+        # The Python docs' pattern: stdout to devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy's MemoryError names the size it could not allocate; Python's has no text.
         text = str(exc) or ("Unable to allocate the memory this input needs"

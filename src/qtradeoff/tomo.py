@@ -269,16 +269,24 @@ def run_experiment(theta, shots=10000, seed=0, noise=NoiseParams(), exact=False)
 
 BootstrapResult = namedtuple("BootstrapResult", "i_values e_values i_err e_err")
 
+RESAMPLE_PASS = 32  # most resamples drawn and inverted at once
+
 
 def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResult:
     """Nonparametric bootstrap of (I, E) over resampled counts of one (81, 16)
-    table, reconstructed as one stack.  Setting idx draws all its resamples
-    from the stream (seed, 7_000_000, idx), so a run's values prefix those of
-    a longer run.  Exact frequencies (shots = 0) have no resamples.
+    table.  Setting idx draws all its resamples from the stream (seed,
+    7_000_000, idx), so a run's values prefix those of a longer run.  Exact
+    frequencies (shots = 0) have no resamples.
 
-    The per-setting draw and `_invert`'s one product are kept on purpose: one
-    call over all angles, draws through `sample_counts` and `reconstruct`'s
-    per-table inversion were each measured slower (ROADMAP item 11)."""
+    The resamples run in ceil(n / RESAMPLE_PASS) passes of near-equal size, so
+    the working set is one pass whatever n is.  Each pass draws from the same
+    81 streams, which continue, and inverts its stack with one product.
+    Passes of 2 to 64 rows were measured to give the bits of one pass over all
+    n; a one-row pass runs as a matrix-vector product, whose last bits differ,
+    so the split leaves no lone row unless n = 1.  Per-setting draws and one
+    product per pass are kept on purpose: draws through `sample_counts` and
+    `reconstruct`'s per-table inversion were each measured slower (ROADMAP
+    item 11)."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     counts = _count_table(counts, shots)
@@ -291,10 +299,15 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     totals = np.sum(counts, axis=-1, keepdims=True)
     if np.min(totals) <= 0:
         raise ValueError("a setting has no counts to resample")
-    stack = np.stack([
-        np.random.default_rng((seed, 7_000_000, idx)).multinomial(shots, p, size=n_resamples)
-        for idx, p in enumerate(counts / totals)
-    ], axis=1)
-    rep = measures.cut_measures(DensityMatrix(_invert(stack, shots), FOUR_QUBITS), (0, 1))
-    i_vals, e_vals = rep.mutual_information, rep.concurrence
+    probs = counts / totals
+    rngs = [np.random.default_rng((seed, 7_000_000, idx)) for idx in range(len(SETTINGS))]
+    n_passes = -(-n_resamples // RESAMPLE_PASS)
+    values = []
+    for k in range(n_passes):
+        size = n_resamples // n_passes + (k < n_resamples % n_passes)
+        stack = np.stack([rng.multinomial(shots, p, size=size)
+                          for rng, p in zip(rngs, probs)], axis=1)
+        rep = measures.cut_measures(DensityMatrix(_invert(stack, shots), FOUR_QUBITS), (0, 1))
+        values.append((rep.mutual_information, rep.concurrence))
+    i_vals, e_vals = map(np.concatenate, zip(*values))
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))

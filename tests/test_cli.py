@@ -236,7 +236,31 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+# Runs a command under a small parent process and prints its exit code and
+# peak RSS, because a child's peak RSS includes the peak of the process it was
+# forked from, which for a direct child of the tests would be pytest.
+_PEAK_SCRIPT = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+needs_maxrss_kib = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                      reason="ru_maxrss in KiB")
+
+
+def peak_kib(*argv):
+    """Peak RSS in KiB of a fresh `qtradeoff` process run with argv."""
+    res = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, sys.executable, "-m",
+                          "qtradeoff.cli", *argv],
+                         capture_output=True, text=True, env=_src_env(), timeout=120)
+    code, peak = map(int, res.stdout.split())
+    assert code == 0, res.stderr
+    return peak
+
+
+@needs_maxrss_kib
 def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # At resolution 1000 the grid has 7 049 112 tuples, 113 MB for h and k
     # alone; the oracle holds the (l1, l2) pair plan, one block of chains
@@ -245,30 +269,30 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # interpreter and imports, it may add less than 14 MB: the chain search
     # adds 6.5 MB (35.3 against 28.8 MB), as the pass over every tuple in
     # blocks of about 2^13 did; blocks of about 2^16 tuples added 15-17.5 MB.
-    # Both run under a small parent process, because a child's peak RSS
-    # includes the peak of the process it was forked from, here pytest.
-    script = (
-        "import os, subprocess, sys\n"
-        "proc = subprocess.Popen(sys.argv[1:])\n"
-        "_, status, usage = os.wait4(proc.pid, 0)\n"
-        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-        "print(proc.returncode, usage.ru_maxrss)\n"
-    )
-
-    def peak_kib(command, resolution, out):
-        res = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "qtradeoff.cli",
-                              "--command", command, "--resolution", resolution, "--out", str(out)],
-                             capture_output=True, text=True, env=_src_env(), timeout=120)
-        code, peak = map(int, res.stdout.split())
-        assert code == 0, res.stderr
-        return peak
-
     out = tmp_path / "oracle.csv"
-    oracle = peak_kib("oracle", "1000", out)
+    oracle = peak_kib("--command", "oracle", "--resolution", "1000", "--out", str(out))
     assert oracle < 100 * 1024
-    assert oracle - peak_kib("bound", "2", tmp_path / "bound.csv") < 14 * 1024
+    bound_only = peak_kib("--command", "bound", "--resolution", "2",
+                          "--out", str(tmp_path / "bound.csv"))
+    assert oracle - bound_only < 14 * 1024
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "96b22b350409182406464f8172e6d488d0a72eaf394975bc6d2b629323303439")
+
+
+@needs_maxrss_kib
+@pytest.mark.parametrize("argv, baseline, limit_mib", [
+    (["--theta", "1/4", "--bootstrap", "1000"], ["--theta", "1/4", "--bootstrap", "0"], 12),
+    ([f"--theta={k}/512" for k in range(257)] + ["--bootstrap", "0"],
+     ["--theta", "1/4", "--bootstrap", "0"], 6),
+], ids=["bootstrap-1000", "scan-257"])
+def test_experiment_memory_does_not_grow_with_the_stack(tmp_path, argv, baseline, limit_mib):
+    # The experiment runs at most cli.ANGLE_PASS angles and tomo.RESAMPLE_PASS
+    # resamples at once.  Against one angle without error bars (38.8 MB),
+    # 1000 resamples of one angle added 2.2 MB and a 257-angle scan 1.3 MB;
+    # as one stack they added 40.6 and 11.0 MB.
+    out = str(tmp_path / "exp.csv")
+    base = ["--command", "experiment", "--out", out]
+    assert peak_kib(*base, *argv) - peak_kib(*base, *baseline) < limit_mib * 1024
 
 
 def test_bound_layer_commands_skip_tomography_import():
@@ -646,6 +670,30 @@ def test_verify_reports_before_an_unwritable_output_fails(tmp_path, capsys):
     assert len(report) == 14 and all(ln.startswith("[pass] ") for ln in report[:-1])
     assert report[-1] == "13/13 invariants passed"
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--command", "verify"],
+                                  ["--command", "bound", "--resolution", "3"]])
+def test_closed_stdout_is_not_a_usage_error(argv, unbuffered):
+    # stdout is a pipe whose reader has gone, as under `| head -n 1` once head
+    # has read its line.  Unbuffered, verify's first report line raises; with
+    # a buffer, the flush in main does.  Either way the command writes nothing
+    # to stderr and exits 1; it used to print `error: [Errno 32] Broken pipe`
+    # and exit 2, or, buffered, fail at interpreter exit.
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "qtradeoff.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert res.stderr == ""
+    assert res.returncode == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -460,11 +460,30 @@ def test_bootstrap_matches_reconstruct_per_resample(theta, noise):
 
 
 def test_bootstrap_streams_are_per_setting_prefixes():
+    # 40 and 70 resamples run in passes of 20 and of 24, 23, 23.
     run = run_experiment(3 * np.pi / 16, shots=2000, seed=21)
-    short = bootstrap_measures(run.counts, run.shots, n_resamples=10, seed=21)
-    long = bootstrap_measures(run.counts, run.shots, n_resamples=25, seed=21)
-    assert np.array_equal(short.i_values, long.i_values[:10])
-    assert np.array_equal(short.e_values, long.e_values[:10])
+    for n_short, n_long in ((10, 25), (40, 70)):
+        short = bootstrap_measures(run.counts, run.shots, n_resamples=n_short, seed=21)
+        long = bootstrap_measures(run.counts, run.shots, n_resamples=n_long, seed=21)
+        assert np.array_equal(short.i_values, long.i_values[:n_short])
+        assert np.array_equal(short.e_values, long.e_values[:n_short])
+
+
+@pytest.mark.parametrize("n_resamples", [1, 2, 31, 32, 33, 64, 65, 200])
+def test_bootstrap_passes_are_invisible(monkeypatch, n_resamples):
+    # The resamples run in passes of at most tomo.RESAMPLE_PASS; with one pass
+    # over all of them as the reference, every value is the same float.  33
+    # and 65 split into 17 + 16 and 22 + 22 + 21: passes of 32 with a lone
+    # tail row would invert that row as a matrix-vector product and move its
+    # last bits.
+    run = run_experiment(5 * np.pi / 16, shots=2000, seed=4,
+                         noise=NoiseParams(visibility=0.96, depolarizing=0.02))
+    passes = bootstrap_measures(run.counts, run.shots, n_resamples, seed=4)
+    monkeypatch.setattr(tomo, "RESAMPLE_PASS", 10**6)
+    whole = bootstrap_measures(run.counts, run.shots, n_resamples, seed=4)
+    for field in ("i_values", "e_values", "i_err", "e_err"):
+        assert np.array_equal(getattr(passes, field), getattr(whole, field)), field
+    assert len(passes.i_values) == n_resamples
 
 
 def test_mixed_shot_totals_skip_thresholding():
