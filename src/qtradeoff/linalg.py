@@ -1,11 +1,11 @@
 """Dense complex linear algebra on small Hilbert spaces (dimension <= 16).
 
 DensityMatrix, the one container for a checked state or a (..., n, n) stack
-of them, with its tensor-factor dims and the spectrum its check computes;
-partial traces of states and stacks; a LAPACK-backed Hermitian eigensolver
-and spectral matrix functions, which also work on stacks.  spectral_fn is the
-one place that rebuilds a matrix from its eigendecomposition, so eigenvectors
-carry no order or phase contract.
+of them, with its tensor-factor dims and the eigendecomposition (w, v) that its
+check computes or that it was built from; partial traces of states and stacks;
+herm_eig, the package's one (LAPACK) eigensolver call; and spectral functions,
+read from a state's kept (w, v).  A matrix is only rebuilt from its own (w, v),
+so eigenvectors carry no order or phase contract.
 """
 
 from collections import namedtuple
@@ -28,33 +28,33 @@ def _dagger(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def density_spectrum(mats):
-    """Ascending eigenvalues of each matrix of a (..., n, n) stack, after
-    checking that each is a density matrix: Hermitian within 1e-10, unit trace
-    within 1e-10, and no eigenvalue below -1e-9."""
+def density_eig(mats):
+    """Eigendecomposition (w, v) of each matrix of a (..., n, n) stack (see
+    herm_eig), after checking that each is a density matrix: Hermitian within
+    1e-10, unit trace within 1e-10, and no eigenvalue below -1e-9."""
     a = _as_complex(mats)
     if np.max(np.abs(a - _dagger(a))) > HERM_TOL:
         raise ValueError("density matrix not Hermitian within 1e-10")
     tr = np.trace(a, axis1=-2, axis2=-1)
     if np.max(np.abs(tr.real - 1.0)) > TRACE_TOL or np.max(np.abs(tr.imag)) > TRACE_TOL:
         raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-    w = np.linalg.eigvalsh((a + _dagger(a)) / 2)
+    w, v = herm_eig(a)
     if np.min(w) < EIG_FLOOR:
         raise ValueError("density matrix has eigenvalue below -1e-9")
-    return w
+    return w, v
 
 
-class DensityMatrix(namedtuple("DensityMatrix", "mat dims spectrum")):
+class DensityMatrix(namedtuple("DensityMatrix", "mat dims spectrum vectors")):
     """Hermitian, PSD, unit-trace matrix, or (..., n, n) stack of them, with
-    attached tensor-factor dimensions and the ascending eigenvalues of each
-    matrix: an immutable named tuple whose __new__ runs the checks of
-    __post_init__."""
+    tensor-factor dimensions and the ascending eigenvalues (spectrum) and
+    eigenvector columns (vectors) of each matrix: an immutable named tuple
+    whose __new__ runs the checks of __post_init__ (from_eig runs none)."""
 
     __slots__ = ()
 
     def __new__(cls, mat, dims):
         a, dims = _as_complex(mat), tuple(int(d) for d in dims)
-        return super().__new__(cls, a, dims, cls.__post_init__(a, dims))
+        return super().__new__(cls, a, dims, *cls.__post_init__(a, dims))
 
     @staticmethod
     def __post_init__(a, dims):
@@ -64,7 +64,16 @@ class DensityMatrix(namedtuple("DensityMatrix", "mat dims spectrum")):
         n = a.shape[-1]
         if int(np.prod(dims)) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-        return density_spectrum(a)
+        return density_eig(a)
+
+    @classmethod
+    def from_eig(cls, w, v, dims):
+        """The state v diag(w) v^dagger, or a stack, from ascending spectra w (no
+        entry below -1e-9, sum 1 within 1e-10) and orthonormal columns v."""
+        w, v, dims = np.asarray(w, dtype=float), _as_complex(v), tuple(int(d) for d in dims)
+        if not (np.min(w) >= EIG_FLOOR and np.max(np.abs(np.sum(w, axis=-1) - 1.0)) <= TRACE_TOL):
+            raise ValueError("spectrum is not a probability vector within tolerance")
+        return super().__new__(cls, (v * w[..., None, :]) @ _dagger(v), dims, w, v)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -98,11 +107,11 @@ def herm_eig(m):
     return np.linalg.eigh((a + _dagger(a)) / 2)  # absorb float drift from products
 
 
-def spectral_fn(m, f):
-    """Apply a real function to a Hermitian matrix (or a stack of them)
-    through its spectrum; `f` is called once on the eigenvalue array."""
-    w, v = herm_eig(m)
-    fw = np.asarray(f(w), dtype=float)
+def spectral_fn(rho: DensityMatrix, f):
+    """Apply a real function to a checked state (or each state of a stack)
+    through the decomposition it keeps; `f` is called once on the spectrum
+    array, and no solver runs."""
+    fw = np.asarray(f(rho.spectrum), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("function undefined at an eigenvalue of the input")
-    return (v * fw[..., None, :]) @ _dagger(v)
+    return (rho.vectors * fw[..., None, :]) @ _dagger(rho.vectors)

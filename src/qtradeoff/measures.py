@@ -5,8 +5,8 @@ construction with sigma = -|1><0| + |0><1|; the square roots of the eigenvalues
 of the spin-flipped product are the singular values of
 sqrt(rho) (sigma x sigma) sqrt(rho)*.  Mutual information, concurrence and
 the entropies of a cut (cut_measures) take a DensityMatrix, one state or a
-stack; the entropies read the spectra its checks computed.  Fidelity
-(fidelities) takes two (..., d, d) stacks of matrices.
+stack; the entropies read the spectra the states keep.  Fidelity
+(fidelities) takes two DensityMatrix stacks.
 """
 
 from collections import namedtuple
@@ -70,13 +70,13 @@ def cut_measures(rho: DensityMatrix, cut) -> MeasureReport:
 
 
 def _spin_flip_roots(rho: DensityMatrix):
-    """sqrt(mu_i), descending, of a state or stack, whose dims must be two
-    qubits.  rho (s x s) rho* (s x s) is similar to A A^dagger with
-    A = sqrt(rho) (s x s) sqrt(rho)*, so these are the singular values of A,
+    """sqrt(mu_i), descending, of a state or stack of two qubits.  rho (s x s)
+    rho* (s x s) is similar to A A^dagger, A = sqrt(rho) (s x s) sqrt(rho)*
+    with rho's spectrum clamped at 0, so these are the singular values of A,
     which an SVD gets to absolute accuracy even where mu_i is tiny."""
     if rho.dims != (2, 2):
         raise ValueError("concurrence is defined for two-qubit states")
-    sq = spectral_fn(rho.mat, _safe_sqrt)
+    sq = spectral_fn(rho, lambda w: np.sqrt(np.maximum(w, 0.0)))
     return np.linalg.svd(sq @ _SS @ sq.conj(), compute_uv=False)
 
 
@@ -127,10 +127,10 @@ def closed_form_E(p, q):
     return out if out.ndim else float(out)
 
 
-def fidelities(rhos, sigmas):
+def fidelities(rhos: DensityMatrix, sigmas: DensityMatrix):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of each pair of
-    two (..., d, d) stacks of density matrices, computed as the squared trace
-    norm (sum of singular values) of sqrt(rho) sqrt(sigma)."""
+    two DensityMatrix stacks, which broadcast: the squared trace norm (sum of
+    singular values) of sqrt(rho) sqrt(sigma), both read from the states."""
     prod = spectral_fn(rhos, _safe_sqrt) @ spectral_fn(sigmas, _safe_sqrt)
     f = np.sum(np.linalg.svd(prod, compute_uv=False), axis=-1) ** 2
     if np.max(f) > 1.0 + 1e-9:

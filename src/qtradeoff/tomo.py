@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
-from .linalg import DensityMatrix, spectral_fn
+from .linalg import DensityMatrix, herm_eig
 from .measures import MeasureReport
 
 PAULI = {
@@ -195,9 +195,9 @@ FOUR_QUBITS = (2, 2, 2, 2)
 
 def _invert(counts, shots):
     """(..., B, 81, 16) count stack, with `shots` per setting (0 for exact
-    frequencies), -> (..., B, 16, 16) stack of physical estimates: linear
-    inversion, sparse denoising of the Pauli coefficients, then
-    physical_spectrum.
+    frequencies), -> flat DensityMatrix stack of physical estimates: linear
+    inversion, sparse denoising of the Pauli coefficients, then rho_lin's
+    eigenvectors, kept with physical_spectrum of its eigenvalues.
 
     Denoising: a coefficient estimated from m settings of N shots has standard
     error sqrt((1-e^2)/(N m)); estimates within 3 standard errors of zero are
@@ -213,26 +213,26 @@ def _invert(counts, shots):
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
         small[..., 0] = False
         exps = np.where(small, 0.0, exps)
-    rho_lin = (exps @ _PAULI_FLAT).reshape(exps.shape[:-1] + (16, 16)) / 16.0
-    return spectral_fn(rho_lin, physical_spectrum)
+    w, v = herm_eig((exps @ _PAULI_FLAT).reshape(-1, 16, 16) / 16.0)
+    return DensityMatrix.from_eig(physical_spectrum(w), v, FOUR_QUBITS)
 
 
 def reconstruct(counts, shots, targets: DensityMatrix = None) -> ReconstructionResult:
     """Physical estimate (see _invert) from an (81, 16) count table of `shots`
     per setting (0 for exact frequencies), its measures, and its fidelity to the
-    target state when one is given (NaN otherwise).  For an (A, 81, 16) stack,
-    with a stack of A targets, every table is inverted on its own and the
-    result holds arrays with a leading axis of length A."""
+    target state when one is given (NaN otherwise), all read from the state
+    _invert returns.  For an (A, 81, 16) stack, with a stack of A targets,
+    every table is inverted with a product of its own and the result holds
+    arrays with a leading axis of length A."""
     counts = _count_table(counts, shots)
-    stack = counts.reshape(-1, len(SETTINGS), N_OUT)
-    rho_hat = _invert(stack[:, None], shots)[:, 0]
-    rep = measures.cut_measures(DensityMatrix(rho_hat, FOUR_QUBITS), (0, 1))
-    fid = (np.full(len(stack), np.nan) if targets is None
-           else measures.fidelities(rho_hat, np.reshape(targets.mat, rho_hat.shape)))
+    rho_hat = _invert(counts.reshape(-1, 1, len(SETTINGS), N_OUT), shots)
+    rep = measures.cut_measures(rho_hat, (0, 1))
+    fid = (np.full(len(rho_hat.mat), np.nan) if targets is None
+           else measures.fidelities(rho_hat, targets))
     if counts.ndim == 2:
-        return ReconstructionResult(rho_hat[0], float(fid[0]),
+        return ReconstructionResult(rho_hat.mat[0], float(fid[0]),
                                     MeasureReport(*(float(v[0]) for v in rep)))
-    return ReconstructionResult(rho_hat, fid, rep)
+    return ReconstructionResult(rho_hat.mat, fid, rep)
 
 
 # The floats that cli.DEFAULT_THETAS parses to.
@@ -307,7 +307,7 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
         size = n_resamples // n_passes + (k < n_resamples % n_passes)
         stack = np.stack([rng.multinomial(shots, p, size=size)
                           for rng, p in zip(rngs, probs)], axis=1)
-        rep = measures.cut_measures(DensityMatrix(_invert(stack, shots), FOUR_QUBITS), (0, 1))
+        rep = measures.cut_measures(_invert(stack, shots), (0, 1))
         values.append((rep.mutual_information, rep.concurrence))
     i_vals, e_vals = map(np.concatenate, zip(*values))
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))

@@ -11,7 +11,7 @@ against the Born probabilities of apply_noise's noisy states.
 
 import numpy as np
 
-from qtradeoff.linalg import DensityMatrix, density_spectrum
+from qtradeoff.linalg import DensityMatrix, density_eig
 from qtradeoff.states import _check_theta, _mix
 from qtradeoff.tomo import N_OUT, N_QUBITS, PATH_QUBITS, NoiseParams
 
@@ -86,5 +86,5 @@ def apply_noise(mats, noise: NoiseParams):
     if noise.depolarizing > 0.0:
         for qubit in range(N_QUBITS):
             m = _depolarize_qubit(m, qubit, noise.depolarizing)
-    density_spectrum(m)
+    density_eig(m)
     return m

@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -460,11 +461,56 @@ def test_every_public_name_has_a_caller():
 
 def test_only_linalg_checks_states():
     # States are checked where a DensityMatrix is built; every other module
-    # reads the spectrum that check keeps.
+    # reads the decomposition that check keeps.
     package = os.path.dirname(qtradeoff.__file__)
     loaders = [f for f in sorted(os.listdir(package)) if f.endswith(".py")
-               and "linalg.density_spectrum" in _references(os.path.join(package, f))]
+               and "linalg.density_eig" in _references(os.path.join(package, f))]
     assert loaders == ["linalg.py"]
+
+
+def _solver_users(path):
+    """`module.name` of each top-level definition of a file whose code names
+    an eigensolver (eig, eigh or eigvalsh) as an attribute, a bare name or an
+    import."""
+    own = os.path.basename(path)[:-3]
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = (node.attr if isinstance(node, ast.Attribute) else node.id
+                    if isinstance(node, ast.Name) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in ("eig", "eigh", "eigvalsh"):
+                found.add(f"{own}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_herm_eig_calls_an_eigensolver():
+    # Every decomposition goes through linalg.herm_eig, so that each state is
+    # decomposed once and everything else reads what its DensityMatrix keeps.
+    package = os.path.dirname(qtradeoff.__file__)
+    files = [os.path.join(package, f) for f in sorted(os.listdir(package)) if f.endswith(".py")]
+    assert set().union(*map(_solver_users, files)) == {"linalg.herm_eig"}
+
+
+with open(os.path.join(os.path.dirname(__file__), "experiment_floats.json")) as fh:
+    EXPERIMENT_FLOATS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENT_FLOATS))
+def test_experiment_floats_hold(tmp_path, name):
+    # Experiment CSVs carry LAPACK output, whose last bits may move with the
+    # rounding path, so they are pinned to 1e-12 rather than by bytes.  The
+    # values were recorded when every estimate was decomposed three times.
+    pin = EXPERIMENT_FLOATS[name]
+    out = tmp_path / "exp.csv"
+    assert cli.main(["--command", "experiment", *pin["argv"], "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert list(rows[0]) == pin["columns"]
+    assert [r["theta"] for r in rows] == [r[0] for r in pin["rows"]]
+    got = np.array([[float(r[c]) for c in pin["columns"][1:]] for r in rows])
+    assert np.max(np.abs(got - np.array([r[1:] for r in pin["rows"]]))) <= 1e-12
 
 
 def test_sweep_rows_match_per_point_evaluation(tmp_path):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtradeoff.linalg import (
     DensityMatrix,
-    density_spectrum,
+    density_eig,
     herm_eig,
     partial_trace,
     spectral_fn,
 )
-from qtradeoff import linalg, states
+from qtradeoff import measures, states
 from reference_states import dephase, spdc_state, timebin_mix
 
 
@@ -143,12 +145,13 @@ def test_herm_eig_on_a_stack_matches_each_matrix():
 
 def test_density_spectrum_checks_every_matrix_of_a_stack():
     good = np.eye(4) / 4
-    w = density_spectrum(np.array([good, np.diag([0.7, 0.1, 0.1, 0.1])]))
+    w, v = density_eig(np.array([good, np.diag([0.7, 0.1, 0.1, 0.1])]))
     assert w.shape == (2, 4) and np.allclose(np.sum(w, axis=-1), 1.0)
+    assert v.shape == (2, 4, 4)
     not_hermitian = good + 0.1j * np.triu(np.ones((4, 4)), 1)
     for bad in (np.eye(4) / 2, np.diag([1.1, 0.0, 0.0, -0.1]), not_hermitian):
         with pytest.raises(ValueError):
-            density_spectrum(np.array([good, bad]))
+            density_eig(np.array([good, bad]))
 
 
 def test_herm_eig_rejects_non_hermitian():
@@ -164,43 +167,40 @@ def test_herm_eig_density_eigenvalues_sum_to_one():
 
 
 def test_spectral_fn_sqrt_examples():
-    out = spectral_fn(np.eye(2) / 2, np.sqrt)
+    out = spectral_fn(DensityMatrix(np.eye(2) / 2, (2,)), np.sqrt)
     assert np.max(np.abs(out - np.eye(2) / np.sqrt(2))) < 1e-12
-    out = spectral_fn(np.diag([4.0, 1.0]), np.sqrt)
-    assert np.max(np.abs(out - np.diag([2.0, 1.0]))) < 1e-12
+    out = spectral_fn(DensityMatrix(np.diag([0.64, 0.36]), (2,)), np.sqrt)
+    assert np.max(np.abs(out - np.diag([0.8, 0.6]))) < 1e-12
 
 
 def test_spectral_fn_sqrt_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(5):
         rho = random_density(rng, (2, 2))
-        root = spectral_fn(rho.mat, np.sqrt)
+        root = spectral_fn(rho, np.sqrt)
         assert np.max(np.abs(root @ root - rho.mat)) < 1e-9
 
 
 def test_spectral_fn_identity_function():
     rng = np.random.default_rng(19)
     rho = random_density(rng, (2, 2, 2, 2))
-    out = spectral_fn(rho.mat, lambda x: x)
+    out = spectral_fn(rho, lambda x: x)
     assert np.max(np.abs(out - rho.mat)) < 1e-10
 
 
 @pytest.mark.parametrize("make", [_degenerate_4x4, _random_16x16])
-def test_spectral_fn_ignores_eigenvector_phases(make, monkeypatch):
-    # Eigenvectors carry no phase contract: a spectral function rebuilds the
-    # same matrix whatever unit phase each eigenvector column has.
-    m = make()
-    expected = spectral_fn(m, np.exp)
+def test_spectral_fn_ignores_eigenvector_phases(make):
+    # Eigenvectors carry no phase contract: a state and a spectral function
+    # rebuild the same matrix whatever unit phase each eigenvector column has.
+    m = make() @ make()  # Hermitian and PSD, with make()'s degeneracies
+    rho = DensityMatrix(m / np.trace(m).real, (len(m),))
+    expected = spectral_fn(rho, np.exp)
     rng = np.random.default_rng(37)
-    eig = linalg.herm_eig
-
-    def rephased(a):
-        w, v = eig(a)
-        return w, v * np.exp(2j * np.pi * rng.random(v.shape[-1]))
-
-    monkeypatch.setattr(linalg, "herm_eig", rephased)
     for _ in range(5):
-        assert np.max(np.abs(spectral_fn(m, np.exp) - expected)) < 1e-12
+        v = rho.vectors * np.exp(2j * np.pi * rng.random(len(m)))
+        rephased = DensityMatrix.from_eig(rho.spectrum, v, rho.dims)
+        assert np.max(np.abs(rephased.mat - rho.mat)) < 1e-12
+        assert np.max(np.abs(spectral_fn(rephased, np.exp) - expected)) < 1e-12
 
 
 def test_density_matrix_invariants_enforced():
@@ -229,9 +229,66 @@ def test_density_matrix_checks_in_new_and_is_immutable():
         DensityMatrix(np.array([[np.nan, 0], [0, 1]]), (2,))
     # A stack holds one checked state per matrix, with its spectrum.
     stack = DensityMatrix(np.array([np.eye(4) / 4, np.diag([0.7, 0.1, 0.1, 0.1])]), (2, 2))
-    assert stack._fields == ("mat", "dims", "spectrum")
-    assert np.array_equal(stack.spectrum, density_spectrum(stack.mat))
+    assert stack._fields == ("mat", "dims", "spectrum", "vectors")
+    w, v = density_eig(stack.mat)
+    assert np.array_equal(stack.spectrum, w) and np.array_equal(stack.vectors, v)
     with pytest.raises(ValueError, match="must be square"):
         DensityMatrix(np.full((3, 2, 4), 1 / 8), (2,))
     with pytest.raises(ValueError, match=r"dims \(2, 3\) incompatible with matrix dimension 4"):
         DensityMatrix(np.array([np.eye(4) / 4] * 3), (2, 3))
+
+
+def test_from_eig_checks_the_spectrum_and_runs_no_solver(monkeypatch):
+    v = random_unitary(np.random.default_rng(41), 4)
+    w = np.array([-1e-11, 0.0, 0.3, 0.7])
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    rho = DensityMatrix.from_eig(w, v, [np.int64(2), 2])
+    assert rho.dims == (2, 2) and type(rho.dims[0]) is int
+    assert rho.spectrum is w and rho.vectors is v
+    assert np.max(np.abs(rho.mat - (v * w) @ v.conj().T)) == 0.0
+    for bad in ([-1e-8, 0.0, 0.3, 0.7 + 1e-8], [0.0, 0.0, 0.3, 0.71], [np.nan, 0.0, 0.3, 0.7]):
+        with pytest.raises(ValueError, match="probability vector"):
+            DensityMatrix.from_eig(np.array(bad), v, (2, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_eig(w, v * np.inf, (2, 2))
+
+
+@st.composite
+def density_stacks(draw, dims=None, stack=None):
+    """(matrices, dims) of a random stack of states: each state G G^dagger /
+    Tr of a Gaussian G whose columns are scaled by 10^-k, so that ranks run
+    from 1 (pure) to full and eigenvalues from 1 down to about 1e-20."""
+    dims = dims or draw(st.sampled_from([(2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]))
+    stack = draw(st.sampled_from([(), (1,), (3,), (2, 2)])) if stack is None else stack
+    n = int(np.prod(dims))
+    rank = draw(st.integers(1, n))
+    scales = 10.0 ** -np.array(draw(st.lists(st.integers(0, 10), min_size=rank,
+                                             max_size=rank)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = (rng.normal(size=stack + (n, rank, 2)) @ np.array([1.0, 1j])) * scales
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None], dims
+
+
+def _clamped_sqrt(w):
+    return np.sqrt(np.maximum(w, 0.0))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(st.data())
+def test_kept_decomposition_serves_every_reader(data):
+    rho = DensityMatrix(*data.draw(density_stacks()))
+    w, v = rho.spectrum, rho.vectors
+    assert np.max(np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - rho.mat)) <= 1e-12
+    # Eigensolver noise leaves null eigenvalues down to about -1e-17, where a
+    # bare np.sqrt is undefined, so the root clamps them at 0.
+    root = spectral_fn(rho, _clamped_sqrt)
+    assert np.max(np.abs(root @ root - rho.mat)) <= 1e-12
+    # The same state built from its kept (w, v), which runs no solver, gives
+    # the same measures, and the same fidelities to a state of its dims.
+    rebuilt = DensityMatrix.from_eig(w, v, rho.dims)
+    for a, b in zip(measures.cut_measures(rho, (0, 1)), measures.cut_measures(rebuilt, (0, 1))):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    sigma = DensityMatrix(*data.draw(density_stacks(rho.dims, ())))
+    assert np.max(np.abs(measures.fidelities(rho, sigma)
+                         - measures.fidelities(rebuilt, sigma))) <= 1e-12

@@ -223,19 +223,19 @@ def test_closed_forms_broadcast_bit_for_bit():
 
 def test_fidelity_self():
     rho = states.cc_family(0.3, 0.4)
-    assert abs(fidelities(rho.mat, rho.mat) - 1.0) < 1e-9
+    assert abs(fidelities(rho, rho) - 1.0) < 1e-9
 
 
 def test_fidelity_orthogonal():
     r0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
     r1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
-    assert fidelities(r0.mat, r1.mat) < 1e-12
+    assert fidelities(r0, r1) < 1e-12
 
 
 def test_fidelity_pure_vs_mixed():
     r0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
     mix = DensityMatrix(np.eye(2) / 2, (2,))
-    assert abs(fidelities(r0.mat, mix.mat) - 0.5) < 1e-10
+    assert abs(fidelities(r0, mix) - 0.5) < 1e-10
 
 
 def test_fidelity_symmetric_and_pure_overlap():
@@ -247,8 +247,8 @@ def test_fidelity_symmetric_and_pure_overlap():
         b /= np.linalg.norm(b)
         ra = DensityMatrix(np.outer(a, a.conj()), (2, 2))
         rb = DensityMatrix(np.outer(b, b.conj()), (2, 2))
-        f_ab = fidelities(ra.mat, rb.mat)
-        f_ba = fidelities(rb.mat, ra.mat)
+        f_ab = fidelities(ra, rb)
+        f_ba = fidelities(rb, ra)
         assert abs(f_ab - f_ba) < 1e-10
         assert abs(f_ab - abs(np.vdot(a, b)) ** 2) < 1e-10
 
@@ -258,17 +258,22 @@ def test_fidelities_stack_matches_pairs():
     g = rng.normal(size=(2, 6, 4, 4)) + 1j * rng.normal(size=(2, 6, 4, 4))
     mats = g @ g.conj().swapaxes(-1, -2)
     mats /= np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
-    f = fidelities(mats[0], mats[1])
+    rhos, sigmas = (DensityMatrix(m, (2, 2)) for m in mats)
+    f = fidelities(rhos, sigmas)
     assert f.shape == (6,)
     for k in range(6):
-        assert abs(f[k] - fidelities(mats[0, k], mats[1, k])) < 1e-15
+        one = fidelities(DensityMatrix(mats[0, k], (2, 2)), DensityMatrix(mats[1, k], (2, 2)))
+        assert abs(f[k] - one) < 1e-15
+    # A state whose kept spectrum was altered after its check is caught.
+    rho = DensityMatrix(np.eye(2) / 2, (2,))
+    heavy = rho._replace(spectrum=rho.spectrum * 1.2)
     with pytest.raises(ValueError, match="exceeds 1"):
-        fidelities(np.eye(2) * 0.6, np.eye(2) * 0.6)
+        fidelities(heavy, heavy)
 
 
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
-        fidelities(np.eye(2) / 2, np.eye(4) / 4)
+        fidelities(DensityMatrix(np.eye(2) / 2, (2,)), DensityMatrix(np.eye(4) / 4, (2, 2)))
 
 
 def test_report_consistency():
@@ -311,6 +316,18 @@ def test_concurrence_accurate_at_tiny_spin_flip_eigenvalues():
         assert abs(concurrence(rho_a) - closed_form_E(p, 1.0 - p)) < 1e-13
 
 
+def test_concurrence_exact_where_an_eigenvalue_of_rho_a_is_tiny():
+    # The square root behind the concurrence clamps rho_A's spectrum at 0 and
+    # keeps every positive eigenvalue, however small: with a relative floor of
+    # 1e-14, eigenvalues p q~ near it lost their spin-flip roots (E was up to
+    # 1.7e-7 off on these states).
+    rng = np.random.default_rng(2024)
+    p, t = rng.random(2000), 10.0 ** rng.uniform(-20.0, -6.0, 2000)
+    q = np.where(rng.random(2000) < 0.5, t, 1.0 - t)
+    rep = cut_measures(states.cc_family(p, q), (0, 1))
+    assert np.max(np.abs(rep.concurrence - closed_form_E(p, q))) <= 1e-14
+
+
 def test_fidelity_of_rank_deficient_commuting_states():
     # Null-space noise of one state must not pick up the other's support.
     u = random_unitary(np.random.default_rng(41), 16)
@@ -321,5 +338,5 @@ def test_fidelity_of_rank_deficient_commuting_states():
     rho = DensityMatrix((u * p) @ u.conj().T, (2, 2, 2, 2))
     sigma = DensityMatrix((u * q) @ u.conj().T, (2, 2, 2, 2))
     exact = np.sum(np.sqrt(p * q)) ** 2
-    assert abs(fidelities(rho.mat, sigma.mat) - exact) < 1e-12
-    assert abs(fidelities(sigma.mat, rho.mat) - exact) < 1e-12
+    assert abs(fidelities(rho, sigma) - exact) < 1e-12
+    assert abs(fidelities(sigma, rho) - exact) < 1e-12

@@ -6,16 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import DensityMatrix, density_spectrum
+from qtradeoff.linalg import DensityMatrix, density_eig
 from reference_states import dephase, spdc_state, timebin_mix
 
 
 def assert_checked(rho, dims, shape):
     """rho is a DensityMatrix of the given dims and matrix shape, and its
-    spectrum is density_spectrum of its matrices, bit for bit."""
+    spectrum and vectors are density_eig of its matrices, bit for bit."""
     assert isinstance(rho, DensityMatrix)
     assert rho.dims == dims and rho.mat.shape == shape
-    assert np.array_equal(rho.spectrum, density_spectrum(rho.mat))
+    w, v = density_eig(rho.mat)
+    assert np.array_equal(rho.spectrum, w) and np.array_equal(rho.vectors, v)
 
 
 def test_spdc_bell_state():
@@ -288,16 +289,9 @@ def test_timebin_states_match_stacked_cc_family():
 
 @settings(derandomize=True, max_examples=50, database=None, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
-@example(pairs=[(0.5, 4.337639724760935e-15)])  # E is 6.6e-8 off here
+@example(pairs=[(0.5, 4.337639724760935e-15)])  # E was 6.6e-8 off under a 1e-14 floor
 def test_stacked_cc_family_measures_match_closed_forms(pairs):
     p, q = np.array(pairs).T
     rep = measures.cut_measures(states.cc_family(p, q), cut=(0, 1))
     assert np.max(np.abs(rep.mutual_information - measures.closed_form_I(p, q))) <= 1e-9
-    # The square roots behind the concurrence count an eigenvalue of rho_A
-    # below 1e-14 of the largest as 0.  Where a nonzero one lies there, E
-    # loses the two spin-flip roots p sqrt(q~(1-q~)), each at most
-    # sqrt(2e-14): the known cost of that floor.  Elsewhere E holds to 1e-9.
-    lam = np.stack([p * (1 - q), (1 - p) * q, p * q, (1 - p) * (1 - q)])
-    floored = np.any((lam > 0) & (lam < 2e-14 * lam.max(axis=0)), axis=0)
-    tol = np.where(floored, 2 * np.sqrt(2e-14), 1e-9)
-    assert np.all(np.abs(rep.concurrence - measures.closed_form_E(p, q)) <= tol)
+    assert np.max(np.abs(rep.concurrence - measures.closed_form_E(p, q))) <= 1e-9

@@ -343,11 +343,14 @@ def test_sampled_reconstruction_deterministic():
 
 def test_invert_stack_matches_separate_calls():
     # Each angle of an (A, 1, 81, 16) stack is the same m = 1 inversion as a
-    # call of its own.
+    # call of its own, down to the decomposition its state keeps.
     run = run_experiment(SCAN_THETAS[::4], shots=3000, seed=2, noise=SCAN_NOISE[3])
     stacked = tomo._invert(run.counts[:, None].astype(float), 3000)
+    assert stacked.mat.shape == (len(run.counts), 16, 16) and stacked.dims == (2, 2, 2, 2)
     for a, counts in enumerate(run.counts):
-        assert np.array_equal(stacked[a], tomo._invert(counts[None].astype(float), 3000))
+        one = tomo._invert(counts[None].astype(float), 3000)
+        for field in ("mat", "spectrum", "vectors"):
+            assert np.array_equal(getattr(stacked, field)[a], getattr(one, field)[0])
 
 
 def test_run_experiment_stack_matches_single_angles():
@@ -527,11 +530,11 @@ def test_bootstrap_skips_exact_records():
 
 
 def test_eigensolver_calls_per_step(monkeypatch):
-    # Each state is checked once, and its check's spectrum is the one its
-    # entropy reads: a second check or decomposition on the experiment path
-    # raises these counts.
+    # Each state is decomposed once, by its check or by the inversion it was
+    # built from, and everything that reads its spectrum or a spectral function
+    # of it uses that decomposition: a second one raises these counts.
     calls = collections.Counter()
-    for name in ("eigvalsh", "eigh", "svd"):
+    for name in ("eig", "eigvalsh", "eigh", "svd"):
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -542,21 +545,18 @@ def test_eigensolver_calls_per_step(monkeypatch):
         out = fn(*args)
         return out, dict(calls)
 
-    # The experiment checks the targets, the estimates and both reduced
-    # states (eigvalsh); it projects the estimates onto physical spectra and
-    # takes the square roots for concurrence and fidelity (eigh); and one SVD
-    # each gives concurrence and fidelity.  The bootstrap has no targets and
-    # no fidelity.
+    # The experiment decomposes the targets (their check), the linear-inversion
+    # estimates (the estimates keep those eigenvectors with the projected
+    # spectra) and both reduced states (their checks); one SVD each gives
+    # concurrence and fidelity.  The bootstrap has no targets and no fidelity.
     run, made = count(run_experiment, np.array([0.3, 0.6, 0.9]), 2000, 1)
-    assert made == {"eigvalsh": 4, "eigh": 4, "svd": 2}
-    # measure_states takes its targets checked and never checks them again.
+    assert made == {"eigh": 4, "svd": 2}
+    # measure_states takes its targets checked and never decomposes them again.
     targets = states.timebin_states(np.array([0.3, 0.6, 0.9]))
-    assert count(measure_states, targets, np.arange(3), 2000, 1)[1] == {
-        "eigvalsh": 3, "eigh": 4, "svd": 2}
-    assert count(bootstrap_measures, run.counts[0], run.shots, 8, 1)[1] == {
-        "eigvalsh": 3, "eigh": 2, "svd": 1}
+    assert count(measure_states, targets, np.arange(3), 2000, 1)[1] == {"eigh": 3, "svd": 2}
+    assert count(bootstrap_measures, run.counts[0], run.shots, 8, 1)[1] == {"eigh": 3, "svd": 1}
     rho = states.cc_family(0.3, 0.6)
-    assert count(mutual_information, rho, (0, 1))[1] == {"eigvalsh": 2}
+    assert count(mutual_information, rho, (0, 1))[1] == {"eigh": 2}
 
 
 def test_target_state_matches_family():
