@@ -2,8 +2,8 @@
 
 zeta_inv is the closed-form inverse of the tradeoff curve: the larger of two
 branches, each the entropy of an explicit spectrum, written with the _xlogx
-the oracles use.  zeta recovers the curve by bisection on the branches, one
-domain check per step.  Two brute-force oracles check it on an exhaustive
+the oracles use.  zeta recovers the curve by bisection on the branches, with one
+domain check per call.  Two brute-force oracles check it on an exhaustive
 grid of the sorted probability 4-simplex, through
 k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
 maximizes k over the tuples of entropy at least c, a one-sided check that
@@ -32,6 +32,14 @@ def _xlogx(x):
     return out
 
 
+def _branches(e):
+    """zeta_inv_branches of a float array e already in [0, 1], unchecked."""
+    b1 = 0.0 - _xlogx((1.0 + e) / 2.0) - _xlogx((1.0 - e) / 2.0) + (1.0 - e) * np.log(3.0) / 2.0
+    k = (np.sqrt(4.0 - 3.0 * e * e) - 1.0) / 3.0
+    b2 = 0.0 - _xlogx((1.0 + e - k) / 2.0) - _xlogx((1.0 - e - k) / 2.0) - _xlogx(k)
+    return np.asarray(b1), np.asarray(b2)
+
+
 def zeta_inv_branches(e):
     """The two candidate maxima whose pointwise max is zeta^{-1}(e), on e in
     [0, 1]: the entropies H(lambda) of the spectra
@@ -41,11 +49,7 @@ def zeta_inv_branches(e):
     e = np.asarray(e, dtype=float)
     if not np.all((-1e-12 <= e) & (e <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("zeta_inv requires e in [0,1]")
-    e = np.clip(e, 0.0, 1.0)
-    b1 = 0.0 - _xlogx((1.0 + e) / 2.0) - _xlogx((1.0 - e) / 2.0) + (1.0 - e) * np.log(3.0) / 2.0
-    k = (np.sqrt(4.0 - 3.0 * e * e) - 1.0) / 3.0
-    b2 = 0.0 - _xlogx((1.0 + e - k) / 2.0) - _xlogx((1.0 - e - k) / 2.0) - _xlogx(k)
-    return np.asarray(b1), np.asarray(b2)
+    return _branches(np.clip(e, 0.0, 1.0))
 
 
 def zeta_inv(e):
@@ -66,7 +70,7 @@ def zeta(c):
     for _ in range(48):  # 2^-48 < 1e-12
         mid = (lo + hi) / 2.0
         # zeta_inv decreasing: value too large means e too small
-        bigger = np.maximum(*zeta_inv_branches(mid)) > cc
+        bigger = np.maximum(*_branches(mid)) > cc
         lo = np.where(bigger, mid, lo)
         hi = np.where(bigger, hi, mid)
     out = np.where(cc >= LN2SQRT3, 0.0, np.where(cc > 0.0, (lo + hi) / 2.0, 1.0))

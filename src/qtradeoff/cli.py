@@ -37,6 +37,7 @@ atexit.register(gc.freeze)
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
                   "13/32", "7/16", "15/32", "1/2")
 ANGLE_PASS = 16  # most angles measured at once, so memory does not grow with the scan
+_MAX_SHOTS = 2**63 - 1  # tomo._MAX_SHOTS (C longs); start-up does not import tomo
 
 
 def parse_theta(text):
@@ -253,8 +254,8 @@ def main(argv=None):
             raise ValueError(f"--seed {args.seed} must be non-negative")
         if args.shots < 1:
             raise ValueError(f"--shots {args.shots} must be at least 1")
-        if args.shots > 2**63 - 1:  # the sampler draws counts as C longs
-            raise ValueError(f"--shots {args.shots} must be at most {2**63 - 1}")
+        if args.shots > _MAX_SHOTS:
+            raise ValueError(f"--shots {args.shots} must be at most {_MAX_SHOTS}")
         lines, ok = commands[args.command](args)
         if lines is not None:
             emit(args, config_header(args) + lines)

@@ -151,12 +151,15 @@ def sample_counts(probs, shots, seed, keys):
 
 def _count_table(counts, shots):
     """Counts checked to be an (81, 16) table in SETTINGS order or an
-    (A, 81, 16) stack of them, with `shots` checked to be non-negative."""
+    (A, 81, 16) stack of them, of finite non-negative entries, with `shots`
+    checked to be non-negative."""
     if shots < 0:
         raise ValueError("shots must be non-negative (0 for exact frequencies)")
     counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and non-negative")
     return counts
 
 

@@ -126,6 +126,26 @@ def test_zeta_rejects_out_of_domain():
             zeta(c)
 
 
+def test_zeta_checks_its_domain_once_per_call(monkeypatch):
+    # zeta checks and clips c once; its 48 bisection steps evaluate the
+    # branches at midpoints already in [0, 1], without zeta_inv_branches'
+    # check and clip.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "clip", counted("clip", np.clip))
+    monkeypatch.setattr(bound, "zeta_inv_branches", counted("check", bound.zeta_inv_branches))
+    for c in (0.3, np.linspace(0.0, TWO_LN2, 9)):
+        calls.clear()
+        zeta(c)
+        assert calls == ["clip"]
+
+
 def test_simplex_grid_small():
     grid = simplex_grid(4)
     rows = {tuple(r) for r in (grid * 4).astype(int).tolist()}

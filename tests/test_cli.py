@@ -632,6 +632,11 @@ def test_validate_bound_curve_names_failures():
     assert results["curve_domain"]
 
 
+def test_cli_shots_bound_is_the_samplers():
+    # cli names the bound itself, since it does not import tomo at start-up.
+    assert cli._MAX_SHOTS == tomo._MAX_SHOTS == 2**63 - 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert cli.main(["--command", "sweep", "--p-step", "-0.1"]) == 2
     assert cli.main(["--command", "bound", "--resolution", "1"]) == 2

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from qtradeoff.linalg import (
     partial_trace,
     spectral_fn,
 )
-from qtradeoff import measures, states
+from qtradeoff import linalg, measures, states
 from reference_states import dephase, spdc_state, timebin_mix
 
 
@@ -251,6 +253,78 @@ def test_from_eig_checks_the_spectrum_and_runs_no_solver(monkeypatch):
             DensityMatrix.from_eig(np.array(bad), v, (2, 2))
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix.from_eig(w, v * np.inf, (2, 2))
+
+
+def _mixed(n, entry=None, value=0.0):
+    """The maximally mixed n x n state, with value added at one entry."""
+    m = np.eye(n, dtype=complex) / n
+    if entry is not None:
+        m[entry] += value
+    return m
+
+
+# Bad inputs, each with the message every check that sees it must raise, the
+# matrix checks that must reject it (the others must accept it: herm_eig checks
+# no trace or spectrum, and only DensityMatrix takes dims), and the (w, v)
+# that carries the same fault into from_eig, where one can.
+BAD_INPUTS = [
+    pytest.param(_mixed(4, (1, 2), np.nan), (2, 2), "non-finite",
+                 "DensityMatrix density_eig herm_eig", ([0.25] * 4, _mixed(4, (1, 2), np.nan)),
+                 id="nan"),
+    pytest.param(np.full((4, 3), 0.25), (2, 2), "must be square",
+                 "DensityMatrix density_eig herm_eig", None, id="non-square"),
+    pytest.param(_mixed(4), (2, 3), r"dims \(2, 3\) incompatible with matrix dimension 4",
+                 "DensityMatrix", None, id="dims-mismatch"),
+    pytest.param(_mixed(4, (0, 1), 1e-9), (2, 2), "not Hermitian within 1e-10",
+                 "DensityMatrix density_eig herm_eig", None, id="off-hermitian-1e-9"),
+    pytest.param(_mixed(4, (0, 0), 2e-10), (2, 2), "trace differs from 1 beyond 1e-10",
+                 "DensityMatrix density_eig", ([0.25, 0.25, 0.25, 0.25 + 2e-10], np.eye(4)),
+                 id="trace-real-2e-10"),
+    # Spread over the diagonal, so the matrix is Hermitian within 5e-11.
+    pytest.param(np.eye(8) / 8 + 2.5e-11j * np.eye(8), (2, 2, 2),
+                 "trace differs from 1 beyond 1e-10", "DensityMatrix density_eig", None,
+                 id="trace-imag-2e-10"),
+    pytest.param(np.diag([-2e-9, 0.0, 0.5, 0.5 + 2e-9]), (2, 2), "below -1e-9",
+                 "DensityMatrix density_eig", ([-2e-9, 0.0, 0.5, 0.5 + 2e-9], np.eye(4)),
+                 id="eigenvalue-minus-2e-9"),
+]
+
+
+@pytest.mark.parametrize("mat, dims, message, rejecting, spectral", BAD_INPUTS)
+def test_each_check_rejects_what_it_owns(mat, dims, message, rejecting, spectral):
+    checks = {"DensityMatrix": lambda: DensityMatrix(mat, dims),
+              "density_eig": lambda: density_eig(mat), "herm_eig": lambda: herm_eig(mat)}
+    for name, check in checks.items():
+        if name in rejecting.split():
+            with pytest.raises(ValueError, match=message):
+                check()
+        else:
+            check()
+    if spectral is not None:
+        w, v = spectral
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix.from_eig(np.array(w), v, dims)
+
+
+def test_a_checked_state_scans_its_input_once(monkeypatch):
+    # One finiteness scan, one conjugate transpose (which herm_eig both
+    # compares the matrix with and symmetrizes by) and one eigensolver call
+    # per checked construction, for a state and for a stack.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "isfinite", counted("finite", np.isfinite))
+    monkeypatch.setattr(linalg, "_dagger", counted("dagger", linalg._dagger))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for mat in (np.eye(4) / 4, np.array([np.eye(4) / 4, np.diag([0.7, 0.1, 0.1, 0.1])])):
+        calls.clear()
+        DensityMatrix(mat, (2, 2))
+        assert calls == {"finite": 1, "dagger": 1, "eigh": 1}
 
 
 @st.composite

@@ -315,6 +315,22 @@ def test_incomplete_count_table_is_rejected():
         bootstrap_measures(counts, 100, n_resamples=2)
 
 
+@pytest.mark.parametrize("bad", [-700, np.nan, np.inf, -np.inf])
+def test_count_table_rejects_negative_and_non_finite_entries(bad):
+    # A -700 count used to reconstruct without error and to stop the bootstrap
+    # in numpy's sampler; NaN and inf failed later, inside the inversion.
+    good = sample_counts(born_probabilities(timebin_states(0.5)), 10000, 0, 0)
+    counts = good.astype(type(bad))
+    counts[40, 3] = bad
+    msg = "counts must be finite and non-negative"
+    with pytest.raises(ValueError, match=msg):
+        reconstruct(counts, 10000)
+    with pytest.raises(ValueError, match=msg):
+        reconstruct(np.stack([good, counts]), 10000)
+    with pytest.raises(ValueError, match=msg):
+        bootstrap_measures(counts, 10000, n_resamples=2)
+
+
 def test_exact_reconstruction_is_faithful():
     for theta in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
         run = run_experiment(theta, exact=True)
