@@ -16,7 +16,6 @@ so a chain's best tuple for c is its last with h >= c.  All functions
 broadcast over numpy arrays.
 """
 
-import operator
 from collections import namedtuple
 
 import numpy as np
@@ -28,8 +27,12 @@ TWO_LN2 = float(2.0 * np.log(2.0))
 def _xlogx(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    return out
+        return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
+
+
+def _float_or_array(out):
+    """The one rule for results: a float for one input, an array for a stack."""
+    return out if out.ndim else float(out)
 
 
 def _branches(e):
@@ -54,8 +57,7 @@ def zeta_inv_branches(e):
 
 def zeta_inv(e):
     """Closed-form inverse bound zeta^{-1}(e) on e in [0, 1]."""
-    out = np.maximum(*zeta_inv_branches(e))
-    return out if out.ndim else float(out)
+    return _float_or_array(np.maximum(*zeta_inv_branches(e)))
 
 
 def zeta(c):
@@ -65,16 +67,14 @@ def zeta(c):
     if not np.all((-1e-9 <= c) & (c <= TWO_LN2 + 1e-9)):  # NaN fails too
         raise ValueError("zeta requires c in [0, 2 ln 2]")
     cc = np.clip(c, 0.0, TWO_LN2)
-    lo = np.zeros_like(cc)
-    hi = np.ones_like(cc)
+    lo, hi = np.zeros_like(cc), np.ones_like(cc)
     for _ in range(48):  # 2^-48 < 1e-12
         mid = (lo + hi) / 2.0
         # zeta_inv decreasing: value too large means e too small
         bigger = np.maximum(*_branches(mid)) > cc
         lo = np.where(bigger, mid, lo)
         hi = np.where(bigger, hi, mid)
-    out = np.where(cc >= LN2SQRT3, 0.0, np.where(cc > 0.0, (lo + hi) / 2.0, 1.0))
-    return out if out.ndim else float(out)
+    return _float_or_array(np.where(cc >= LN2SQRT3, 0.0, np.where(cc > 0.0, (lo + hi) / 2, 1.0)))
 
 
 def _expand(starts, counts):
@@ -86,11 +86,16 @@ def _expand(starts, counts):
     return out, owner
 
 
+def _resolution(n, least=1, name="resolution"):
+    """n as an int, checked to be an integer of at least `least` before any use."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} {n!r} must be an integer of at least {least}")
+    return int(n)
+
+
 def _pairs(n):
     """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n,
     in lexicographic order: l1, l2, n - l1 - l2 and the number of l3 values."""
-    if n < 1:
-        raise ValueError("resolution must be at least 1")
     largest = np.arange((n + 3) // 4, n + 1)
     r1 = n - largest
     l2, i1 = _expand((r1 + 2) // 3, np.minimum(largest, r1) - (r1 + 2) // 3 + 1)
@@ -110,9 +115,10 @@ def simplex_grid(resolution):
     """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
     divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
     in lexicographic order of (l1, l2, l3)."""
-    l1, l2, r2, counts = _pairs(int(resolution))
+    n = _resolution(resolution)
+    l1, l2, r2, counts = _pairs(n)
     l3, l4, pair = _tuples(r2, counts)
-    return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / int(resolution)
+    return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / n
 
 
 # Tuples per block of a grid pass (64 KB per float64 array).
@@ -148,30 +154,23 @@ def _runs(t, x, *pairs):
         yield _h(t, (t[l1] + t[l2])[pair], l3, l4), _k(x, x[l1][pair], x[l2][pair], l3, l4)
 
 
-def _grid_blocks(resolution):
+def _grid_blocks(n):
     """(h, k) of the simplex_grid tuples in simplex_grid order, in _runs."""
-    n = int(resolution)
     x = np.arange(n + 1) / n
     yield from _runs(_xlogx(x), x, *_pairs(n))
 
 
 def grid_h_k(resolution):
     """(h values, k values) of the simplex_grid tuples, in simplex_grid order."""
-    return tuple(map(np.concatenate, zip(*_grid_blocks(resolution))))
+    return tuple(map(np.concatenate, zip(*_grid_blocks(_resolution(resolution)))))
 
 
 def _oracle_args(c, resolution):
     """The entropies c as a flat float array and the grid resolution, checked."""
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise ValueError(f"oracle resolution {resolution!r} is not an integer") from None
-    if resolution < 100:
-        raise ValueError("oracle resolution must be at least 100")
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    return c, resolution
+    return c, _resolution(resolution, 100, "oracle resolution")
 
 
 def oracle_frontier(c, resolution=200):
@@ -231,8 +230,7 @@ def oracle_zeta(c, resolution=200, band=0.01):
     if np.any(best == -np.inf):
         raise ValueError(f"the band of width {band} around c = {c[best == -np.inf][0]} "
                          f"holds no grid tuple at resolution {resolution}")
-    out = np.maximum(0.0, best).reshape(shape)
-    return out if out.ndim else float(out)
+    return _float_or_array(np.maximum(0.0, best).reshape(shape))
 
 
 RegionVerdict = namedtuple("RegionVerdict", "point inside_separable_region margin")

@@ -38,6 +38,13 @@ def _check_spectrum(w, trace):
         raise ValueError("spectrum not a probability vector: eigenvalue below -1e-9")
 
 
+def _factor_dims(dims, n):
+    dims = tuple(int(d) for d in dims)
+    if int(np.prod(dims)) != n:
+        raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
+    return dims
+
+
 def density_eig(mats):
     """herm_eig (w, v) of a (..., n, n) stack, after which each matrix is checked
     for unit trace within 1e-10 and no eigenvalue below -1e-9."""
@@ -51,29 +58,28 @@ class DensityMatrix(namedtuple("DensityMatrix", "mat dims spectrum vectors")):
     """Hermitian, PSD, unit-trace matrix, or (..., n, n) stack of them, with
     tensor-factor dimensions and the ascending eigenvalues (spectrum) and
     eigenvector columns (vectors) of each matrix: an immutable named tuple whose
-    __new__ runs __post_init__'s checks (from_eig checks only the spectrum)."""
+    __new__ runs __post_init__'s checks (from_eig checks the spectrum and dims)."""
 
     __slots__ = ()
 
     def __new__(cls, mat, dims):
-        a, dims = np.asarray(mat, dtype=complex), tuple(int(d) for d in dims)
-        return super().__new__(cls, a, dims, *cls.__post_init__(a, dims))
+        a = np.asarray(mat, dtype=complex)
+        return super().__new__(cls, a, *cls.__post_init__(a, dims))
 
     @staticmethod
     def __post_init__(a, dims):
         # A function of its own, so that perfbench/trace_child.py can time the checks.
         w, v = density_eig(a)
-        if int(np.prod(dims)) != a.shape[-1]:
-            raise ValueError(f"dims {dims} incompatible with matrix dimension {a.shape[-1]}")
-        return w, v
+        return _factor_dims(dims, a.shape[-1]), w, v
 
     @classmethod
     def from_eig(cls, w, v, dims):
         """The state v diag(w) v^dagger, or a stack, from ascending spectra w (no
         entry below -1e-9, sum 1 within 1e-10) and orthonormal columns v."""
-        w, v, dims = np.asarray(w, dtype=float), _as_complex(v), tuple(int(d) for d in dims)
+        w, v = np.asarray(w, dtype=float), _as_complex(v)
         _check_spectrum(w, np.sum(w, axis=-1))
-        return super().__new__(cls, (v * w[..., None, :]) @ _dagger(v), dims, w, v)
+        return super().__new__(cls, (v * w[..., None, :]) @ _dagger(v),
+                               _factor_dims(dims, v.shape[-1]), w, v)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bound import _xlogx
+from .bound import _float_or_array, _xlogx
 from .linalg import DensityMatrix, partial_trace, spectral_fn
 
 SPIN_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -56,8 +56,7 @@ def mutual_information(rho: DensityMatrix, cut):
     """S(rho_A) + S(rho_B) - S(rho) across the bipartition given by the factor
     indices in `cut` (side A); the complement is side B.  A float for one
     state, an array for a stack."""
-    out = _cut_entropies(rho, cut)[0]
-    return out if out.ndim else float(out)
+    return _float_or_array(_cut_entropies(rho, cut)[0])
 
 
 def cut_measures(rho: DensityMatrix, cut) -> MeasureReport:
@@ -92,8 +91,7 @@ def spin_flip_eigenvalues(rho_a: DensityMatrix):
 def concurrence(rho_a: DensityMatrix):
     """Wootters concurrence max{0, 2 max_i sqrt(mu_i) - sum_i sqrt(mu_i)}: a
     float for one state, an array for a stack."""
-    out = _concurrence(_spin_flip_roots(rho_a))
-    return out if out.ndim else float(out)
+    return _float_or_array(_concurrence(_spin_flip_roots(rho_a)))
 
 
 def _h2(p):
@@ -113,8 +111,7 @@ def closed_form_I(p, q):
     """Mutual information of the two-parameter classical-classical family;
     broadcasts over arrays of p and q."""
     p, q = _family_args(p, q)
-    out = _h2(p) + _h2(q)
-    return out if out.ndim else float(out)
+    return _float_or_array(_h2(p) + _h2(q))
 
 
 def closed_form_E(p, q):
@@ -123,8 +120,8 @@ def closed_form_E(p, q):
     broadcasts over arrays of p and q."""
     p, q = _family_args(p, q)
     qt = np.minimum(q, 1.0 - q)
-    out = np.maximum(0.0, (1 - 2 * qt) * (1 - p) - 2 * p * np.sqrt(qt * (1 - qt)))
-    return out if out.ndim else float(out)
+    e = (1 - 2 * qt) * (1 - p) - 2 * p * np.sqrt(qt * (1 - qt))
+    return _float_or_array(np.maximum(0.0, e))
 
 
 def fidelities(rhos: DensityMatrix, sigmas: DensityMatrix):

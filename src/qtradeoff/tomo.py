@@ -22,6 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
+from .bound import _float_or_array
 from .linalg import DensityMatrix, herm_eig
 from .measures import MeasureReport
 
@@ -150,24 +151,28 @@ def sample_counts(probs, shots, seed, keys):
 
 
 def _count_table(counts, shots):
-    """Counts checked to be an (81, 16) table in SETTINGS order or an
-    (A, 81, 16) stack of them, of finite non-negative entries, with `shots`
-    checked to be non-negative."""
+    """The one check of a call's counts and shots: an (81, 16) table in SETTINGS
+    order or an (A, 81, 16) stack, finite and non-negative, with a positive finite
+    total per setting, returned as floats (whose sums cannot wrap); 0 <= shots < 2^63."""
     if shots < 0:
         raise ValueError("shots must be non-negative (0 for exact frequencies)")
-    counts = np.asarray(counts)
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
+    counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
     if not np.all(np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be finite and non-negative")
+    total = np.sum(counts, axis=-1)
+    if not np.all((total > 0) & (total < np.inf)):
+        raise ValueError("a setting has no counts, or a total past the float range")
     return counts
 
 
 def _correlators(counts):
     """Per-(setting, subset) correlators of a (..., 81, 16) count stack,
     grouped by the Pauli string they estimate: shape (..., 1296)."""
-    total = np.sum(counts, axis=-1, keepdims=True)
-    corr = (counts / np.where(total > 0, total, 1.0)) @ _SIGNS
+    corr = (counts / np.sum(counts, axis=-1, keepdims=True)) @ _SIGNS
     return corr.reshape(corr.shape[:-2] + (-1,))[..., _BY_STRING]
 
 
@@ -209,8 +214,6 @@ def _invert(counts, shots):
     not thresholded, keeping noiseless inversion exact.
     """
     exps = np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
-    if np.max(np.abs(exps[..., 0] - 1.0)) >= 1e-9:
-        raise ValueError("identity expectation differs from 1: a setting has no counts")
     if shots > 0:
         sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots * _PAULI_MULT))
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
@@ -228,14 +231,14 @@ def reconstruct(counts, shots, targets: DensityMatrix = None) -> ReconstructionR
     every table is inverted with a product of its own and the result holds
     arrays with a leading axis of length A."""
     counts = _count_table(counts, shots)
+    shape = counts.shape[:-2]
     rho_hat = _invert(counts.reshape(-1, 1, len(SETTINGS), N_OUT), shots)
     rep = measures.cut_measures(rho_hat, (0, 1))
     fid = (np.full(len(rho_hat.mat), np.nan) if targets is None
            else measures.fidelities(rho_hat, targets))
-    if counts.ndim == 2:
-        return ReconstructionResult(rho_hat.mat[0], float(fid[0]),
-                                    MeasureReport(*(float(v[0]) for v in rep)))
-    return ReconstructionResult(rho_hat.mat, fid, rep)
+    return ReconstructionResult(rho_hat.mat.reshape(shape + (N_OUT, N_OUT)),
+                                _float_or_array(fid.reshape(shape)),
+                                MeasureReport(*(_float_or_array(v.reshape(shape)) for v in rep)))
 
 
 # The floats that cli.DEFAULT_THETAS parses to.
@@ -295,14 +298,9 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     counts = _count_table(counts, shots)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
     if shots == 0:
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
-    totals = np.sum(counts, axis=-1, keepdims=True)
-    if np.min(totals) <= 0:
-        raise ValueError("a setting has no counts to resample")
-    probs = counts / totals
+    probs = counts / np.sum(counts, axis=-1, keepdims=True)
     rngs = [np.random.default_rng((seed, 7_000_000, idx)) for idx in range(len(SETTINGS))]
     n_passes = -(-n_resamples // RESAMPLE_PASS)
     values = []

@@ -333,6 +333,15 @@ def test_oracle_zeta_validates_arguments():
                 oracle(0.5, resolution=resolution)
 
 
+@pytest.mark.parametrize("resolution", [0, -1, 1.5, 2.7])
+def test_grid_functions_check_the_resolution_before_dividing(resolution):
+    # grid_h_k(0) used to divide by zero before rejecting n, and a fractional
+    # resolution used to truncate to the integer below it.
+    for grid in (simplex_grid, grid_h_k):
+        with pytest.raises(ValueError, match="resolution"):
+            grid(resolution)
+
+
 def test_oracle_matches_closed_form():
     cs = np.linspace(0.0, TWO_LN2, 50)
     diffs = [abs(oracle_zeta(float(c)) - zeta(float(c))) for c in cs]

@@ -1,14 +1,20 @@
 import ast
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtradeoff
 from qtradeoff import bound, cli, tomo
@@ -750,3 +756,53 @@ def test_closed_stdout_is_not_a_usage_error(argv, unbuffered):
 def test_unwritable_output_exits_2(tmp_path, capsys):
     assert cli.main(["--command", "bound", "--resolution", "3",
                      "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+
+
+def _option(flag, values):
+    """No argument, or `flag=value` for a drawn value (the = keeps a value such
+    as -inf from reading as an option)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+# Every value is small (resolution 400, 2 angles, 500 shots, 2 resamples at
+# most), so no run allocates more than a few MB; valid angles and shot counts
+# are drawn more often than invalid ones, so most commands run to their end.
+_INVALID_FLOATS = st.sampled_from([0.0, -0.5, 1.5, np.nan, np.inf, -np.inf])
+_ANGLES = st.one_of(
+    st.builds("{}/32".format, st.integers(0, 16)),
+    st.builds("{}/{}".format, st.integers(-2, 40), st.integers(-1, 64)),
+    st.text(alphabet="0123456789/.-+eEinfa _", max_size=8))
+_ARGV = st.tuples(
+    st.sampled_from(["sweep", "bound", "oracle", "experiment", "verify"]).map(
+        lambda c: ["--command", c]),
+    _option("--resolution", st.integers(-3, 400)),
+    _option("--p-step", st.one_of(st.floats(0.05, 1.5), _INVALID_FLOATS)),
+    _option("--q-step", st.one_of(st.floats(0.05, 1.5), _INVALID_FLOATS)),
+    st.lists(_ANGLES, max_size=2).map(lambda ts: [f"--theta={t}" for t in ts]),
+    _option("--shots", st.one_of(st.integers(-3, 500), st.integers(1, 500),
+                                 st.integers(2**63, 2**64))),
+    _option("--seed", st.integers(-2, 5)),
+    _option("--bootstrap", st.integers(-2, 2)),
+    _option("--visibility", st.one_of(st.floats(0.0, 1.0), _INVALID_FLOATS)),
+    _option("--depolarizing", st.one_of(st.floats(0.0, 1.0), _INVALID_FLOATS)),
+    st.sampled_from([[], ["--exact"]]),
+    st.sampled_from([[], ["--oracle"]]),
+).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=_ARGV)
+def test_fuzzed_arguments_exit_0_1_or_2(argv):
+    # Every small input ends in an exit code: 0 or 1 from a run, 2 from a
+    # usage error (argparse's own exits included), never a traceback or an
+    # escaped warning.
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv + ["--out", os.path.join(out, "out.csv")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()

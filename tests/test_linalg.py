@@ -274,7 +274,7 @@ BAD_INPUTS = [
     pytest.param(np.full((4, 3), 0.25), (2, 2), "must be square",
                  "DensityMatrix density_eig herm_eig", None, id="non-square"),
     pytest.param(_mixed(4), (2, 3), r"dims \(2, 3\) incompatible with matrix dimension 4",
-                 "DensityMatrix", None, id="dims-mismatch"),
+                 "DensityMatrix", ([0.25] * 4, np.eye(4)), id="dims-mismatch"),
     pytest.param(_mixed(4, (0, 1), 1e-9), (2, 2), "not Hermitian within 1e-10",
                  "DensityMatrix density_eig herm_eig", None, id="off-hermitian-1e-9"),
     pytest.param(_mixed(4, (0, 0), 2e-10), (2, 2), "trace differs from 1 beyond 1e-10",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qtradeoff import states, tomo
-from qtradeoff.linalg import DensityMatrix
-from qtradeoff.measures import closed_form_E, closed_form_I, mutual_information
+from qtradeoff.bound import oracle_zeta, zeta, zeta_inv
+from qtradeoff.linalg import DensityMatrix, partial_trace
+from qtradeoff.measures import closed_form_E, closed_form_I, concurrence, mutual_information
 from qtradeoff.tomo import (
     NoiseParams,
     SETTINGS,
@@ -148,6 +149,8 @@ def test_shots_beyond_a_c_long_raise_value_error():
     counts = sample_counts(probs, 100, 0, 0)
     with pytest.raises(ValueError, match=msg):
         bootstrap_measures(counts, 2**63, n_resamples=2)
+    with pytest.raises(ValueError, match=msg):
+        reconstruct(counts, 2**63)
     assert sample_counts(probs[:1], 2**63 - 1, 0, 0).sum() == 2**63 - 1
 
 
@@ -236,6 +239,49 @@ def test_result_types_keep_their_fields():
     one = reconstruct(run.counts[1], run.shots)
     assert all(type(v) is float for v in one.measures)
     assert one.measures == tuple(float(v[1]) for v in run.result.measures)
+
+
+_P, _Q = np.array([0.1, 0.35, 0.8]), np.array([0.6, 0.2, 0.5])
+_C, _E = np.array([0.1, 0.7, 1.3]), np.array([0.0, 0.4, 0.9])
+
+
+def _at(x, a):
+    """Entry a of x as a Python float, or all of x when a is None."""
+    return x if a is None else x.tolist()[a]
+
+
+def _cc(a):
+    return states.cc_family(_at(_P, a), _at(_Q, a))
+
+
+def _reconstructed(a):
+    result = reconstruct(born_probabilities(_cc(a)), 0, _cc(a))
+    return (result.fidelity_to_target, *result.measures)
+
+
+# The outputs of each function for input a of three, or (a = None) for all three.
+SCALAR_RULE = {
+    "zeta": lambda a: (zeta(_at(_C, a)),),
+    "zeta_inv": lambda a: (zeta_inv(_at(_E, a)),),
+    "oracle_zeta": lambda a: (oracle_zeta(_at(_C, a), 100, 0.05),),
+    "mutual_information": lambda a: (mutual_information(_cc(a), (0, 1)),),
+    "concurrence": lambda a: (concurrence(partial_trace(_cc(a), (0, 1))),),
+    "closed_form_I": lambda a: (closed_form_I(_at(_P, a), _at(_Q, a)),),
+    "closed_form_E": lambda a: (closed_form_E(_at(_P, a), _at(_Q, a)),),
+    "reconstruct": _reconstructed,
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_RULE)
+def test_one_input_gives_floats_and_a_stack_gives_arrays(name):
+    # One scalar, state or count table gives a float; a stack gives an array
+    # of the stack's shape holding the same values.
+    stacked = SCALAR_RULE[name](None)
+    for a in range(3):
+        for one, many in zip(SCALAR_RULE[name](a), stacked, strict=True):
+            assert type(one) is float
+            assert type(many) is np.ndarray and many.shape == (3,)
+            assert one == many[a]
 
 
 def test_correlators_agree_across_settings_on_exact_data():
@@ -521,6 +567,14 @@ def test_reconstruct_rejects_setting_without_counts():
         reconstruct(counts, run.shots)
     with pytest.raises(ValueError, match="no counts"):
         bootstrap_measures(counts, run.shots, n_resamples=2)
+
+
+def test_count_table_rejects_a_total_past_the_float_range():
+    # Finite counts whose setting total overflows would read as all zero.
+    counts = np.full((len(SETTINGS), 16), 10.0)
+    counts[40, :2] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="float range"):
+        reconstruct(counts, 100)
 
 
 def test_reconstruct_rejects_negative_shots():
