@@ -12,8 +12,9 @@ c, which must hold one.  oracle_frontier searches chains, the tuples of one
 (l1, l2) pair with l3 from ceil(r/2) to min(l2, r) and l4 = r - l3.  As l3
 rises, h strictly falls (x log x is strictly convex and (l3, l4) leave
 balance) and k strictly rises (dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0),
-so a chain's best tuple for c is its last with h >= c.  All functions
-broadcast over numpy arrays.
+so a chain's best tuple for c is its last with h >= c.  Both oracles take the
+(l1, l2) pairs in chunks of consecutive l1 values (_plan), so their working
+set does not grow with the grid.  All functions broadcast over numpy arrays.
 """
 
 from collections import namedtuple
@@ -93,14 +94,48 @@ def _resolution(n, least=1, name="resolution"):
     return int(n)
 
 
-def _pairs(n):
-    """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n,
-    in lexicographic order: l1, l2, n - l1 - l2 and the number of l3 values."""
-    largest = np.arange((n + 3) // 4, n + 1)
+def _cuts(counts, size):
+    """(a, b) of consecutive runs counts[a:b], each the longest from a whose
+    sum is at most size, or the one entry counts[a] where that exceeds size."""
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    a = 0
+    while a < len(counts):
+        b = max(a + 1, np.searchsorted(ends, ends[a] + size, side="right") - 1)
+        yield a, b
+        a = b
+
+
+def _l2_range(n, largest):
+    """The least l2 and the number of l2 values of each l1 in `largest`."""
     r1 = n - largest
-    l2, i1 = _expand((r1 + 2) // 3, np.minimum(largest, r1) - (r1 + 2) // 3 + 1)
-    r2 = r1[i1] - l2
-    return largest[i1], l2, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
+    return (r1 + 2) // 3, np.minimum(largest, r1) - (r1 + 2) // 3 + 1
+
+
+def _pairs(n, largest=None):
+    """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n,
+    in lexicographic order: l1, l2, n - l1 - l2 and the number of l3 values,
+    for the l1 values `largest` (by default every one)."""
+    if largest is None:
+        largest = np.arange((n + 3) // 4, n + 1)
+    l2, i1 = _expand(*_l2_range(n, largest))
+    l1 = largest[i1]
+    r2 = n - l1 - l2
+    return l1, l2, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
+
+
+# Pairs per chunk of the pair plan, which the oracles hold one at a time:
+# 2^11 keeps the frontier's peak near 1 MiB at any n and its time that of the
+# whole plan; 2^10 halves the peak but takes 10-25% longer at n = 200-575.
+_CHUNK = 2 ** 11
+
+
+def _plan(n):
+    """_pairs(n) in chunks of consecutive l1 values, each of at most _CHUNK
+    pairs unless one l1 has more (at most n/3 + 1), so the whole plan is never
+    held: it is cut from the number of pairs of each l1."""
+    largest = np.arange((n + 3) // 4, n + 1)
+    for a, b in _cuts(_l2_range(n, largest)[1], _CHUNK):
+        yield _pairs(n, largest[a:b])
 
 
 def _tuples(r2, counts):
@@ -137,32 +172,37 @@ def _k(x, x1, x2, l3, l4):
     return (x1 - x[l3]) - 2.0 * np.sqrt(x2 * x[l4])
 
 
-def _cuts(size, *pairs):
-    """The pair arrays (l1, l2, r2, counts) in runs, cut where the running tuple
-    count crosses a multiple of size: each holds at most size tuples plus its
-    first pair (at most n/2 + 1)."""
-    counts = pairs[-1]
-    cuts = [0, *(np.flatnonzero(np.diff(np.cumsum(counts) // size)) + 1).tolist(), len(counts)]
-    for a, b in zip(cuts, cuts[1:]):
-        yield [p[a:b] for p in pairs]
-
-
 def _runs(t, x, *pairs):
-    """(h, k) of the pairs' tuples in order, in _cuts runs of _BLOCK tuples."""
-    for l1, l2, r2, counts in _cuts(_BLOCK, *pairs):
+    """(h, k) of the pairs' tuples in order, in runs of at most _BLOCK tuples
+    unless one pair has more (at most n/2 + 1)."""
+    for a, b in _cuts(pairs[-1], _BLOCK):
+        l1, l2, r2, counts = (p[a:b] for p in pairs)
         l3, l4, pair = _tuples(r2, counts)
         yield _h(t, (t[l1] + t[l2])[pair], l3, l4), _k(x, x[l1][pair], x[l2][pair], l3, l4)
 
 
 def _grid_blocks(n):
-    """(h, k) of the simplex_grid tuples in simplex_grid order, in _runs."""
+    """(h, k) of the simplex_grid tuples in simplex_grid order, in the _runs
+    of each chunk of the pair plan."""
     x = np.arange(n + 1) / n
-    yield from _runs(_xlogx(x), x, *_pairs(n))
+    t = _xlogx(x)
+    for pairs in _plan(n):
+        yield from _runs(t, x, *pairs)
 
 
 def grid_h_k(resolution):
     """(h values, k values) of the simplex_grid tuples, in simplex_grid order."""
     return tuple(map(np.concatenate, zip(*_grid_blocks(_resolution(resolution)))))
+
+
+def _climb(t, t12, lo, end, r, c):
+    """(l3, l4) of the last tuple with h >= c of each chain from l3 = lo to
+    end, where h(lo) >= c > h(end): lo climbs by falling powers of two while
+    h >= c.  Its (chain, query) arrays are freed on return."""
+    for step in 2 ** np.arange(int(np.max(end - lo, initial=0)).bit_length())[::-1]:
+        mid = np.minimum(lo + step, end)
+        lo = np.where(_h(t, t12, mid, r - mid) >= c, mid, lo)
+    return lo, r - lo
 
 
 def _oracle_args(c, resolution):
@@ -187,9 +227,7 @@ def oracle_frontier(c, resolution=200):
     best = np.full(len(c) + 1, -np.inf)
     x = np.arange(n + 1) / n
     t = _xlogx(x)
-    # A block of 8 _BLOCK tuples has about as many chains and (chain, query)
-    # pairs as a _BLOCK-tuple run has tuples.
-    for p1, p2, r, count in _cuts(8 * _BLOCK, *_pairs(n)):
+    for p1, p2, r, count in _plan(n):
         t12, x1, x2, top, end = t[p1] + t[p2], x[p1], x[p2], (r + 1) // 2, np.minimum(p2, r)
         low = np.searchsorted(sorted_c, _h(t, t12, end, r - end), side="right")
         np.maximum.at(best, low, _k(x, x1, x2, end, r - end))
@@ -200,13 +238,9 @@ def oracle_frontier(c, resolution=200):
         if np.any(scan):
             for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], count[scan]):
                 np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
-        # lo climbs by falling powers of two while h >= c; h(end) < c stops it.
         q, chain = _expand(low, np.where(scan, 0, m))
-        lo, end, r, t12, cq = top[chain], end[chain], r[chain], t12[chain], sorted_c[q]
-        for step in 2 ** np.arange(int(np.max(end - lo, initial=0)).bit_length())[::-1]:
-            mid = np.minimum(lo + step, end)
-            lo = np.where(_h(t, t12, mid, r - mid) >= cq, mid, lo)
-        np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], lo, r - lo))
+        l3, l4 = _climb(t, t12[chain], top[chain], end[chain], r[chain], sorted_c[q])
+        np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], l3, l4))
     out = np.empty_like(c)
     out[order] = np.maximum.accumulate(best[::-1])[::-1][1:]
     return np.maximum(0.0, out)

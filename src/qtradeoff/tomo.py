@@ -128,16 +128,24 @@ def born_probabilities(rho: DensityMatrix, noise=NoiseParams()):
 _MAX_SHOTS = 2**63 - 1  # the samplers draw counts as C longs
 
 
+def _check_shots(shots, least, rule):
+    """The one rule for a shot count: an int or numpy integer, at least
+    `least` (as `rule` says) and at most _MAX_SHOTS."""
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots {shots!r} must be an integer")
+    if shots < least:
+        raise ValueError(f"shots must be {rule}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
+
+
 def sample_counts(probs, shots, seed, keys):
     """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
     probability tables, each row normalized to sum 1.  `keys` holds one
     non-negative integer per table (shape probs.shape[:-2]); table a draws all
     its rows in one call from the stream (seed, keys[a]), so its counts do not
     depend on the other tables."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
+    _check_shots(shots, 1, "at least 1")
     p = np.asarray(probs, dtype=float)
     keys = np.asarray(keys)
     if keys.shape != p.shape[:-2]:
@@ -153,11 +161,9 @@ def sample_counts(probs, shots, seed, keys):
 def _count_table(counts, shots):
     """The one check of a call's counts and shots: an (81, 16) table in SETTINGS
     order or an (A, 81, 16) stack, finite and non-negative, with a positive finite
-    total per setting, returned as floats (whose sums cannot wrap); 0 <= shots < 2^63."""
-    if shots < 0:
-        raise ValueError("shots must be non-negative (0 for exact frequencies)")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
+    total per setting, returned as floats (whose sums cannot wrap); an integer
+    0 <= shots < 2^63."""
+    _check_shots(shots, 0, "non-negative (0 for exact frequencies)")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")

@@ -263,6 +263,27 @@ def test_grid_blocks_are_runs_of_pairs(n):
     assert start == len(rows)
 
 
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("n", [100, 257, 600, 1000, 1501])
+def test_pair_plan_chunks_are_runs_of_l1_values(monkeypatch, n, cap):
+    # Concatenated, the chunks of _plan are _pairs(n), bit for bit.  Each
+    # chunk starts at a new l1 and holds at most _CHUNK pairs, unless it is
+    # one l1; and it is the longest such run, so no chunk could take the
+    # next l1 too.
+    if cap is not None:
+        monkeypatch.setattr(bound, "_CHUNK", cap)
+    chunks = list(bound._plan(n))
+    for whole, parts in zip(bound._pairs(n), zip(*chunks)):
+        joined = np.concatenate(parts)
+        assert joined.dtype == whole.dtype and np.array_equal(joined, whole)
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        l1 = chunk[0]
+        assert len(l1) <= bound._CHUNK or np.all(l1 == l1[0])
+        if after is not None:
+            assert after[0][0] > l1[-1]
+            assert len(l1) + np.count_nonzero(after[0] == after[0][0]) > bound._CHUNK
+
+
 @pytest.mark.parametrize("n", [100, 257, 600, 1000])
 def test_grid_chains_are_strictly_monotone(n):
     # The frontier's search rests on this: along the chain of one (l1, l2)
@@ -286,8 +307,9 @@ def test_grid_chains_are_strictly_monotone(n):
 
 @pytest.mark.parametrize("n", [150, 257, 401])
 def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
-    # Both oracles' passes over the grid: the band oracle's blocks, and the
-    # frontier's blocks of chains and its scans of them, all cut from _BLOCK.
+    # Both oracles' passes over the grid: the chunks of the pair plan, cut at
+    # _CHUNK pairs, and the band oracle's blocks and the frontier's scans of
+    # chains, cut at _BLOCK tuples.  A cap of 1 puts each l1 in its own chunk.
     # The band oracle runs at the size `verify` uses, where two of the 50
     # bands are empty and raise.
     queries = [np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200)]
@@ -303,11 +325,13 @@ def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
         return [bound.oracle_frontier(cs, n) for cs in queries] + band
 
     default = scan()
-    for size in (2 ** 6, 2 ** 16):
-        monkeypatch.setattr(bound, "_BLOCK", size)
-        for got, values in zip(scan(), default):
-            assert np.array_equal(got, values)
-            assert np.array_equal(np.signbit(got), np.signbit(values))
+    for name, size in [("_BLOCK", 2 ** 6), ("_BLOCK", 2 ** 16),
+                       ("_CHUNK", 1), ("_CHUNK", 2 ** 6), ("_CHUNK", 2 ** 20)]:
+        with monkeypatch.context() as m:
+            m.setattr(bound, name, size)
+            for got, values in zip(scan(), default):
+                assert np.array_equal(got, values)
+                assert np.array_equal(np.signbit(got), np.signbit(values))
 
 
 def test_oracle_zeta_examples():
@@ -493,8 +517,9 @@ def test_oracle_frontier_search_matches_brute_force(monkeypatch, n, spread, dens
 
 @pytest.mark.parametrize("n", [200, 600])
 def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
-    # On a pair plan cut down to one chain, the frontier at c is the k of the
-    # chain's last tuple with h >= c, so a search that stops short shows.
+    # On a pair plan cut down to one chunk of one chain, the frontier at c is
+    # the k of the chain's last tuple with h >= c, so a search that stops
+    # short shows.
     # Queries on each tuple's h and on the floats next to it put the boundary
     # at every position of the chain, for the longest chains, whose
     # bisections take the most steps, and for three random ones: one query
@@ -505,7 +530,7 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
     starts = np.cumsum(counts) - counts
     for i in [*np.argsort(counts)[-3:], *np.random.default_rng(n).choice(len(counts), 3)]:
         chain = slice(starts[i], starts[i] + counts[i])
-        monkeypatch.setattr(bound, "_pairs", lambda _, i=i: [p[i:i + 1] for p in pairs])
+        monkeypatch.setattr(bound, "_plan", lambda _, i=i: [[p[i:i + 1] for p in pairs]])
         cs = np.concatenate([h[chain], np.nextafter(h[chain], -np.inf),
                              np.nextafter(h[chain], np.inf)])
         expected = [_brute_force_frontier(h[chain], k[chain], c) for c in cs]
@@ -513,12 +538,14 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
         assert bound.oracle_frontier(cs, n).tolist() == expected
 
 
-@pytest.mark.parametrize("n, queries, limit", [(600, 50, 2.5), (200, 10_000, 4.0)])
-def test_oracle_frontier_memory_does_not_grow(n, queries, limit):
-    # The frontier holds the pair plan, one block of chains with its (chain,
-    # query) pairs and one scan run of at most 2^13 tuples, and one maximum
-    # per query.  Its tracemalloc peak read 2.09 MiB at n = 600, the pair
-    # plan's own peak, and 1.50 MiB for 10 000 queries at n = 200.
+@pytest.mark.parametrize("n, queries", [(600, 50), (1000, 50), (1500, 50), (200, 10_000)])
+def test_oracle_frontier_memory_does_not_grow(n, queries):
+    # The frontier holds one chunk of the pair plan, of at most 2^11 pairs,
+    # with its (chain, query) pairs and one scan run of at most 2^13 tuples,
+    # and one maximum per query.  Its tracemalloc peak read 0.95, 1.01 and
+    # 1.02 MiB at n = 600, 1000 and 1500, and 1.18 MiB for 10 000 queries at
+    # n = 200.  With the whole pair plan it read 2.09, 5.8 and 13.0 MiB, and
+    # 1.50 MiB.
     cs = np.linspace(0.0, TWO_LN2, queries)
     tracemalloc.start()
     try:
@@ -526,7 +553,7 @@ def test_oracle_frontier_memory_does_not_grow(n, queries, limit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit * 2 ** 20
+    assert peak <= 1.5 * 2 ** 20
 
 
 def test_oracle_scan_with_no_tuple_near_a_band_edge():

@@ -1,5 +1,6 @@
 import collections
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,33 @@ def test_shots_beyond_a_c_long_raise_value_error():
     with pytest.raises(ValueError, match=msg):
         reconstruct(counts, 2**63)
     assert sample_counts(probs[:1], 2**63 - 1, 0, 0).sum() == 2**63 - 1
+
+
+@pytest.mark.parametrize("shots", [np.nan, 2.5, "10"], ids=["nan", "2.5", "str"])
+def test_shot_counts_must_be_integers(shots):
+    # 2.5 used to draw 2 shots per setting and to threshold as for 2.5, NaN to
+    # threshold no coefficient or to fail inside numpy's multinomial, and a
+    # string to raise TypeError from a comparison.
+    probs = np.full((len(SETTINGS), 16), 1 / 16)
+    counts = sample_counts(probs, 10, 0, 0)
+    msg = f"shots {shots!r} must be an integer"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        sample_counts(probs, shots, 0, 0)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        reconstruct(counts, shots)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        bootstrap_measures(counts, shots, 2)
+
+
+def test_numpy_integer_shots_count_as_integers():
+    probs = np.full((len(SETTINGS), 16), 1 / 16)
+    counts = sample_counts(probs, np.int64(10), 0, 0)
+    assert np.array_equal(counts, sample_counts(probs, 10, 0, 0))
+    assert np.array_equal(reconstruct(counts, np.int64(10)).rho_hat,
+                          reconstruct(counts, 10).rho_hat)
+    boot, expected = bootstrap_measures(counts, np.int64(10), 2), bootstrap_measures(counts, 10, 2)
+    assert np.array_equal(boot.i_values, expected.i_values)
+    assert np.array_equal(boot.e_values, expected.e_values)
 
 
 def test_sample_counts_converges():
