@@ -9,12 +9,13 @@ k(lambda) = lambda_1 - lambda_3 - 2 sqrt(lambda_2 lambda_4): oracle_frontier
 maximizes k over the tuples of entropy at least c, a one-sided check that
 never exceeds zeta, and oracle_zeta over the tuples within a band of entropy
 c, which must hold one.  oracle_frontier searches chains, the tuples of one
-(l1, l2) pair with l3 from ceil(r/2) to min(l2, r) and l4 = r - l3.  As l3
-rises, h strictly falls (x log x is strictly convex and (l3, l4) leave
-balance) and k strictly rises (dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0),
-so a chain's best tuple for c is its last with h >= c.  Both oracles take the
-(l1, l2) pairs in chunks of consecutive l1 values (_plan), so their working
-set does not grow with the grid.  All functions broadcast over numpy arrays.
+(l1, l2) pair of the plan (_plan), l3 from ceil(r/2) to min(l2, r) and
+l4 = r - l3.  As l3 rises, h strictly falls (x log x is strictly convex and
+(l3, l4) leave balance) and k strictly rises
+(dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0), so a chain's best tuple for
+c is its last with h >= c.  The oracles take the plan in chunks of
+consecutive l1 values, so their working set does not grow with the grid.
+All functions broadcast over numpy arrays.
 """
 
 from collections import namedtuple
@@ -105,22 +106,21 @@ def _cuts(counts, size):
         a = b
 
 
-def _l2_range(n, largest):
-    """The least l2 and the number of l2 values of each l1 in `largest`."""
-    r1 = n - largest
-    return (r1 + 2) // 3, np.minimum(largest, r1) - (r1 + 2) // 3 + 1
+def _parts(r, cap, k):
+    """The least next part ceil(r/k) of a remainder r left for k descending
+    parts, and the number of values it takes, up to min(cap, r)."""
+    least = (r + (k - 1)) // k
+    return least, np.minimum(cap, r) - least + 1
 
 
-def _pairs(n, largest=None):
-    """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n,
-    in lexicographic order: l1, l2, n - l1 - l2 and the number of l3 values,
-    for the l1 values `largest` (by default every one)."""
-    if largest is None:
-        largest = np.arange((n + 3) // 4, n + 1)
-    l2, i1 = _expand(*_l2_range(n, largest))
+def _pairs(n, largest):
+    """Per (l1, l2) pair of the descending partitions l1>=l2>=l3>=l4>=0 of n
+    with l1 in `largest`, in lexicographic order: l1, l2, r = n - l1 - l2 and
+    its chain's first l3 and number of l3 values."""
+    l2, i1 = _expand(*_parts(n - largest, largest, 3))
     l1 = largest[i1]
     r2 = n - l1 - l2
-    return l1, l2, r2, np.minimum(l2, r2) - (r2 + 1) // 2 + 1
+    return (l1, l2, r2, *_parts(r2, l2, 2))
 
 
 # Pairs per chunk of the pair plan, which the oracles hold one at a time:
@@ -130,17 +130,18 @@ _CHUNK = 2 ** 11
 
 
 def _plan(n):
-    """_pairs(n) in chunks of consecutive l1 values, each of at most _CHUNK
-    pairs unless one l1 has more (at most n/3 + 1), so the whole plan is never
-    held: it is cut from the number of pairs of each l1."""
-    largest = np.arange((n + 3) // 4, n + 1)
-    for a, b in _cuts(_l2_range(n, largest)[1], _CHUNK):
+    """The pairs of every l1 in chunks of consecutive l1 values, each of at
+    most _CHUNK pairs unless one l1 has more (at most n/3 + 1), so the whole
+    plan is never held: it is cut from the number of pairs of each l1."""
+    least, count = _parts(n, n, 4)
+    largest = np.arange(least, least + count)
+    for a, b in _cuts(_parts(n - largest, largest, 3)[1], _CHUNK):
         yield _pairs(n, largest[a:b])
 
 
-def _tuples(r2, counts):
-    """l3, l4 and the pair index of each tuple of the pairs (r2, counts)."""
-    l3, pair = _expand((r2 + 1) // 2, counts)
+def _tuples(r2, top, counts):
+    """l3, l4 and the pair index of each tuple of the pairs' chains."""
+    l3, pair = _expand(top, counts)
     l4 = r2[pair]
     l4 -= l3
     return l3, l4, pair
@@ -151,8 +152,8 @@ def simplex_grid(resolution):
     divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
     in lexicographic order of (l1, l2, l3)."""
     n = _resolution(resolution)
-    l1, l2, r2, counts = _pairs(n)
-    l3, l4, pair = _tuples(r2, counts)
+    l1, l2, r2, top, counts = map(np.concatenate, zip(*_plan(n)))
+    l3, l4, pair = _tuples(r2, top, counts)
     return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / n
 
 
@@ -176,8 +177,8 @@ def _runs(t, x, *pairs):
     """(h, k) of the pairs' tuples in order, in runs of at most _BLOCK tuples
     unless one pair has more (at most n/2 + 1)."""
     for a, b in _cuts(pairs[-1], _BLOCK):
-        l1, l2, r2, counts = (p[a:b] for p in pairs)
-        l3, l4, pair = _tuples(r2, counts)
+        l1, l2, r2, top, counts = (p[a:b] for p in pairs)
+        l3, l4, pair = _tuples(r2, top, counts)
         yield _h(t, (t[l1] + t[l2])[pair], l3, l4), _k(x, x[l1][pair], x[l2][pair], l3, l4)
 
 
@@ -206,20 +207,20 @@ def _climb(t, t12, lo, end, r, c):
 
 
 def _oracle_args(c, resolution):
-    """The entropies c as a flat float array and the grid resolution, checked."""
-    c = np.asarray(c, dtype=float).ravel()
+    """The entropies c as a flat float array, their shape and the resolution, checked."""
+    c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    return c, _resolution(resolution, 100, "oracle resolution")
+    return c.ravel(), c.shape, _resolution(resolution, 100, "oracle resolution")
 
 
 def oracle_frontier(c, resolution=200):
     """Grid frontier of zeta: Z_n(c) = max of max{0, k(lambda)} over the grid
-    tuples with h(lambda) >= c, per entropy c, as a flat array.  Every tuple
-    obeys k <= zeta(h) and zeta is non-increasing, so Z_n <= zeta(c).  A
-    chain's end tuple serves each c up to its h; each c between that and the
-    top tuple's h bisects l3 for its tuple, unless a scan costs less."""
-    c, n = _oracle_args(c, resolution)
+    tuples with h(lambda) >= c, per entropy c.  Every tuple obeys k <= zeta(h)
+    and zeta is non-increasing, so Z_n <= zeta(c).  A chain's end tuple serves
+    each c up to its h; each c between that and the top tuple's h bisects l3
+    for its tuple, unless a scan costs less."""
+    c, shape, n = _oracle_args(c, resolution)
     order = np.argsort(c)
     sorted_c = c[order]
     # Slot j holds tuples with h at or above the j smallest queries, so the
@@ -227,8 +228,8 @@ def oracle_frontier(c, resolution=200):
     best = np.full(len(c) + 1, -np.inf)
     x = np.arange(n + 1) / n
     t = _xlogx(x)
-    for p1, p2, r, count in _plan(n):
-        t12, x1, x2, top, end = t[p1] + t[p2], x[p1], x[p2], (r + 1) // 2, np.minimum(p2, r)
+    for p1, p2, r, top, count in _plan(n):
+        t12, x1, x2, end = t[p1] + t[p2], x[p1], x[p2], top + count - 1
         low = np.searchsorted(sorted_c, _h(t, t12, end, r - end), side="right")
         np.maximum.at(best, low, _k(x, x1, x2, end, r - end))
         m = np.searchsorted(sorted_c, _h(t, t12, top, r - top), side="right") - low
@@ -236,21 +237,20 @@ def oracle_frontier(c, resolution=200):
         # tuples at about two each (h, k and a search of the queries).
         scan = m * np.ceil(np.log2(count)) > 2 * count
         if np.any(scan):
-            for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], count[scan]):
+            for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], top[scan], count[scan]):
                 np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
         q, chain = _expand(low, np.where(scan, 0, m))
         l3, l4 = _climb(t, t12[chain], top[chain], end[chain], r[chain], sorted_c[q])
         np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], l3, l4))
     out = np.empty_like(c)
     out[order] = np.maximum.accumulate(best[::-1])[::-1][1:]
-    return np.maximum(0.0, out)
+    return _float_or_array(np.maximum(0.0, out).reshape(shape))
 
 
 def oracle_zeta(c, resolution=200, band=0.01):
     """Brute-force zeta: max over grid tuples with |h(lambda) - c| <= band of
     max{0, k(lambda)}.  A band that holds no grid tuple raises ValueError."""
-    shape = np.shape(c)
-    c, resolution = _oracle_args(c, resolution)
+    c, shape, resolution = _oracle_args(c, resolution)
     if not 0.0 < band < np.inf:
         raise ValueError("band must be positive and finite")
     best = np.full(c.shape, -np.inf)

@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
-from .bound import _float_or_array
+from .bound import _float_or_array, _resolution
 from .linalg import DensityMatrix, herm_eig
 from .measures import MeasureReport
 
@@ -299,8 +299,7 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     product per pass are kept on purpose: draws through `sample_counts` and
     `reconstruct`'s per-table inversion were each measured slower (ROADMAP
     item 11)."""
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
+    n_resamples = _resolution(n_resamples, 1, "n_resamples")
     counts = _count_table(counts, shots)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")

@@ -263,17 +263,23 @@ def test_grid_blocks_are_runs_of_pairs(n):
     assert start == len(rows)
 
 
+def _whole_plan(n):
+    # The pairs of every l1 at once: the reference for _plan's chunks, built
+    # from the l1 range itself, not from _plan's cuts.
+    return bound._pairs(n, np.arange((n + 3) // 4, n + 1))
+
+
 @pytest.mark.parametrize("cap", [None, 64])
 @pytest.mark.parametrize("n", [100, 257, 600, 1000, 1501])
 def test_pair_plan_chunks_are_runs_of_l1_values(monkeypatch, n, cap):
-    # Concatenated, the chunks of _plan are _pairs(n), bit for bit.  Each
+    # Concatenated, the chunks of _plan are the whole plan, bit for bit.  Each
     # chunk starts at a new l1 and holds at most _CHUNK pairs, unless it is
     # one l1; and it is the longest such run, so no chunk could take the
     # next l1 too.
     if cap is not None:
         monkeypatch.setattr(bound, "_CHUNK", cap)
     chunks = list(bound._plan(n))
-    for whole, parts in zip(bound._pairs(n), zip(*chunks)):
+    for whole, parts in zip(_whole_plan(n), zip(*chunks)):
         joined = np.concatenate(parts)
         assert joined.dtype == whole.dtype and np.array_equal(joined, whole)
     for chunk, after in zip(chunks, chunks[1:] + [None]):
@@ -291,7 +297,7 @@ def test_grid_chains_are_strictly_monotone(n):
     # The smallest steps read 1.1e-5 in h and 8.4e-6 in k at n = 600, and
     # 4.0e-6 and 3.0e-6 at n = 1000.  The blocks of _grid_blocks are runs of
     # whole pairs, so the walk never holds the grid.
-    ends = np.cumsum(bound._pairs(n)[3])
+    ends = np.cumsum(_whole_plan(n)[-1])
     start, fall, rise = 0, np.inf, np.inf
     for h, k in bound._grid_blocks(n):
         stop = start + len(h)
@@ -498,7 +504,7 @@ def test_oracle_frontier_search_matches_brute_force(monkeypatch, n, spread, dens
     # `dense` random entropies.  Each side takes some of the chains.
     h, k = grid_h_k(n)
     rng = np.random.default_rng(n + spread)
-    counts = bound._pairs(n)[3]
+    counts = _whole_plan(n)[-1]
     chains = np.concatenate([np.argsort(counts)[-10:], rng.choice(len(counts), spread)])
     last = np.cumsum(counts)[chains] - 1
     edges = np.concatenate([h[rng.choice(len(h), spread)], h[last], h[last - counts[chains] + 1]])
@@ -525,8 +531,8 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
     # bisections take the most steps, and for three random ones: one query
     # at a time, which the frontier bisects, and all at once, which it scans.
     h, k = grid_h_k(n)
-    pairs = bound._pairs(n)
-    counts = pairs[3]
+    pairs = _whole_plan(n)
+    counts = pairs[-1]
     starts = np.cumsum(counts) - counts
     for i in [*np.argsort(counts)[-3:], *np.random.default_rng(n).choice(len(counts), 3)]:
         chain = slice(starts[i], starts[i] + counts[i])
@@ -534,7 +540,7 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
         cs = np.concatenate([h[chain], np.nextafter(h[chain], -np.inf),
                              np.nextafter(h[chain], np.inf)])
         expected = [_brute_force_frontier(h[chain], k[chain], c) for c in cs]
-        assert [bound.oracle_frontier(c, n)[0] for c in cs] == expected
+        assert [bound.oracle_frontier(c, n) for c in cs] == expected
         assert bound.oracle_frontier(cs, n).tolist() == expected
 
 

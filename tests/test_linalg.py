@@ -70,6 +70,20 @@ def test_partial_trace_composition():
             assert np.array_equal(red.spectrum[divmod(k, 5)], one.spectrum)
 
 
+def test_partial_trace_of_a_checked_state_passes_its_check():
+    # Each entry of this state is Hermitian within 0.9e-10, so it passes the
+    # 1e-10 check, but the reduced state sums four of those deviations.  The
+    # reduced state is symmetrized before its own check, so it is accepted
+    # and exactly Hermitian; a reduced state left as summed would read
+    # 3.6e-10 from Hermitian and be rejected.
+    m = np.eye(16, dtype=complex) / 16
+    for k in range(4):
+        m[k, 4 + k] = m[4 + k, k] = 0.45e-10j
+    red = partial_trace(DensityMatrix(m, (2, 2, 2, 2)), keep=[0, 1])
+    assert np.array_equal(red.mat, red.mat.conj().T)
+    assert np.max(np.abs(red.spectrum - 0.25)) < 1e-9
+
+
 def test_partial_trace_rejects_bad_indices():
     rng = np.random.default_rng(2)
     rho = random_density(rng, (2, 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import states, tomo
-from qtradeoff.bound import oracle_zeta, zeta, zeta_inv
+from qtradeoff.bound import oracle_frontier, oracle_zeta, zeta, zeta_inv
 from qtradeoff.linalg import DensityMatrix, partial_trace
 from qtradeoff.measures import closed_form_E, closed_form_I, concurrence, mutual_information
 from qtradeoff.tomo import (
@@ -292,6 +292,7 @@ SCALAR_RULE = {
     "zeta": lambda a: (zeta(_at(_C, a)),),
     "zeta_inv": lambda a: (zeta_inv(_at(_E, a)),),
     "oracle_zeta": lambda a: (oracle_zeta(_at(_C, a), 100, 0.05),),
+    "oracle_frontier": lambda a: (oracle_frontier(_at(_C, a), 100),),
     "mutual_information": lambda a: (mutual_information(_cc(a), (0, 1)),),
     "concurrence": lambda a: (concurrence(partial_trace(_cc(a), (0, 1))),),
     "closed_form_I": lambda a: (closed_form_I(_at(_P, a), _at(_Q, a)),),
@@ -310,6 +311,17 @@ def test_one_input_gives_floats_and_a_stack_gives_arrays(name):
             assert type(one) is float
             assert type(many) is np.ndarray and many.shape == (3,)
             assert one == many[a]
+
+
+def test_oracle_frontier_keeps_the_shape_of_its_queries():
+    # A (2, 3) stack of entropies gives a (2, 3) array of the flat call's
+    # values; no entropies give an empty array.
+    cs = np.linspace(0.0, 1.3, 6)
+    stacked = oracle_frontier(cs.reshape(2, 3), 100)
+    assert stacked.shape == (2, 3)
+    assert stacked.tolist() == oracle_frontier(cs, 100).reshape(2, 3).tolist()
+    empty = oracle_frontier(cs[:0], 100)
+    assert type(empty) is np.ndarray and empty.shape == (0,)
 
 
 def test_correlators_agree_across_settings_on_exact_data():
@@ -379,6 +391,19 @@ def test_inversion_tables_match_loop_construction():
     pairs.append((np.arange(6.0).reshape(2, 3), np.arange(1.0, 7.0).reshape(3, 2)))
     for a, b in pairs:
         assert np.array_equal(tomo._fold(np.multiply, [a, b]), np.kron(a, b))
+
+
+@pytest.mark.parametrize("n_resamples", [2.5, np.nan, "3", np.float64(3.0), 0],
+                         ids=["2.5", "nan", "str", "float64", "0"])
+def test_resample_counts_must_be_integers(n_resamples):
+    # Each non-integer count used to raise TypeError from inside the
+    # resample loop; it now gets the ValueError of a fractional grid
+    # resolution.  A numpy integer is an integer.
+    counts = sample_counts(born_probabilities(timebin_states(0.5)), 100, 0, 0)
+    with pytest.raises(ValueError, match="n_resamples .* must be an integer of at least 1"):
+        bootstrap_measures(counts, 100, n_resamples)
+    numpy_int = bootstrap_measures(counts, 100, np.int64(2))
+    assert np.array_equal(numpy_int.i_values, bootstrap_measures(counts, 100, 2).i_values)
 
 
 def test_incomplete_count_table_is_rejected():
