@@ -15,7 +15,9 @@ l4 = r - l3.  As l3 rises, h strictly falls (x log x is strictly convex and
 (dk/dlambda_3 = sqrt(lambda_2/lambda_4) - 1 > 0), so a chain's best tuple for
 c is its last with h >= c.  The oracles take the plan in chunks of
 consecutive l1 values, so their working set does not grow with the grid.
-All functions broadcast over numpy arrays.
+All functions broadcast over numpy arrays.  Two helpers are shared with tomo
+and cli: _float_or_array, the one rule for results, and _integer, the one
+rule for counts and seeds, at most a C long (2^63 - 1) unless told otherwise.
 """
 
 from collections import namedtuple
@@ -88,10 +90,14 @@ def _expand(starts, counts):
     return out, owner
 
 
-def _resolution(n, least=1, name="resolution"):
-    """n as an int, checked to be an integer of at least `least` before any use."""
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise ValueError(f"{name} {n!r} must be an integer of at least {least}")
+def _integer(n, least, name, most=2**63 - 1):
+    """n as an int, if it is an int or numpy integer from least to most (None: any)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} {n!r} must be an integer")
+    if n < least:
+        raise ValueError(f"{name} {n!r} must be at least {least}")
+    if most is not None and n > most:
+        raise ValueError(f"{name} {n!r} must be at most {most}")
     return int(n)
 
 
@@ -151,7 +157,7 @@ def simplex_grid(resolution):
     """All descending integer partitions (l1>=l2>=l3>=l4>=0) of `resolution`,
     divided by `resolution`: exact coverage of the ordered 4-simplex.  Rows are
     in lexicographic order of (l1, l2, l3)."""
-    n = _resolution(resolution)
+    n = _integer(resolution, 1, "resolution")
     l1, l2, r2, top, counts = map(np.concatenate, zip(*_plan(n)))
     l3, l4, pair = _tuples(r2, top, counts)
     return np.stack([l1[pair], l2[pair], l3, l4], axis=1) / n
@@ -193,7 +199,7 @@ def _grid_blocks(n):
 
 def grid_h_k(resolution):
     """(h values, k values) of the simplex_grid tuples, in simplex_grid order."""
-    return tuple(map(np.concatenate, zip(*_grid_blocks(_resolution(resolution)))))
+    return tuple(map(np.concatenate, zip(*_grid_blocks(_integer(resolution, 1, "resolution")))))
 
 
 def _climb(t, t12, lo, end, r, c):
@@ -211,7 +217,7 @@ def _oracle_args(c, resolution):
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("oracle entropies must be finite")
-    return c.ravel(), c.shape, _resolution(resolution, 100, "oracle resolution")
+    return c.ravel(), c.shape, _integer(resolution, 100, "oracle resolution")
 
 
 def oracle_frontier(c, resolution=200):
@@ -284,10 +290,11 @@ def region_check(points, tolerance=1e-9):
             for (c, e), m in zip(pts.tolist(), margins.tolist())]
 
 
-def validate_bound_curve(cs, es, tolerance=1e-9):
-    """Named invariant checks on sampled curve points (cs[i], es[i]); list of
-    (name, ok) pairs."""
+def validate_bound_curve(cs, es):
+    """Named invariant checks on sampled curve points (cs[i], es[i]), each
+    within 1e-9; list of (name, ok) pairs."""
     cs, es = np.asarray(cs, dtype=float), np.asarray(es, dtype=float)
+    tolerance = 1e-9
     return [
         ("curve_domain", bool(np.all(cs >= -tolerance) and np.all(cs <= TWO_LN2 + tolerance))),
         ("curve_range", bool(np.all(es >= -tolerance) and np.all(es <= 1.0 + tolerance))),

@@ -37,7 +37,6 @@ atexit.register(gc.freeze)
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
                   "13/32", "7/16", "15/32", "1/2")
 ANGLE_PASS = 16  # most angles measured at once, so memory does not grow with the scan
-_MAX_SHOTS = 2**63 - 1  # tomo._MAX_SHOTS (C longs); start-up does not import tomo
 
 
 def parse_theta(text):
@@ -135,12 +134,10 @@ def cmd_sweep(args):
 
 
 def cmd_bound(args):
-    if args.resolution < 2:
-        raise ValueError("resolution must be at least 2")
     try:
-        cs = np.linspace(0.0, TWO_LN2, args.resolution)
+        cs = np.linspace(0.0, TWO_LN2, bound._integer(args.resolution, 2, "--resolution"))
     except IndexError:  # numpy reads a count near 2**63 as 2**63 and builds no samples
-        raise ValueError(f"resolution {args.resolution} is too large") from None
+        raise ValueError(f"--resolution {args.resolution} is too large") from None
     cols = {"c": cs, "zeta_closed": bound.zeta(cs)}
     if args.oracle:
         cols["zeta_oracle"] = bound.oracle_frontier(cs)
@@ -162,8 +159,7 @@ def cmd_oracle(args):
 def cmd_experiment(args):
     from . import tomo
 
-    if args.bootstrap < 0:
-        raise ValueError("bootstrap must be non-negative (0 for no error bars)")
+    bound._integer(args.bootstrap, 0, "--bootstrap")
     thetas = args.theta if args.theta else [parse_theta(t) for t in DEFAULT_THETAS]
     noise = tomo.NoiseParams(args.visibility, args.depolarizing)
     angles = np.array([theta for _, theta in thetas])
@@ -250,12 +246,8 @@ def main(argv=None):
                 "experiment": cmd_experiment, "verify": cmd_verify}
     args = build_parser(commands).parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ValueError(f"--seed {args.seed} must be non-negative")
-        if args.shots < 1:
-            raise ValueError(f"--shots {args.shots} must be at least 1")
-        if args.shots > _MAX_SHOTS:
-            raise ValueError(f"--shots {args.shots} must be at most {_MAX_SHOTS}")
+        bound._integer(args.seed, 0, "--seed", None)
+        bound._integer(args.shots, 1, "--shots")
         lines, ok = commands[args.command](args)
         if lines is not None:
             emit(args, config_header(args) + lines)

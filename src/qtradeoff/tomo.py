@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import measures, states
-from .bound import _float_or_array, _resolution
+from .bound import _float_or_array, _integer
 from .linalg import DensityMatrix, herm_eig
 from .measures import MeasureReport
 
@@ -125,27 +125,13 @@ def born_probabilities(rho: DensityMatrix, noise=NoiseParams()):
     return p
 
 
-_MAX_SHOTS = 2**63 - 1  # the samplers draw counts as C longs
-
-
-def _check_shots(shots, least, rule):
-    """The one rule for a shot count: an int or numpy integer, at least
-    `least` (as `rule` says) and at most _MAX_SHOTS."""
-    if not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots {shots!r} must be an integer")
-    if shots < least:
-        raise ValueError(f"shots must be {rule}")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most {_MAX_SHOTS}")
-
-
 def sample_counts(probs, shots, seed, keys):
     """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
     probability tables, each row normalized to sum 1.  `keys` holds one
     non-negative integer per table (shape probs.shape[:-2]); table a draws all
     its rows in one call from the stream (seed, keys[a]), so its counts do not
     depend on the other tables."""
-    _check_shots(shots, 1, "at least 1")
+    shots, seed = _integer(shots, 1, "shots"), _integer(seed, 0, "seed", None)
     p = np.asarray(probs, dtype=float)
     keys = np.asarray(keys)
     if keys.shape != p.shape[:-2]:
@@ -163,7 +149,7 @@ def _count_table(counts, shots):
     order or an (A, 81, 16) stack, finite and non-negative, with a positive finite
     total per setting, returned as floats (whose sums cannot wrap); an integer
     0 <= shots < 2^63."""
-    _check_shots(shots, 0, "non-negative (0 for exact frequencies)")
+    _integer(shots, 0, "shots")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), N_OUT):
         raise ValueError(f"expected (81, 16) count tables, got shape {counts.shape}")
@@ -299,7 +285,7 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     product per pass are kept on purpose: draws through `sample_counts` and
     `reconstruct`'s per-table inversion were each measured slower (ROADMAP
     item 11)."""
-    n_resamples = _resolution(n_resamples, 1, "n_resamples")
+    n_resamples, seed = _integer(n_resamples, 1, "n_resamples"), _integer(seed, 0, "seed", None)
     counts = _count_table(counts, shots)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import states, tomo
-from qtradeoff.bound import oracle_frontier, oracle_zeta, zeta, zeta_inv
+from qtradeoff.bound import grid_h_k, oracle_frontier, oracle_zeta, simplex_grid, zeta, zeta_inv
 from qtradeoff.linalg import DensityMatrix, partial_trace
 from qtradeoff.measures import closed_form_E, closed_form_I, concurrence, mutual_information
 from qtradeoff.tomo import (
@@ -142,7 +142,7 @@ def test_sample_counts_deterministic():
 
 def test_shots_beyond_a_c_long_raise_value_error():
     probs = np.full((len(SETTINGS), 16), 1 / 16)
-    msg = "shots must be at most 9223372036854775807"
+    msg = "shots 9223372036854775808 must be at most 9223372036854775807"
     with pytest.raises(ValueError, match=msg):
         sample_counts(probs, 2**63, 0, 0)
     with pytest.raises(ValueError, match=msg):
@@ -173,11 +173,13 @@ def test_shot_counts_must_be_integers(shots):
 
 def test_numpy_integer_shots_count_as_integers():
     probs = np.full((len(SETTINGS), 16), 1 / 16)
-    counts = sample_counts(probs, np.int64(10), 0, 0)
+    counts = sample_counts(probs, np.int64(10), np.int64(0), 0)
     assert np.array_equal(counts, sample_counts(probs, 10, 0, 0))
     assert np.array_equal(reconstruct(counts, np.int64(10)).rho_hat,
                           reconstruct(counts, 10).rho_hat)
-    boot, expected = bootstrap_measures(counts, np.int64(10), 2), bootstrap_measures(counts, 10, 2)
+    # So are a numpy resample count and seed.
+    boot = bootstrap_measures(counts, np.int64(10), np.int64(2), np.int64(0))
+    expected = bootstrap_measures(counts, 10, 2, 0)
     assert np.array_equal(boot.i_values, expected.i_values)
     assert np.array_equal(boot.e_values, expected.e_values)
 
@@ -393,17 +395,54 @@ def test_inversion_tables_match_loop_construction():
         assert np.array_equal(tomo._fold(np.multiply, [a, b]), np.kron(a, b))
 
 
-@pytest.mark.parametrize("n_resamples", [2.5, np.nan, "3", np.float64(3.0), 0],
-                         ids=["2.5", "nan", "str", "float64", "0"])
-def test_resample_counts_must_be_integers(n_resamples):
-    # Each non-integer count used to raise TypeError from inside the
-    # resample loop; it now gets the ValueError of a fractional grid
-    # resolution.  A numpy integer is an integer.
-    counts = sample_counts(born_probabilities(timebin_states(0.5)), 100, 0, 0)
-    with pytest.raises(ValueError, match="n_resamples .* must be an integer of at least 1"):
-        bootstrap_measures(counts, 100, n_resamples)
-    numpy_int = bootstrap_measures(counts, 100, np.int64(2))
-    assert np.array_equal(numpy_int.i_values, bootstrap_measures(counts, 100, 2).i_values)
+_UNIFORM = np.full((len(SETTINGS), 16), 1 / 16)
+_TABLE = np.full((len(SETTINGS), 16), 10)
+# Every argument that takes a count or a seed: its name in the message, the
+# least value it takes, and a call that passes it a value.  Seeds have no
+# upper bound; every count is at most 2^63 - 1.
+_INTEGER_ARGUMENTS = {
+    "sample_counts-shots": ("shots", 1, lambda v: sample_counts(_UNIFORM, v, 0, 0)),
+    "reconstruct-shots": ("shots", 0, lambda v: reconstruct(_TABLE, v)),
+    "bootstrap_measures-shots": ("shots", 0, lambda v: bootstrap_measures(_TABLE, v, 2)),
+    "n_resamples": ("n_resamples", 1, lambda v: bootstrap_measures(_TABLE, 100, v)),
+    "sample_counts-seed": ("seed", 0, lambda v: sample_counts(_UNIFORM, 10, v, 0)),
+    "bootstrap_measures-seed": ("seed", 0, lambda v: bootstrap_measures(_TABLE, 100, 2, v)),
+    "run_experiment-seed": ("seed", 0, lambda v: run_experiment(0.3, 100, v)),
+    "oracle_frontier": ("oracle resolution", 100, lambda v: oracle_frontier(0.5, v)),
+    "oracle_zeta": ("oracle resolution", 100, lambda v: oracle_zeta(0.5, v)),
+    "simplex_grid": ("resolution", 1, simplex_grid),
+    "grid_h_k": ("resolution", 1, grid_h_k),
+}
+
+
+def _bad_integers():
+    for entry, (name, least, _) in _INTEGER_ARGUMENTS.items():
+        cases = [(2.5, "2.5"), (np.nan, "nan"), ("3", "str"), (np.float64(3.0), "float64"),
+                 (least - 1, str(least - 1))]
+        if name != "seed":
+            cases.append((2**63, "2**63"))
+        for value, label in cases:
+            # The n_resamples cases keep the ids of the test's first argument.
+            yield pytest.param(entry, value, id=label if entry == "n_resamples"
+                               else f"{entry}-{label}")
+
+
+@pytest.mark.parametrize("entry, value", _bad_integers())
+def test_resample_counts_must_be_integers(entry, value):
+    # One rule checks every count and seed before any use.  Non-integer
+    # resample counts used to raise TypeError from inside the resample loop,
+    # and seeds reached numpy unchecked: 2.5 raised its TypeError, -1 its
+    # own ValueError, and "3" ran as seed 3.
+    name, least, call = _INTEGER_ARGUMENTS[entry]
+    if not isinstance(value, int):
+        expected = f"{name} {value!r} must be an integer"
+    elif value < least:
+        expected = f"{name} {value!r} must be at least {least}"
+    else:
+        expected = f"{name} {value!r} must be at most 9223372036854775807"
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == expected
 
 
 def test_incomplete_count_table_is_rejected():
@@ -633,14 +672,14 @@ def test_count_table_rejects_a_total_past_the_float_range():
 def test_reconstruct_rejects_negative_shots():
     # A negative count used to run as exact frequencies, unthresholded.
     counts = np.full((len(SETTINGS), 16), 10)
-    with pytest.raises(ValueError, match=r"must be non-negative \(0 for exact frequencies\)"):
+    with pytest.raises(ValueError, match="shots -5 must be at least 0"):
         reconstruct(counts, -5)
 
 
 def test_bootstrap_rejects_negative_shots():
     # A negative count used to return zero error bars and no resamples.
     counts = np.full((len(SETTINGS), 16), 10)
-    with pytest.raises(ValueError, match=r"must be non-negative \(0 for exact frequencies\)"):
+    with pytest.raises(ValueError, match="shots -5 must be at least 0"):
         bootstrap_measures(counts, -5, n_resamples=2)
 
 
