@@ -9,10 +9,11 @@ the exit code: 0 success, 1 invariant failure, 2 usage error or oversized input.
 A stdout whose reader has gone (`| head`) ends the command with exit 1 and
 nothing on stderr.
 
-Only the bound layer is imported at start-up; the commands that need the
-measures, states or tomography modules import them when they run, so `bound`
-and `oracle` never load the tomography stack.  No command loads dataclasses,
-fractions or decimal.
+Only the closed-form bound is imported at start-up; each command imports the
+other modules it needs when it runs.  The grid oracles (qtradeoff.oracle) load
+only in `oracle`, `bound --oracle` and `verify`, so `sweep` and a plain `bound`
+never compile them, and `bound` and `oracle` never load the tomography stack.
+No command loads dataclasses, fractions or decimal.
 
 Importing this module registers gc.freeze to run at interpreter exit, so the
 collections of interpreter shutdown skip every object still alive, most of
@@ -140,20 +141,24 @@ def cmd_bound(args):
         raise ValueError(f"--resolution {args.resolution} is too large") from None
     cols = {"c": cs, "zeta_closed": bound.zeta(cs)}
     if args.oracle:
-        cols["zeta_oracle"] = bound.oracle_frontier(cs)
+        from . import oracle
+
+        cols["zeta_oracle"] = oracle.oracle_frontier(cs)
     sound = not args.oracle or np.all(cols["zeta_oracle"] <= cols["zeta_closed"] + 1e-12)
     return [",".join(cols)] + table_rows(*cols.values()), sound
 
 
 def cmd_oracle(args):
+    from . import oracle
+
     cs = np.linspace(0.0, TWO_LN2, 50)
     zs = bound.zeta(cs)
-    oracle = bound.oracle_frontier(cs, resolution=args.resolution)
-    diffs = np.abs(zs - oracle)
+    frontier = oracle.oracle_frontier(cs, resolution=args.resolution)
+    diffs = np.abs(zs - frontier)
     worst = np.max(diffs)
-    lines = ["c,zeta_closed,zeta_oracle,abs_diff", *table_rows(cs, zs, oracle, diffs),
+    lines = ["c,zeta_closed,zeta_oracle,abs_diff", *table_rows(cs, zs, frontier, diffs),
              f"# max_abs_diff={fmt(worst)}"]
-    return lines, worst <= 0.02 and np.all(oracle <= zs + 1e-12)
+    return lines, worst <= 0.02 and np.all(frontier <= zs + 1e-12)
 
 
 def cmd_experiment(args):
@@ -187,7 +192,7 @@ def family_points(p, q):
 
 def invariant_suite(seed=0):
     """Named invariant checks, yielded as (name, ok, detail)."""
-    from . import states, tomo
+    from . import oracle, states, tomo
 
     z0 = bound.zeta(0.0)
     yield "zeta_at_zero", abs(z0 - 1.0) <= 1e-9, f"zeta(0)={fmt(z0)}"
@@ -214,7 +219,7 @@ def invariant_suite(seed=0):
         yield name, ok, ""
 
     cs = np.linspace(0.0, TWO_LN2, 8)
-    devs = np.abs(bound.zeta(cs) - bound.oracle_zeta(cs, 150, 0.01))
+    devs = np.abs(bound.zeta(cs) - oracle.oracle_zeta(cs, 150, 0.01))
     yield "oracle_matches_closed_form", np.max(devs) <= 0.03, f"max dev={fmt(np.max(devs))}"
 
     probs = np.full((len(tomo.SETTINGS), tomo.N_OUT), 1.0 / tomo.N_OUT)

@@ -277,29 +277,32 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     frequencies (shots = 0) have no resamples.
 
     The resamples run in ceil(n / RESAMPLE_PASS) passes of near-equal size, so
-    the working set is one pass whatever n is.  Each pass draws from the same
-    81 streams, which continue, and inverts its stack with one product.
-    Passes of 2 to 64 rows were measured to give the bits of one pass over all
-    n; a one-row pass runs as a matrix-vector product, whose last bits differ,
-    so the split leaves no lone row unless n = 1.  Per-setting draws and one
-    product per pass are kept on purpose: draws through `sample_counts` and
-    `reconstruct`'s per-table inversion were each measured slower (ROADMAP
-    item 11)."""
+    the working set is one pass, besides the (2, n) values, whatever n is.
+    Each pass draws from the same 81 streams, which continue, and inverts its
+    stack with one product.  Passes of 2 to 64 rows were measured to give the
+    bits of one pass over all n; a one-row pass runs as a matrix-vector
+    product, whose last bits differ, so the split leaves no lone row unless
+    n = 1.  Per-setting draws and one product per pass are kept on purpose:
+    draws through `sample_counts` and `reconstruct`'s per-table inversion were
+    each measured slower (ROADMAP item 11)."""
     n_resamples, seed = _integer(n_resamples, 1, "n_resamples"), _integer(seed, 0, "seed", None)
     counts = _count_table(counts, shots)
     if counts.ndim != 2:
         raise ValueError("the bootstrap takes one (81, 16) count table")
     if shots == 0:
         return BootstrapResult(np.zeros(0), np.zeros(0), 0.0, 0.0)
+    # (I, E) of every resample, allocated first: a count too large to hold
+    # fails here at once, not after passes that fill memory.
+    i_vals, e_vals = values = np.empty((2, n_resamples))
     probs = counts / np.sum(counts, axis=-1, keepdims=True)
     rngs = [np.random.default_rng((seed, 7_000_000, idx)) for idx in range(len(SETTINGS))]
     n_passes = -(-n_resamples // RESAMPLE_PASS)
-    values = []
+    done = 0
     for k in range(n_passes):
         size = n_resamples // n_passes + (k < n_resamples % n_passes)
         stack = np.stack([rng.multinomial(shots, p, size=size)
                           for rng, p in zip(rngs, probs)], axis=1)
         rep = measures.cut_measures(_invert(stack, shots), (0, 1))
-        values.append((rep.mutual_information, rep.concurrence))
-    i_vals, e_vals = map(np.concatenate, zip(*values))
+        values[:, done:done + size] = rep.mutual_information, rep.concurrence
+        done += size
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))

@@ -4,19 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtradeoff import bound
+from qtradeoff import bound, oracle
 from qtradeoff.bound import (
     LN2SQRT3,
     TWO_LN2,
-    grid_h_k,
-    oracle_zeta,
     region_check,
-    simplex_grid,
     validate_bound_curve,
     zeta,
     zeta_inv,
     zeta_inv_branches,
 )
+from qtradeoff.oracle import grid_h_k, oracle_zeta, simplex_grid
 
 
 def test_zeta_inv_endpoints():
@@ -250,7 +248,7 @@ def test_grid_blocks_are_runs_of_pairs(n):
     rows = np.concatenate(list(_reference_rows(n)))
     assert len(rows) == _partitions_into_four(n)
     start = 0
-    for h, k in bound._grid_blocks(n):
+    for h, k in oracle._grid_blocks(n):
         block = rows[start:start + len(h)]
         lam = block / n
         assert np.array_equal(h, -np.sum(bound._xlogx(lam), axis=1))
@@ -258,7 +256,7 @@ def test_grid_blocks_are_runs_of_pairs(n):
         assert start == 0 or np.any(block[0, :2] != rows[start - 1, :2])
         first = np.count_nonzero(np.all(block[:, :2] == block[0, :2], axis=1))
         assert first <= n // 2 + 1
-        assert len(h) - first < bound._BLOCK
+        assert len(h) - first < oracle._BLOCK
         start += len(h)
     assert start == len(rows)
 
@@ -266,7 +264,7 @@ def test_grid_blocks_are_runs_of_pairs(n):
 def _whole_plan(n):
     # The pairs of every l1 at once: the reference for _plan's chunks, built
     # from the l1 range itself, not from _plan's cuts.
-    return bound._pairs(n, np.arange((n + 3) // 4, n + 1))
+    return oracle._pairs(n, np.arange((n + 3) // 4, n + 1))
 
 
 @pytest.mark.parametrize("cap", [None, 64])
@@ -277,17 +275,17 @@ def test_pair_plan_chunks_are_runs_of_l1_values(monkeypatch, n, cap):
     # one l1; and it is the longest such run, so no chunk could take the
     # next l1 too.
     if cap is not None:
-        monkeypatch.setattr(bound, "_CHUNK", cap)
-    chunks = list(bound._plan(n))
+        monkeypatch.setattr(oracle, "_CHUNK", cap)
+    chunks = list(oracle._plan(n))
     for whole, parts in zip(_whole_plan(n), zip(*chunks)):
         joined = np.concatenate(parts)
         assert joined.dtype == whole.dtype and np.array_equal(joined, whole)
     for chunk, after in zip(chunks, chunks[1:] + [None]):
         l1 = chunk[0]
-        assert len(l1) <= bound._CHUNK or np.all(l1 == l1[0])
+        assert len(l1) <= oracle._CHUNK or np.all(l1 == l1[0])
         if after is not None:
             assert after[0][0] > l1[-1]
-            assert len(l1) + np.count_nonzero(after[0] == after[0][0]) > bound._CHUNK
+            assert len(l1) + np.count_nonzero(after[0] == after[0][0]) > oracle._CHUNK
 
 
 @pytest.mark.parametrize("n", [100, 257, 600, 1000])
@@ -299,7 +297,7 @@ def test_grid_chains_are_strictly_monotone(n):
     # whole pairs, so the walk never holds the grid.
     ends = np.cumsum(_whole_plan(n)[-1])
     start, fall, rise = 0, np.inf, np.inf
-    for h, k in bound._grid_blocks(n):
+    for h, k in oracle._grid_blocks(n):
         stop = start + len(h)
         assert stop in ends
         inner = np.ones(len(h) - 1, dtype=bool)
@@ -328,13 +326,13 @@ def test_oracle_scan_does_not_depend_on_the_block_size(monkeypatch, n):
             with pytest.raises(ValueError, match="no grid tuple"):
                 oracle_zeta(c, n)
         band = [oracle_zeta(queries[0][populated], n)] if n == 150 else []
-        return [bound.oracle_frontier(cs, n) for cs in queries] + band
+        return [oracle.oracle_frontier(cs, n) for cs in queries] + band
 
     default = scan()
     for name, size in [("_BLOCK", 2 ** 6), ("_BLOCK", 2 ** 16),
                        ("_CHUNK", 1), ("_CHUNK", 2 ** 6), ("_CHUNK", 2 ** 20)]:
         with monkeypatch.context() as m:
-            m.setattr(bound, name, size)
+            m.setattr(oracle, name, size)
             for got, values in zip(scan(), default):
                 assert np.array_equal(got, values)
                 assert np.array_equal(np.signbit(got), np.signbit(values))
@@ -354,13 +352,29 @@ def test_oracle_zeta_validates_arguments():
     for band in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError):
             oracle_zeta(0.5, band=band)
-    for oracle in (oracle_zeta, bound.oracle_frontier):
+    for search in (oracle_zeta, oracle.oracle_frontier):
         for c in (np.nan, [0.5, np.inf]):
             with pytest.raises(ValueError, match="finite"):
-                oracle(c)
+                search(c)
         for resolution in (50, 99, 150.5, "150", None):
             with pytest.raises(ValueError, match="oracle resolution"):
-                oracle(0.5, resolution=resolution)
+                search(0.5, resolution=resolution)
+
+
+def test_bound_forwards_the_four_oracle_names_and_no_other(monkeypatch):
+    # bound.<name> is the oracle's own function for its four public names.
+    # Every other name bound lacks raises, private ones included, so a test
+    # that patches bound._CHUNK fails instead of patching what nothing reads.
+    names = ("oracle_frontier", "oracle_zeta", "grid_h_k", "simplex_grid")
+    for name in names:
+        assert getattr(bound, name) is getattr(oracle, name)
+    assert bound._ORACLE_NAMES == names
+    for name in ("_CHUNK", "_BLOCK", "_plan", "_pairs", "_runs", "_grid_blocks", "oracle",
+                 "zeta_oracle"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(bound, name)
+    with pytest.raises(AttributeError):
+        monkeypatch.setattr(bound, "_CHUNK", 1)
 
 
 @pytest.mark.parametrize("resolution", [0, -1, 1.5, 2.7])
@@ -484,7 +498,7 @@ def test_oracle_scan_matches_brute_force_at_grid_sizes(n):
     cs = np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
                          np.linspace(0.0, TWO_LN2, 50), np.linspace(0.0, TWO_LN2, 200),
                          [-1.0, -1e-300, TWO_LN2 + 1e-9, 3.0]])
-    assert bound.oracle_frontier(cs, n).tolist() == [_brute_force_frontier(h, k, c) for c in cs]
+    assert oracle.oracle_frontier(cs, n).tolist() == [_brute_force_frontier(h, k, c) for c in cs]
     if n not in (150, 200):
         return
     for cs, band in _band_query_sets(h, rng):
@@ -510,14 +524,14 @@ def test_oracle_frontier_search_matches_brute_force(monkeypatch, n, spread, dens
     edges = np.concatenate([h[rng.choice(len(h), spread)], h[last], h[last - counts[chains] + 1]])
     cs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                          np.linspace(0.0, TWO_LN2, 50), rng.random(dense) * TWO_LN2])
-    scanned, runs = [], bound._runs
-    monkeypatch.setattr(bound, "_runs",
+    scanned, runs = [], oracle._runs
+    monkeypatch.setattr(oracle, "_runs",
                         lambda t, x, *pairs: scanned.append(len(pairs[0])) or runs(t, x, *pairs))
-    values = bound.oracle_frontier(cs, n)
+    values = oracle.oracle_frontier(cs, n)
     assert values.tolist() == [_brute_force_frontier(h, k, c) for c in cs]
     assert not np.any(np.signbit(values))
     assert 0 < sum(scanned) < len(counts)
-    empty = bound.oracle_frontier(cs[:0], n)
+    empty = oracle.oracle_frontier(cs[:0], n)
     assert empty.shape == (0,) and empty.dtype == float
 
 
@@ -536,12 +550,12 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
     starts = np.cumsum(counts) - counts
     for i in [*np.argsort(counts)[-3:], *np.random.default_rng(n).choice(len(counts), 3)]:
         chain = slice(starts[i], starts[i] + counts[i])
-        monkeypatch.setattr(bound, "_plan", lambda _, i=i: [[p[i:i + 1] for p in pairs]])
+        monkeypatch.setattr(oracle, "_plan", lambda _, i=i: [[p[i:i + 1] for p in pairs]])
         cs = np.concatenate([h[chain], np.nextafter(h[chain], -np.inf),
                              np.nextafter(h[chain], np.inf)])
         expected = [_brute_force_frontier(h[chain], k[chain], c) for c in cs]
-        assert [bound.oracle_frontier(c, n) for c in cs] == expected
-        assert bound.oracle_frontier(cs, n).tolist() == expected
+        assert [oracle.oracle_frontier(c, n) for c in cs] == expected
+        assert oracle.oracle_frontier(cs, n).tolist() == expected
 
 
 @pytest.mark.parametrize("n, queries", [(600, 50), (1000, 50), (1500, 50), (200, 10_000)])
@@ -555,7 +569,7 @@ def test_oracle_frontier_memory_does_not_grow(n, queries):
     cs = np.linspace(0.0, TWO_LN2, queries)
     tracemalloc.start()
     try:
-        bound.oracle_frontier(cs, n)
+        oracle.oracle_frontier(cs, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -571,7 +585,7 @@ def test_oracle_scan_with_no_tuple_near_a_band_edge():
     for c in (-1.0, 3.0):
         with pytest.raises(ValueError, match="no grid tuple"):
             oracle_zeta([0.5, c], 100, 0.01)
-    assert bound.oracle_frontier([-1.0, 3.0], 100).tolist() == [1.0, 0.0]
+    assert oracle.oracle_frontier([-1.0, 3.0], 100).tolist() == [1.0, 0.0]
 
 
 def test_oracle_zeta_rejects_an_empty_band():

@@ -273,10 +273,10 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # alone; the oracle holds one chunk of at most 2^11 (l1, l2) pairs of the
     # pair plan, with its chains, and one maximum per query, and writes the
     # bytes the whole-grid frontier writes.  Against a `bound --resolution 2`
-    # process, which pays the same interpreter and imports, it may add less
-    # than 3 MB: it adds 1.4 MB when every process compiles its modules
-    # (30.1 against 28.7 MB) and 1.8 MB with a bytecode cache, which spares
-    # the `bound` process its compile.  With the whole pair plan it added
+    # process, which pays the same interpreter and imports but for the oracle
+    # module, it may add less than 3 MB: it adds 1.9 MB when every process
+    # compiles its modules (30.0 against 28.1 MB) and 1.8 MB with a bytecode
+    # cache (29.7 against 27.9 MB).  With the whole pair plan it added
     # 6.6 MB; blocks of about 2^16 tuples added 15-17.5 MB.
     out = tmp_path / "oracle.csv"
     oracle = peak_kib("--command", "oracle", "--resolution", "1000", "--out", str(out))
@@ -306,13 +306,15 @@ def test_experiment_memory_does_not_grow_with_the_stack(tmp_path, argv, baseline
 
 def test_bound_layer_commands_skip_tomography_import():
     # A fresh interpreter, so that no other test's imports count.  No command
-    # loads fractions, decimal or dataclasses (see the experiment guard below),
-    # and the bound layer loads no other qtradeoff module.
+    # loads fractions, decimal or dataclasses (see the experiment guard below).
+    # A plain bound table loads the closed form alone; the oracle commands add
+    # the grid oracles and no other qtradeoff module.
     script = (
         "import os, sys\n"
         "import qtradeoff.cli\n"
         "loaded = [set(sys.modules)]\n"
-        "for argv in (['--command', 'oracle', '--resolution', '100'],\n"
+        "for argv in (['--command', 'bound', '--resolution', '5'],\n"
+        "             ['--command', 'oracle', '--resolution', '100'],\n"
         "             ['--command', 'bound', '--resolution', '5', '--oracle']):\n"
         "    assert qtradeoff.cli.main(argv + ['--out', os.devnull]) == 0\n"
         "    loaded.append(set(sys.modules))\n"
@@ -323,14 +325,53 @@ def test_bound_layer_commands_skip_tomography_import():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=_src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
-    for loaded in res.stdout.strip().split(";"):
-        assert loaded.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
+    closed_form = ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
+    assert [loaded.split() for loaded in res.stdout.strip().split(";")] == \
+        [closed_form] * 2 + [closed_form + ["qtradeoff.oracle"]] * 2
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--command", "experiment", "--exact", "--theta", "1/4"], False),
+    (["--command", "verify"], True),
+], ids=["experiment", "verify"])
+def test_only_the_oracle_commands_load_the_oracle_module(argv, loads):
+    # A fresh interpreter per command: the grid oracles are compiled only by
+    # the commands that run them.  The tests above and below pin the modules
+    # of bound, oracle and sweep.
+    script = (
+        "import os, sys\n"
+        "from qtradeoff.cli import main\n"
+        "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+        "print('qtradeoff.oracle' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == str(loads)
+
+
+def test_bound_loads_the_oracle_module_on_first_use_of_a_forwarded_name():
+    # A fresh interpreter: importing bound leaves the grid oracles unloaded, a
+    # forwarded name loads them, and a name bound lacks loads nothing.
+    script = (
+        "import sys\n"
+        "from qtradeoff import bound\n"
+        "print('qtradeoff.oracle' in sys.modules)\n"
+        "print(hasattr(bound, '_CHUNK'), 'qtradeoff.oracle' in sys.modules)\n"
+        "from qtradeoff.bound import simplex_grid\n"
+        "print(simplex_grid is sys.modules['qtradeoff.oracle'].simplex_grid)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False", "False", "True"]
 
 
 def test_sweep_loads_measures_but_not_states():
-    # A fresh interpreter: sweep needs only the closed forms of measures.
-    # states imports measures for its p, q check, never the reverse, so this
-    # fails if measures ever imports states.
+    # A fresh interpreter: sweep needs only the closed forms of measures and
+    # of the bound, not the grid oracles.  states imports measures for its
+    # p, q check, never the reverse, so this fails if measures ever imports
+    # states.
     script = (
         "import os, sys\n"
         "from qtradeoff.cli import main\n"
@@ -402,20 +443,21 @@ def test_process_exit_freezes_the_collector(tmp_path, argv):
 
 # Public names that nothing loads yet, kept for the work that will.
 UNCALLED_PUBLIC_NAMES = {
-    "bound.simplex_grid": "perfbench/test_perfbench.py counts grid tuples against it",
+    "oracle.simplex_grid": "perfbench/test_perfbench.py counts grid tuples against it",
 }
 
 
 def _names_needing_a_caller(path):
     """`module.name` for each top-level def, class and assigned name of a file
     that has no leading underscore, and for each top-level function that has
-    one: a private helper that nothing calls is dead code."""
+    one: a private helper that nothing calls is dead code.  A module hook
+    such as __getattr__, which the interpreter calls, does not count."""
     own = os.path.basename(path)[:-3]
     with open(path) as fh:
         tree = ast.parse(fh.read())
     names = set()
     for top in tree.body:
-        if isinstance(top, ast.FunctionDef):
+        if isinstance(top, ast.FunctionDef) and not top.name.endswith("__"):
             names.add(top.name)
         elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
             names.add(top.name)
@@ -458,9 +500,12 @@ def test_every_public_name_has_a_caller():
     files = sorted(os.path.join(package, f) for f in os.listdir(package)
                    if f.endswith(".py") and f != "__init__.py")
     assert [os.path.basename(f) for f in files] == [
-        "bound.py", "cli.py", "linalg.py", "measures.py", "states.py", "tomo.py"]
+        "bound.py", "cli.py", "linalg.py", "measures.py", "oracle.py", "states.py", "tomo.py"]
     gate = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
     used = set().union(*map(_references, files + [gate]))
+    # bound forwards the oracles' public names: the gate's bound.grid_h_k is
+    # oracle.grid_h_k.
+    used |= {f"oracle.{n}" for n in bound._ORACLE_NAMES if f"bound.{n}" in used}
     checked = set().union(*map(_names_needing_a_caller, files))
     assert set(UNCALLED_PUBLIC_NAMES) <= checked - used
     uncalled = sorted(checked - used - set(UNCALLED_PUBLIC_NAMES))
@@ -664,6 +709,13 @@ def test_usage_errors_exit_2(capsys):
                              "--theta", "1/4"] + mode) == 2
             assert capsys.readouterr().err == \
                 f"error: --shots {shots} must be at most 9223372036854775807\n"
+    # A resample count that passes the rule but cannot be held fails its one
+    # allocation at once, before any resample is drawn.
+    for n, err in (("9223372036854775807", "error: array is too big; "),
+                   ("1000000000000", "error: Unable to allocate 14.6 TiB ")):
+        assert cli.main(["--command", "experiment", "--theta", "0", "--bootstrap", n]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(err)
     assert cli.main(["--command", "bound", "--shots", "9223372036854775808"]) == 2
     assert capsys.readouterr().err.startswith("error: --shots 9223372036854775808 must")
     assert cli.main(["--command", "experiment", "--shots", "9223372036854775807",

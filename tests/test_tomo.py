@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qtradeoff import states, tomo
-from qtradeoff.bound import grid_h_k, oracle_frontier, oracle_zeta, simplex_grid, zeta, zeta_inv
+from qtradeoff.bound import zeta, zeta_inv
 from qtradeoff.linalg import DensityMatrix, partial_trace
 from qtradeoff.measures import closed_form_E, closed_form_I, concurrence, mutual_information
+from qtradeoff.oracle import grid_h_k, oracle_frontier, oracle_zeta, simplex_grid
 from qtradeoff.tomo import (
     NoiseParams,
     SETTINGS,
