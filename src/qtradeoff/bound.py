@@ -11,9 +11,9 @@ long (2^63 - 1) unless told otherwise.
 
 Every command loads this module.  The brute-force grid oracles that check
 zeta are in qtradeoff.oracle, which only the `oracle` command, `bound --oracle`
-and `verify` load.  bound.oracle_frontier, oracle_zeta, grid_h_k and
-simplex_grid still resolve: a module __getattr__ loads oracle on the first use
-of one of those four names, and only of those.
+and `verify` load.  bound.oracle_zeta, grid_h_k and simplex_grid, the oracle
+names that callers spell on bound, still resolve: a module __getattr__ loads
+oracle on the first use of one of those three names, and only of those.
 """
 
 from collections import namedtuple
@@ -26,8 +26,7 @@ TWO_LN2 = float(2.0 * np.log(2.0))
 
 def _xlogx(x):
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
+    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def _float_or_array(out):
@@ -100,7 +99,7 @@ def region_check(points, tolerance=1e-9):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    margins = np.asarray(zeta(np.clip(pts[:, 0], 0.0, TWO_LN2))) - pts[:, 1]
+    margins = zeta(np.clip(pts[:, 0], 0.0, TWO_LN2)) - pts[:, 1]
     return [RegionVerdict((c, e), m >= -tolerance, m)
             for (c, e), m in zip(pts.tolist(), margins.tolist())]
 
@@ -118,7 +117,7 @@ def validate_bound_curve(cs, es):
     ]
 
 
-_ORACLE_NAMES = ("oracle_frontier", "oracle_zeta", "grid_h_k", "simplex_grid")
+_ORACLE_NAMES = ("oracle_zeta", "grid_h_k", "simplex_grid")
 
 
 def __getattr__(name):

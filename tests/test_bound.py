@@ -73,6 +73,18 @@ def test_zeta_inv_branches_and_zeta_digests():
         "7865cee3bbb20b05aee9099650fdf76f0c6c97ba86b5625d378a1308f9069e68")
     assert _digest(zeta(np.linspace(0.0, TWO_LN2, 10001))) == (
         "5f8e7b6224a8f123bf6f1edca6550dce5f5833b797e50ff0935dddd749fb8ffd")
+    assert _digest(zeta_inv(np.linspace(0.0, 1.0, 10001))) == (
+        "4fdadd4cc74046914abd4722eec0ea3a364419d2e199bdd1d33a239244c0ca83")
+
+
+def test_xlogx_bits():
+    # +0.0 at 0 and at 1, the subnormal and tiny products to the bit; a
+    # float-noise negative eigenvalue adds nothing to an entropy.
+    for x, want in ((0.0, "0x0.0p+0"), (5e-324, "-0x0.00000000002e8p-1022"),
+                    (1e-300, "-0x1.ce9b81ff759e1p-988"), (0.5, "-0x1.62e42fefa39efp-2"),
+                    (1.0, "0x0.0p+0")):
+        assert float(bound._xlogx(x)).hex() == want
+    assert bound._xlogx(-1e-9) == 0
 
 
 def test_zeta_inv_both_branches_active():
@@ -361,16 +373,17 @@ def test_oracle_zeta_validates_arguments():
                 search(0.5, resolution=resolution)
 
 
-def test_bound_forwards_the_four_oracle_names_and_no_other(monkeypatch):
-    # bound.<name> is the oracle's own function for its four public names.
-    # Every other name bound lacks raises, private ones included, so a test
-    # that patches bound._CHUNK fails instead of patching what nothing reads.
-    names = ("oracle_frontier", "oracle_zeta", "grid_h_k", "simplex_grid")
+def test_bound_forwards_the_three_oracle_names_and_no_other(monkeypatch):
+    # bound.<name> is the oracle's own function for the three public names
+    # that callers spell on bound.  Every other name bound lacks raises,
+    # oracle_frontier and private ones included, so a test that patches
+    # bound._CHUNK fails instead of patching what nothing reads.
+    names = ("oracle_zeta", "grid_h_k", "simplex_grid")
     for name in names:
         assert getattr(bound, name) is getattr(oracle, name)
     assert bound._ORACLE_NAMES == names
-    for name in ("_CHUNK", "_BLOCK", "_plan", "_pairs", "_runs", "_grid_blocks", "oracle",
-                 "zeta_oracle"):
+    for name in ("oracle_frontier", "_CHUNK", "_BLOCK", "_plan", "_pairs", "_runs",
+                 "_grid_blocks", "oracle", "zeta_oracle"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(bound, name)
     with pytest.raises(AttributeError):
