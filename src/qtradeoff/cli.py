@@ -37,7 +37,9 @@ atexit.register(gc.freeze)
 
 DEFAULT_THETAS = ("0", "1/16", "1/8", "3/16", "1/4", "9/32", "11/32", "3/8",
                   "13/32", "7/16", "15/32", "1/2")
-ANGLE_PASS = 16  # most angles measured at once, so memory does not grow with the scan
+# Most angles measured at once.  A pass holds only its own arrays, freed before
+# the next pass is built, so memory does not grow with the scan.
+ANGLE_PASS = 16
 
 
 def parse_theta(text):
@@ -179,6 +181,9 @@ def cmd_experiment(args):
             for a, table in enumerate(run.counts, lo):
                 boot = tomo.bootstrap_measures(table, run.shots, args.bootstrap, args.seed)
                 cols[3:5, a] = boot.i_err, boot.e_err
+            del table  # a view into run.counts, which would keep them alive
+        # Free this pass's counts and estimates before the next pass is built.
+        del run
     return ["theta,p,I_hat,E_hat,I_err,E_err,fidelity",
             *(f"{label},{row}" for (label, _), row in zip(thetas, table_rows(*cols)))], True
 

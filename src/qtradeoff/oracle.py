@@ -59,7 +59,8 @@ def _pairs(n, largest):
     return (l1, l2, r2, *_parts(r2, l2, 2))
 
 
-# Pairs per chunk of the pair plan, which the oracles hold one at a time:
+# Pairs per chunk of the pair plan, which the oracles hold one at a time
+# (oracle_frontier frees each chunk's arrays before it builds the next):
 # 2^11 keeps the frontier's peak near 1 MiB at any n and its time that of the
 # whole plan; 2^10 halves the peak but takes 10-25% longer at n = 200-575.
 _CHUNK = 2 ** 11
@@ -116,6 +117,7 @@ def _runs(t, x, *pairs):
         l1, l2, r2, top, counts = (p[a:b] for p in pairs)
         l3, l4, pair = _tuples(r2, top, counts)
         yield _h(t, (t[l1] + t[l2])[pair], l3, l4), _k(x, x[l1][pair], x[l2][pair], l3, l4)
+        del l3, l4, pair  # freed before the next run is built
 
 
 def _grid_blocks(n):
@@ -150,6 +152,25 @@ def _oracle_args(c, resolution):
     return c.ravel(), c.shape, _integer(resolution, 100, "oracle resolution")
 
 
+def _frontier_chunk(best, sorted_c, t, x, p1, p2, r, top, count):
+    """Raise `best` (see oracle_frontier) by the tuples of one chunk of the pair
+    plan.  Its (chain, query) arrays are freed on return."""
+    t12, x1, x2, end = t[p1] + t[p2], x[p1], x[p2], top + count - 1
+    low = np.searchsorted(sorted_c, _h(t, t12, end, r - end), side="right")
+    np.maximum.at(best, low, _k(x, x1, x2, end, r - end))
+    m = np.searchsorted(sorted_c, _h(t, t12, top, r - top), side="right") - low
+    # Bisection takes m ceil(log2 count) h evaluations; a scan takes count
+    # tuples at about two each (h, k and a search of the queries).
+    scan = m * np.ceil(np.log2(count)) > 2 * count
+    if np.any(scan):
+        for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], top[scan], count[scan]):
+            np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
+            del h, k  # freed before _runs builds the next run
+    q, chain = _expand(low, np.where(scan, 0, m))
+    l3, l4 = _climb(t, t12[chain], top[chain], end[chain], r[chain], sorted_c[q])
+    np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], l3, l4))
+
+
 def oracle_frontier(c, resolution=200):
     """Grid frontier of zeta: Z_n(c) = max of max{0, k(lambda)} over the grid
     tuples with h(lambda) >= c, per entropy c.  Every tuple obeys k <= zeta(h)
@@ -164,20 +185,10 @@ def oracle_frontier(c, resolution=200):
     best = np.full(len(c) + 1, -np.inf)
     x = np.arange(n + 1) / n
     t = _xlogx(x)
-    for p1, p2, r, top, count in _plan(n):
-        t12, x1, x2, end = t[p1] + t[p2], x[p1], x[p2], top + count - 1
-        low = np.searchsorted(sorted_c, _h(t, t12, end, r - end), side="right")
-        np.maximum.at(best, low, _k(x, x1, x2, end, r - end))
-        m = np.searchsorted(sorted_c, _h(t, t12, top, r - top), side="right") - low
-        # Bisection takes m ceil(log2 count) h evaluations; a scan takes count
-        # tuples at about two each (h, k and a search of the queries).
-        scan = m * np.ceil(np.log2(count)) > 2 * count
-        if np.any(scan):
-            for h, k in _runs(t, x, p1[scan], p2[scan], r[scan], top[scan], count[scan]):
-                np.maximum.at(best, np.searchsorted(sorted_c, h, side="right"), k)
-        q, chain = _expand(low, np.where(scan, 0, m))
-        l3, l4 = _climb(t, t12[chain], top[chain], end[chain], r[chain], sorted_c[q])
-        np.maximum.at(best, q + 1, _k(x, x1[chain], x2[chain], l3, l4))
+    for pairs in _plan(n):
+        _frontier_chunk(best, sorted_c, t, x, *pairs)
+        # The loop name would hold this chunk's pairs while _plan builds the next.
+        del pairs
     out = np.empty_like(c)
     out[order] = np.maximum.accumulate(best[::-1])[::-1][1:]
     return _float_or_array(np.maximum(0.0, out).reshape(shape))

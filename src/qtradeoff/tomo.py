@@ -193,10 +193,19 @@ COEFF_THRESHOLD_SIGMAS = 3.0
 FOUR_QUBITS = (2, 2, 2, 2)
 
 
-def _invert(counts, shots):
-    """(..., B, 81, 16) count stack, with `shots` per setting (0 for exact
-    frequencies), -> flat DensityMatrix stack of physical estimates: linear
-    inversion, sparse denoising of the Pauli coefficients, then rho_lin's
+def _pooled_means(counts):
+    """(..., B, 81, 16) stack of count tables or exact frequencies -> (..., B,
+    256) Pauli expectations: each string's correlators pooled over the
+    settings that estimate it, before any denoising.  The first half of linear
+    inversion; it is given its counts by expression, so that the caller's
+    float copy or resample stack is freed before _physical_estimate."""
+    return np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
+
+
+def _physical_estimate(exps, shots):
+    """(..., B, 256) pooled Pauli expectations (_pooled_means) of tables of
+    `shots` per setting (0 for exact frequencies) -> flat DensityMatrix stack of
+    physical estimates: sparse denoising of the coefficients, then rho_lin's
     eigenvectors, kept with physical_spectrum of its eigenvalues.
 
     Denoising: a coefficient estimated from m settings of N shots has standard
@@ -205,7 +214,6 @@ def _invert(counts, shots):
     so this removes the bulk of the shot-noise power.  Exact frequencies are
     not thresholded, keeping noiseless inversion exact.
     """
-    exps = np.add.reduceat(_correlators(counts), _STRING_START, axis=-1) / _PAULI_MULT
     if shots > 0:
         sigma = np.sqrt(np.clip(1.0 - exps**2, 0.0, None) / (shots * _PAULI_MULT))
         small = np.abs(exps) < COEFF_THRESHOLD_SIGMAS * sigma
@@ -216,15 +224,16 @@ def _invert(counts, shots):
 
 
 def reconstruct(counts, shots, targets: DensityMatrix = None) -> ReconstructionResult:
-    """Physical estimate (see _invert) from an (81, 16) count table of `shots`
-    per setting (0 for exact frequencies), its measures, and its fidelity to the
-    target state when one is given (NaN otherwise), all read from the state
-    _invert returns.  For an (A, 81, 16) stack, with a stack of A targets,
+    """Physical estimate (see _physical_estimate) from an (81, 16) count table
+    of `shots` per setting (0 for exact frequencies), its measures, and its
+    fidelity to the target state when one is given (NaN otherwise), all read
+    from that estimate.  For an (A, 81, 16) stack, with a stack of A targets,
     every table is inverted with a product of its own and the result holds
-    arrays with a leading axis of length A."""
-    counts = _count_table(counts, shots)
-    shape = counts.shape[:-2]
-    rho_hat = _invert(counts.reshape(-1, 1, len(SETTINGS), N_OUT), shots)
+    arrays with a leading axis of length A.  The float copy of the counts and
+    the pooled expectations are each freed once the next stage has read them."""
+    shape = np.shape(counts)[:-2]
+    rho_hat = _physical_estimate(
+        _pooled_means(_count_table(counts, shots).reshape(-1, 1, len(SETTINGS), N_OUT)), shots)
     rep = measures.cut_measures(rho_hat, (0, 1))
     fid = (np.full(len(rho_hat.mat), np.nan) if targets is None
            else measures.fidelities(rho_hat, targets))
@@ -270,6 +279,16 @@ BootstrapResult = namedtuple("BootstrapResult", "i_values e_values i_err e_err")
 RESAMPLE_PASS = 32  # most resamples drawn and inverted at once
 
 
+def _resamples(rngs, probs, shots, size):
+    """`size` resampled (81, 16) count tables as one (size, 81, 16) stack:
+    setting idx draws its rows of `shots` from rngs[idx] with the outcome
+    probabilities probs[idx], straight into the stack."""
+    stack = np.empty((size, len(SETTINGS), N_OUT), dtype=np.int64)
+    for idx, (rng, p) in enumerate(zip(rngs, probs)):
+        stack[:, idx] = rng.multinomial(shots, p, size=size)
+    return stack
+
+
 def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResult:
     """Nonparametric bootstrap of (I, E) over resampled counts of one (81, 16)
     table.  Setting idx draws all its resamples from the stream (seed,
@@ -277,14 +296,16 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     frequencies (shots = 0) have no resamples.
 
     The resamples run in ceil(n / RESAMPLE_PASS) passes of near-equal size, so
-    the working set is one pass, besides the (2, n) values, whatever n is.
+    the working set is one pass, besides the (2, n) values, whatever n is: a
+    pass's resample stack is freed once its expectations are pooled, and its
+    estimates before the next pass is drawn.
     Each pass draws from the same 81 streams, which continue, and inverts its
     stack with one product.  Passes of 2 to 64 rows were measured to give the
     bits of one pass over all n; a one-row pass runs as a matrix-vector
     product, whose last bits differ, so the split leaves no lone row unless
     n = 1.  Per-setting draws and one product per pass are kept on purpose:
     draws through `sample_counts` and `reconstruct`'s per-table inversion were
-    each measured slower (ROADMAP item 11)."""
+    each measured slower (ROADMAP item 16)."""
     n_resamples, seed = _integer(n_resamples, 1, "n_resamples"), _integer(seed, 0, "seed", None)
     counts = _count_table(counts, shots)
     if counts.ndim != 2:
@@ -300,9 +321,10 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     done = 0
     for k in range(n_passes):
         size = n_resamples // n_passes + (k < n_resamples % n_passes)
-        stack = np.stack([rng.multinomial(shots, p, size=size)
-                          for rng, p in zip(rngs, probs)], axis=1)
-        rep = measures.cut_measures(_invert(stack, shots), (0, 1))
+        # Each stage's input is passed by expression, so the stack is freed
+        # before the 16x16 stage and the pass's estimates before the next pass.
+        rep = measures.cut_measures(_physical_estimate(_pooled_means(
+            _resamples(rngs, probs, shots, size)), shots), (0, 1))
         values[:, done:done + size] = rep.mutual_information, rep.concurrence
         done += size
     return BootstrapResult(i_vals, e_vals, float(np.std(i_vals)), float(np.std(e_vals)))

@@ -575,10 +575,11 @@ def test_oracle_frontier_finds_every_boundary_of_a_chain(monkeypatch, n):
 def test_oracle_frontier_memory_does_not_grow(n, queries):
     # The frontier holds one chunk of the pair plan, of at most 2^11 pairs,
     # with its (chain, query) pairs and one scan run of at most 2^13 tuples,
-    # and one maximum per query.  Its tracemalloc peak read 0.95, 1.01 and
-    # 1.02 MiB at n = 600, 1000 and 1500, and 1.18 MiB for 10 000 queries at
-    # n = 200.  With the whole pair plan it read 2.09, 5.8 and 13.0 MiB, and
-    # 1.50 MiB.
+    # and one maximum per query; each chunk and run is freed before the next
+    # is built.  Its tracemalloc peak read 0.85, 0.89 and 0.90 MiB at n = 600,
+    # 1000 and 1500, and 1.06 MiB for 10 000 queries at n = 200.  With each
+    # chunk and run held while the next was built it read 0.95, 1.01, 1.02
+    # and 1.19 MiB; with the whole pair plan 2.09, 5.8, 13.0 and 1.50 MiB.
     cs = np.linspace(0.0, TWO_LN2, queries)
     tracemalloc.start()
     try:

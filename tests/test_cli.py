@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtradeoff
-from qtradeoff import bound, cli, tomo
+from qtradeoff import bound, cli, oracle, tomo
 from qtradeoff.bound import TWO_LN2
 
 
@@ -274,10 +275,11 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
     # pair plan, with its chains, and one maximum per query, and writes the
     # bytes the whole-grid frontier writes.  Against a `bound --resolution 2`
     # process, which pays the same interpreter and imports but for the oracle
-    # module, it may add less than 3 MB: it adds 1.9 MB when every process
-    # compiles its modules (30.0 against 28.1 MB) and 1.8 MB with a bytecode
-    # cache (29.7 against 27.9 MB).  With the whole pair plan it added
-    # 6.6 MB; blocks of about 2^16 tuples added 15-17.5 MB.
+    # module, it may add less than 3 MB: it adds 1.5 MB when every process
+    # compiles its modules (29.7 against 28.2 MB) and 1.6 MB with a bytecode
+    # cache (29.4 against 27.8 MB).  With each chunk held while the next was
+    # built it added 1.7-1.9 MB, with the whole pair plan 6.6 MB, and with
+    # blocks of about 2^16 tuples 15-17.5 MB.
     out = tmp_path / "oracle.csv"
     oracle = peak_kib("--command", "oracle", "--resolution", "1000", "--out", str(out))
     assert oracle < 100 * 1024
@@ -296,12 +298,112 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
 ], ids=["bootstrap-1000", "scan-257"])
 def test_experiment_memory_does_not_grow_with_the_stack(tmp_path, argv, baseline, limit_mib):
     # The experiment runs at most cli.ANGLE_PASS angles and tomo.RESAMPLE_PASS
-    # resamples at once.  Against one angle without error bars (38.8 MB),
-    # 1000 resamples of one angle added 2.2 MB and a 257-angle scan 1.3 MB;
-    # as one stack they added 40.6 and 11.0 MB.
+    # resamples at once, and frees each pass before it builds the next.
+    # Against one angle without error bars (38.6-38.7 MB, every module
+    # compiled), 1000 resamples of one angle added 1.5-1.6 MB and a 257-angle
+    # scan 0.9-1.0 MB; with each pass held while the next was built they
+    # added 1.75 and 1.1 MB, and as one stack 40.6 and 11.0 MB.
     out = str(tmp_path / "exp.csv")
     base = ["--command", "experiment", "--out", out]
     assert peak_kib(*base, *argv) - peak_kib(*base, *baseline) < limit_mib * 1024
+
+
+def _owner_ref(a):
+    """A weak reference to the array that owns a's data: a view keeps its
+    whole buffer alive, so its own death shows nothing."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return weakref.ref(a)
+
+
+def test_experiment_holds_one_angle_pass(tmp_path, monkeypatch):
+    # cmd_experiment frees each pass of cli.ANGLE_PASS angles, and every view
+    # into its counts, before the next pass is measured: each call finds the
+    # previous pass's counts and estimates gone.
+    held, passes = [], []
+    run_experiment = tomo.run_experiment
+
+    def checked(*args):
+        assert all(ref() is None for ref in held)
+        run = run_experiment(*args)
+        held[:] = [_owner_ref(run.counts), _owner_ref(run.result.rho_hat)]
+        passes.append(len(run.counts))
+        return run
+
+    monkeypatch.setattr(tomo, "run_experiment", checked)
+    argv = [f"--theta={k}/80" for k in range(40)] + ["--bootstrap", "2"]
+    assert cli.main(["--command", "experiment", *argv, "--out", str(tmp_path / "exp.csv")]) == 0
+    assert passes == [16, 16, 8]
+
+
+def test_bootstrap_frees_each_resample_stack_before_its_estimate(monkeypatch):
+    # The counts given to the pooled means, a reconstruction's float copy or a
+    # bootstrap pass's resample stack, are gone when the 16x16 stage starts,
+    # and each stage's expectations are gone when the next pass is pooled.
+    pooled, estimated, sizes = [], [], []
+    pooled_means, physical_estimate = tomo._pooled_means, tomo._physical_estimate
+
+    def pool(counts):
+        assert all(ref() is None for ref in estimated)
+        pooled.append(_owner_ref(counts))
+        return pooled_means(counts)
+
+    def estimate(exps, shots):
+        assert pooled[-1]() is None
+        estimated.append(_owner_ref(exps))
+        sizes.append(len(exps))
+        return physical_estimate(exps, shots)
+
+    monkeypatch.setattr(tomo, "_pooled_means", pool)
+    monkeypatch.setattr(tomo, "_physical_estimate", estimate)
+    run = tomo.run_experiment(np.pi / 4, 10000, 7, tomo.NoiseParams(0.96, 0.02))
+    tomo.bootstrap_measures(run.counts, run.shots, 70, 7)
+    assert sizes == [1, 24, 23, 23]
+
+
+@pytest.mark.parametrize("n, queries", [(600, 50), (400, 200)])
+def test_oracle_frontier_holds_one_chunk(monkeypatch, n, queries):
+    # oracle_frontier frees each chunk's pair arrays and (chain, query) arrays
+    # before _plan builds the next chunk: each _pairs call finds every array
+    # the previous chunk's _pairs, _expand and _climb returned gone.  Where
+    # queries are dense enough to scan, each run's tuples and (h, k) are
+    # likewise gone when _tuples builds the next run.
+    cs = np.linspace(0.0, TWO_LN2, queries)
+    expected = oracle.oracle_frontier(cs, n).tolist()
+    chunk, run, calls = [], [], {"_pairs": 0, "_tuples": 0}
+
+    def recorded(f, held):
+        def wrapper(*args):
+            out = f(*args)
+            held.extend(map(_owner_ref, out))
+            return out
+        return wrapper
+
+    def checked(name, held):
+        f = recorded(getattr(oracle, name), held)
+
+        def wrapper(*args):
+            assert all(ref() is None for ref in held)
+            held.clear()
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    runs = oracle._runs
+
+    def recorded_runs(*args):
+        for hk in runs(*args):
+            run.extend(map(_owner_ref, hk))
+            yield hk
+            del hk
+
+    monkeypatch.setattr(oracle, "_pairs", checked("_pairs", chunk))
+    monkeypatch.setattr(oracle, "_tuples", checked("_tuples", run))
+    monkeypatch.setattr(oracle, "_runs", recorded_runs)
+    for name in ("_expand", "_climb"):
+        monkeypatch.setattr(oracle, name, recorded(getattr(oracle, name), chunk))
+    assert oracle.oracle_frontier(cs, n).tolist() == expected
+    assert calls["_pairs"] > 2 and (queries < 200 or calls["_tuples"] > 2)
 
 
 def test_bound_layer_commands_skip_tomography_import():
@@ -560,7 +662,9 @@ with open(os.path.join(os.path.dirname(__file__), "experiment_floats.json")) as 
 def test_experiment_floats_hold(tmp_path, name):
     # Experiment CSVs carry LAPACK output, whose last bits may move with the
     # rounding path, so they are pinned to 1e-12 rather than by bytes.  The
-    # values were recorded when every estimate was decomposed three times.
+    # first three were recorded when every estimate was decomposed three
+    # times.  `multipass` runs 40 angles and 70 resamples, three angle passes
+    # and three resample passes, so its rows cross both pass boundaries.
     pin = EXPERIMENT_FLOATS[name]
     out = tmp_path / "exp.csv"
     assert cli.main(["--command", "experiment", *pin["argv"], "--out", str(out)]) == 0

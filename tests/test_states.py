@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtradeoff import measures, states
-from qtradeoff.linalg import DensityMatrix, density_eig
+from qtradeoff.bound import zeta
+from qtradeoff.linalg import DensityMatrix, density_eig, partial_trace
 from reference_states import dephase, spdc_state, timebin_mix
 
 
@@ -295,3 +296,47 @@ def test_stacked_cc_family_measures_match_closed_forms(pairs):
     rep = measures.cut_measures(states.cc_family(p, q), cut=(0, 1))
     assert np.max(np.abs(rep.mutual_information - measures.closed_form_I(p, q))) <= 1e-9
     assert np.max(np.abs(rep.concurrence - measures.closed_form_E(p, q))) <= 1e-9
+
+
+def _random_bases(rng):
+    """A random unitary basis of two qubits, as (2, 2, 4) columns, and a
+    random orthogonal basis of one 4-level system: the Q factors of a complex
+    and of a real Gaussian matrix."""
+    a = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    return a.reshape(2, 2, 4), np.linalg.qr(rng.normal(size=(4, 4)))[0]
+
+
+def _k(spectrum):
+    """k(lambda) = l1 - l3 - 2 sqrt(l2 l4) of ascending spectra, with
+    float-noise negatives read as 0."""
+    l4, l3, l2, l1 = np.maximum(np.moveaxis(spectrum, -1, 0), 0.0)
+    return l1 - l3 - 2.0 * np.sqrt(l2 * l4)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), alpha=st.sampled_from([0.05, 0.3, 1.0]),
+       size=st.integers(1, 8), nonzero=st.integers(2, 4))
+def test_bound_chain_holds_on_classical_classical_states(seed, alpha, size, nonzero):
+    # The bound's chain E <= max(0, k(lambda_A)) <= zeta(S_A) <= zeta(I) on
+    # general classical-classical states (A two qubits in a random basis, B a
+    # 4-level system): the last link needs only S_A >= I, which a classical
+    # side gives.  A pure state sum_i sqrt(lambda_i) |a_i>|b_i> with two or
+    # more nonzero lambda_i has I = 2 S_A, so it fails that link.
+    rng = np.random.default_rng(seed)
+    a_basis, b_basis = _random_bases(rng)
+    weights = rng.dirichlet(np.full(16, alpha), size=size).reshape(size, 4, 4)
+    rho = states.classical_classical(weights, a_basis, b_basis)
+    rep = measures.cut_measures(rho, (0, 1))
+    e, i, s_a = rep.concurrence, rep.mutual_information, rep.entropy_A
+    k = np.maximum(0.0, _k(partial_trace(rho, (0, 1)).spectrum))
+    assert np.all(e <= k + 1e-9)
+    assert np.all(k <= zeta(s_a) + 1e-9)
+    assert np.all(s_a >= i - 1e-9)
+    assert np.all(e <= zeta(i) + 1e-9)
+
+    lam = np.zeros(4)
+    lam[:nonzero] = rng.uniform(0.1, 1.0, nonzero)
+    psi = ((a_basis.reshape(4, 4) * np.sqrt(lam / np.sum(lam))) @ b_basis.T).ravel()
+    pure = measures.cut_measures(DensityMatrix(np.outer(psi, psi.conj()), (2, 2, 4)), (0, 1))
+    assert abs(pure.mutual_information - 2.0 * pure.entropy_A) <= 1e-9
+    assert not pure.entropy_A >= pure.mutual_information - 1e-9

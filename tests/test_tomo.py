@@ -499,11 +499,14 @@ def test_sampled_reconstruction_deterministic():
 def test_invert_stack_matches_separate_calls():
     # Each angle of an (A, 1, 81, 16) stack is the same m = 1 inversion as a
     # call of its own, down to the decomposition its state keeps.
+    def invert(counts):
+        return tomo._physical_estimate(tomo._pooled_means(counts.astype(float)), 3000)
+
     run = run_experiment(SCAN_THETAS[::4], shots=3000, seed=2, noise=SCAN_NOISE[3])
-    stacked = tomo._invert(run.counts[:, None].astype(float), 3000)
+    stacked = invert(run.counts[:, None])
     assert stacked.mat.shape == (len(run.counts), 16, 16) and stacked.dims == (2, 2, 2, 2)
     for a, counts in enumerate(run.counts):
-        one = tomo._invert(counts[None].astype(float), 3000)
+        one = invert(counts[None])
         for field in ("mat", "spectrum", "vectors"):
             assert np.array_equal(getattr(stacked, field)[a], getattr(one, field)[0])
 
