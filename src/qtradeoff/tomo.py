@@ -13,10 +13,18 @@ state draws its whole count table in one call from its own RNG stream (seed,
 key), so its results do not depend on evaluation order or on the other states;
 run_experiment measures the time-bin states keyed by the float64 bits of their
 angles.
+
+Every stream is seeded, so no command maps OpenSSL: numpy.random is loaded on
+the first draw (_default_rng) against a stand-in for the secrets module, whose
+import would pull in hashlib and libcrypto only for numpy's unseeded default
+entropy.  The stand-in's randbits is the one secrets.randbits is.
 """
 
 import functools
 import itertools
+import random
+import sys
+import types
 from collections import namedtuple
 
 import numpy as np
@@ -125,6 +133,28 @@ def born_probabilities(rho: DensityMatrix, noise=NoiseParams()):
     return p
 
 
+# What numpy.random.bit_generator takes from secrets: randbits, bound to the
+# OS entropy source as secrets binds it.
+_SECRETS = types.SimpleNamespace(randbits=random.SystemRandom().getrandbits)
+
+
+def _default_rng(key):
+    """np.random.default_rng(key).  The first call loads numpy.random with
+    _SECRETS standing in for the secrets module, unless either is loaded
+    already, and removes the stand-in after, so a later `import secrets` gets
+    the real module.  A numpy that needs more of secrets fails that import and
+    loads numpy.random with the real module instead."""
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        sys.modules["secrets"] = _SECRETS
+        try:
+            import numpy.random  # noqa: F401
+        except ImportError:
+            pass  # np.random below imports it again, with the real secrets
+        finally:
+            del sys.modules["secrets"]
+    return np.random.default_rng(key)
+
+
 def sample_counts(probs, shots, seed, keys):
     """Seed-deterministic multinomial counts for a (..., S, K) stack of outcome
     probability tables, each row normalized to sum 1.  `keys` holds one
@@ -139,7 +169,7 @@ def sample_counts(probs, shots, seed, keys):
     flat = p.reshape((-1,) + p.shape[-2:])
     counts = np.empty(flat.shape, dtype=np.int64)
     for a, (table, key) in enumerate(zip(flat, keys.ravel().tolist())):
-        rng = np.random.default_rng((seed, key))
+        rng = _default_rng((seed, key))
         counts[a] = rng.multinomial(shots, table / np.sum(table, axis=-1, keepdims=True))
     return counts.reshape(p.shape)
 
@@ -316,7 +346,7 @@ def bootstrap_measures(counts, shots, n_resamples=200, seed=0) -> BootstrapResul
     # fails here at once, not after passes that fill memory.
     i_vals, e_vals = values = np.empty((2, n_resamples))
     probs = counts / np.sum(counts, axis=-1, keepdims=True)
-    rngs = [np.random.default_rng((seed, 7_000_000, idx)) for idx in range(len(SETTINGS))]
+    rngs = [_default_rng((seed, 7_000_000, idx)) for idx in range(len(SETTINGS))]
     n_passes = -(-n_resamples // RESAMPLE_PASS)
     done = 0
     for k in range(n_passes):

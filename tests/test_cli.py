@@ -299,10 +299,11 @@ def test_oracle_memory_does_not_grow_with_the_grid(tmp_path):
 def test_experiment_memory_does_not_grow_with_the_stack(tmp_path, argv, baseline, limit_mib):
     # The experiment runs at most cli.ANGLE_PASS angles and tomo.RESAMPLE_PASS
     # resamples at once, and frees each pass before it builds the next.
-    # Against one angle without error bars (38.6-38.7 MB, every module
-    # compiled), 1000 resamples of one angle added 1.5-1.6 MB and a 257-angle
-    # scan 0.9-1.0 MB; with each pass held while the next was built they
-    # added 1.75 and 1.1 MB, and as one stack 40.6 and 11.0 MB.
+    # Against one angle without error bars (35.0-35.1 MB, every module
+    # compiled; 38.6-38.7 MB while numpy.random mapped OpenSSL), 1000
+    # resamples of one angle added 1.2-1.3 MB and a 257-angle scan 0.9 MB;
+    # with each pass held while the next was built they added 1.75 and 1.1 MB,
+    # and as one stack 40.6 and 11.0 MB.
     out = str(tmp_path / "exp.csv")
     base = ["--command", "experiment", "--out", out]
     assert peak_kib(*base, *argv) - peak_kib(*base, *baseline) < limit_mib * 1024
@@ -503,6 +504,66 @@ def test_experiment_loads_neither_dataclasses_nor_fractions():
                          env=_src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+
+
+@pytest.mark.parametrize("argv, rng_loaded", [
+    (["--command", "experiment", "--theta", "1/4", "--shots", "2000", "--bootstrap", "4"], True),
+    (["--command", "verify"], True),
+    (["--command", "experiment", "--exact", "--theta", "1/4"], False),
+], ids=["experiment", "verify", "exact"])
+def test_commands_do_not_map_openssl(argv, rng_loaded):
+    # A fresh interpreter per command.  Every stream is seeded, so numpy.random
+    # loads against tomo's stand-in for secrets and no command imports hashlib
+    # or maps libcrypto; an exact experiment draws nothing and loads no
+    # numpy.random at all.  The stand-in leaves nothing behind: a later import
+    # gets the real secrets, and an unseeded SeedSequence still draws 128 bits
+    # from the operating system.
+    script = (
+        "import os, random, sys\n"
+        "from qtradeoff.cli import main\n"
+        "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+        f"print(' '.join(m for m in {OPENSSL_MODULES!r} if m in sys.modules) or '-')\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import secrets\n"
+        "print(len(secrets.token_hex(16)), secrets.compare_digest('ab', 'ab'),\n"
+        "      os.path.basename(secrets.__file__))\n"
+        "import numpy.random\n"
+        "draws = {numpy.random.SeedSequence().entropy for _ in range(4)}\n"
+        "print(len(draws), all(0 <= e < 2**128 for e in draws), max(draws).bit_length() > 64,\n"
+        "      isinstance(numpy.random.bit_generator.randbits.__self__, random.SystemRandom))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-4:] == [
+        "-", str(rng_loaded), "32 True secrets.py", "4 True True True"]
+
+
+def test_experiment_falls_back_to_the_real_secrets(tmp_path):
+    # A numpy that needs more of secrets than the stand-in holds (here, a
+    # stand-in without randbits) fails the lean import; the experiment then
+    # loads numpy.random with the real module, OpenSSL and all, and writes the
+    # bytes it writes in this process.
+    argv = ["--command", "experiment", "--theta", "1/4", "--theta", "3/8", "--shots", "2000",
+            "--seed", "3", "--bootstrap", "4"]
+    script = (
+        "import sys, types\n"
+        "from qtradeoff import cli, tomo\n"
+        "tomo._SECRETS = types.SimpleNamespace()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, 'secrets' in sys.modules, sys.modules['secrets'].__name__)\n"
+    )
+    child = tmp_path / "child.csv"
+    res = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(child)],
+                         capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "True", "secrets"]
+    own = tmp_path / "own.csv"
+    assert cli.main(argv + ["--out", str(own)]) == 0
+    assert child.read_bytes() == own.read_bytes()
 
 
 EXIT_FREEZE_ARGV = [
