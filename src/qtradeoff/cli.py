@@ -11,11 +11,10 @@ nothing on stderr.
 
 Only the closed-form bound is imported at start-up; each command imports the
 other modules it needs when it runs.  The grid oracles (qtradeoff.oracle) load
-only in `oracle`, `bound --oracle` and `verify`, so `sweep` and a plain `bound`
-never compile them, and `bound` and `oracle` never load the tomography stack.
-No command loads dataclasses, fractions or decimal, and none maps OpenSSL: every
-random stream is seeded, so numpy.random loads without the secrets module
-(tomo._default_rng).
+only in `oracle`, `bound --oracle` and `verify`, and `bound` and `oracle` never
+load the tomography stack.  No command loads dataclasses, fractions or decimal,
+or maps OpenSSL (tomo._default_rng).  test_process_contract in tests/test_cli.py
+checks what each command loads, in a fresh interpreter.
 
 Importing this module registers gc.freeze to run at interpreter exit, so the
 collections of interpreter shutdown skip every object still alive, most of

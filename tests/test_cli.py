@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import gc
@@ -35,7 +36,7 @@ def test_parse_theta():
     label, theta = cli.parse_theta("9/32")
     assert label == "9/32"
     assert abs(theta - 9 * np.pi / 32) < 1e-15
-    with pytest.raises(Exception):
+    with pytest.raises(argparse.ArgumentTypeError, match="outside"):
         cli.parse_theta("3/4")  # beyond pi/2
 
 
@@ -182,20 +183,35 @@ def test_bound_without_oracle_exits_0_when_zeta_is_lowered(monkeypatch):
     assert cli.main(["--command", "bound", "--resolution", "200", "--out", os.devnull]) == 0
 
 
-DISPATCH_ARGV = {
-    "sweep": ["--p-step", "0.5", "--q-step", "0.5"],
-    "bound": ["--resolution", "3"],
-    "oracle": ["--resolution", "100"],
-    "experiment": ["--exact", "--theta", "1/4"],
-    "verify": [],
+# What each command's process loads, one row per command that the README and
+# the benchmark's workloads run: its argv after `--command`, the qtradeoff
+# modules it loads beyond qtradeoff, bound and cli, and whether it loads
+# numpy.random.  states imports measures for its p, q check, never the
+# reverse, so sweep loads no states.  test_process_contract checks every row
+# in a fresh interpreter; the command is the row's name up to its first '-'.
+PROCESS_CONTRACT = {
+    "sweep": (["--p-step", "0.5", "--q-step", "0.5"], "linalg measures", False),
+    "bound": (["--resolution", "5"], "", False),
+    "bound-oracle": (["--resolution", "5", "--oracle"], "oracle", False),
+    "oracle": (["--resolution", "100"], "oracle", False),
+    "experiment": (["--theta", "1/4", "--shots", "2000", "--seed", "5", "--bootstrap", "10",
+                    "--visibility", "0.96"], "linalg measures states tomo", True),
+    "experiment-exact": (["--exact", "--theta", "1/4"], "linalg measures states tomo", False),
+    "verify": ([], "linalg measures oracle states tomo", True),
 }
 
 
-@pytest.mark.parametrize("name", list(DISPATCH_ARGV))
-def test_main_runs_the_command_the_module_names(tmp_path, monkeypatch, name):
+def _contract_argv(row):
+    return ["--command", row.split("-")[0], *PROCESS_CONTRACT[row][0]]
+
+
+@pytest.mark.parametrize("row", list(PROCESS_CONTRACT))
+def test_main_runs_the_command_the_module_names(tmp_path, monkeypatch, row):
     # perfbench/trace_child.py times a command by replacing cli.cmd_<name>; a
     # command table bound at import would still call the function it replaced.
     calls = []
+    argv = _contract_argv(row)
+    name = argv[1]
     command = getattr(cli, f"cmd_{name}")
 
     def counted(args):
@@ -203,8 +219,7 @@ def test_main_runs_the_command_the_module_names(tmp_path, monkeypatch, name):
         return command(args)
 
     monkeypatch.setattr(cli, f"cmd_{name}", counted)
-    argv = ["--command", name, *DISPATCH_ARGV[name], "--out", str(tmp_path / "out.csv")]
-    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [name]
 
 
@@ -244,6 +259,15 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+def _fresh(script, *argv):
+    """Runs script with argv in a fresh interpreter, so that no other test's
+    imports count, and returns the completed process once it has exited 0."""
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env=_src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res
+
+
 # Runs a command under a small parent process and prints its exit code and
 # peak RSS, because a child's peak RSS includes the peak of the process it was
 # forked from, which for a direct child of the tests would be pytest.
@@ -260,9 +284,7 @@ needs_maxrss_kib = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 def peak_kib(*argv):
     """Peak RSS in KiB of a fresh `qtradeoff` process run with argv."""
-    res = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, sys.executable, "-m",
-                          "qtradeoff.cli", *argv],
-                         capture_output=True, text=True, env=_src_env(), timeout=120)
+    res = _fresh(_PEAK_SCRIPT, sys.executable, "-m", "qtradeoff.cli", *argv)
     code, peak = map(int, res.stdout.split())
     assert code == 0, res.stderr
     return peak
@@ -407,55 +429,55 @@ def test_oracle_frontier_holds_one_chunk(monkeypatch, n, queries):
     assert calls["_pairs"] > 2 and (queries < 200 or calls["_tuples"] > 2)
 
 
-def test_bound_layer_commands_skip_tomography_import():
-    # A fresh interpreter, so that no other test's imports count.  No command
-    # loads fractions, decimal or dataclasses (see the experiment guard below).
-    # A plain bound table loads the closed form alone; the oracle commands add
-    # the grid oracles and no other qtradeoff module.
-    script = (
-        "import os, sys\n"
-        "import qtradeoff.cli\n"
-        "loaded = [set(sys.modules)]\n"
-        "for argv in (['--command', 'bound', '--resolution', '5'],\n"
-        "             ['--command', 'oracle', '--resolution', '100'],\n"
-        "             ['--command', 'bound', '--resolution', '5', '--oracle']):\n"
-        "    assert qtradeoff.cli.main(argv + ['--out', os.devnull]) == 0\n"
-        "    loaded.append(set(sys.modules))\n"
-        "print(';'.join(' '.join(sorted(m for m in mods if m.startswith('qtradeoff')\n"
-        "                               or m in ('fractions', 'decimal', 'dataclasses')))\n"
-        "               for mods in loaded))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    closed_form = ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli"]
-    assert [loaded.split() for loaded in res.stdout.strip().split(";")] == \
-        [closed_form] * 2 + [closed_form + ["qtradeoff.oracle"]] * 2
+# Modules that no command loads: angles parse with int and float, result types
+# are named tuples, and every random stream is seeded, so numpy.random loads
+# against tomo's stand-in for secrets and nothing imports hashlib or maps
+# OpenSSL's libcrypto.
+NEVER_LOADED = ("fractions", "decimal", "dataclasses", "_hashlib", "hashlib", "hmac", "secrets")
+
+# The child of test_process_contract.  Its atexit handler, registered before
+# the CLI's import, runs after the CLI's gc.freeze (handlers run last in,
+# first out) and sees the objects moved to the permanent generation.  After
+# the command it prints the qtradeoff modules loaded, those of NEVER_LOADED
+# loaded, and whether numpy.random is; then that the stand-in left nothing
+# behind: a later import gets the real secrets, and an unseeded SeedSequence
+# still draws 128 bits from the operating system.
+_CONTRACT_SCRIPT = (
+    "import atexit, gc, os, random, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+    "from qtradeoff.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('qtradeoff')))\n"
+    f"print(' '.join(m for m in {NEVER_LOADED!r} if m in sys.modules) or '-')\n"
+    "print('numpy.random' in sys.modules)\n"
+    "import secrets\n"
+    "print(len(secrets.token_hex(16)), secrets.compare_digest('ab', 'ab'),\n"
+    "      os.path.basename(secrets.__file__))\n"
+    "import numpy.random\n"
+    "draws = {numpy.random.SeedSequence().entropy for _ in range(4)}\n"
+    "print(len(draws), all(0 <= e < 2**128 for e in draws), max(draws).bit_length() > 64,\n"
+    "      isinstance(numpy.random.bit_generator.randbits.__self__, random.SystemRandom))\n"
+)
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["--command", "experiment", "--exact", "--theta", "1/4"], False),
-    (["--command", "verify"], True),
-], ids=["experiment", "verify"])
-def test_only_the_oracle_commands_load_the_oracle_module(argv, loads):
-    # A fresh interpreter per command: the grid oracles are compiled only by
-    # the commands that run them.  The tests above and below pin the modules
-    # of bound, oracle and sweep.
-    script = (
-        "import os, sys\n"
-        "from qtradeoff.cli import main\n"
-        "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
-        "print('qtradeoff.oracle' in sys.modules)\n"
-    )
-    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                         text=True, env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split()[-1] == str(loads)
+@pytest.mark.parametrize("row", list(PROCESS_CONTRACT))
+def test_process_contract(tmp_path, row):
+    argv = _contract_argv(row)
+    _, modules, rng_loaded = PROCESS_CONTRACT[row]
+    child = tmp_path / "child.csv"
+    res = _fresh(_CONTRACT_SCRIPT, *argv, "--out", str(child))
+    loaded = ["qtradeoff"] + sorted(f"qtradeoff.{m}" for m in ["bound", "cli", *modules.split()])
+    assert res.stdout.splitlines()[-6:] == [
+        " ".join(loaded), "-", str(rng_loaded), "32 True secrets.py", "4 True True True", "True"]
+    # The frozen exit writes the bytes of a call in this process.
+    own = tmp_path / "own.csv"
+    assert cli.main(argv + ["--out", str(own)]) == 0
+    assert child.read_bytes() == own.read_bytes()
 
 
 def test_bound_loads_the_oracle_module_on_first_use_of_a_forwarded_name():
-    # A fresh interpreter: importing bound leaves the grid oracles unloaded, a
-    # forwarded name loads them, and a name bound lacks loads nothing.
+    # Importing bound leaves the grid oracles unloaded, a forwarded name loads
+    # them, and a name bound lacks loads nothing.
     script = (
         "import sys\n"
         "from qtradeoff import bound\n"
@@ -464,82 +486,7 @@ def test_bound_loads_the_oracle_module_on_first_use_of_a_forwarded_name():
         "from qtradeoff.bound import simplex_grid\n"
         "print(simplex_grid is sys.modules['qtradeoff.oracle'].simplex_grid)\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False", "False", "True"]
-
-
-def test_sweep_loads_measures_but_not_states():
-    # A fresh interpreter: sweep needs only the closed forms of measures and
-    # of the bound, not the grid oracles.  states imports measures for its
-    # p, q check, never the reverse, so this fails if measures ever imports
-    # states.
-    script = (
-        "import os, sys\n"
-        "from qtradeoff.cli import main\n"
-        "argv = ['--command', 'sweep', '--p-step', '0.5', '--q-step', '0.5', '--out', os.devnull]\n"
-        "assert main(argv) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qtradeoff'))))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["qtradeoff", "qtradeoff.bound", "qtradeoff.cli",
-                                  "qtradeoff.linalg", "qtradeoff.measures"]
-
-
-def test_experiment_loads_neither_dataclasses_nor_fractions():
-    # A fresh interpreter: an experiment builds its result types as named
-    # tuples and parses its angles with int and float.
-    script = (
-        "import os, sys\n"
-        "from qtradeoff.cli import main\n"
-        "argv = ['--command', 'experiment', '--theta', '1/4', '--shots', '2000',\n"
-        "        '--bootstrap', '4', '--out', os.devnull]\n"
-        "assert main(argv) == 0\n"
-        "print(' '.join(m for m in ('dataclasses', 'fractions', 'decimal') if m in sys.modules))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == []
-
-
-OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
-
-
-@pytest.mark.parametrize("argv, rng_loaded", [
-    (["--command", "experiment", "--theta", "1/4", "--shots", "2000", "--bootstrap", "4"], True),
-    (["--command", "verify"], True),
-    (["--command", "experiment", "--exact", "--theta", "1/4"], False),
-], ids=["experiment", "verify", "exact"])
-def test_commands_do_not_map_openssl(argv, rng_loaded):
-    # A fresh interpreter per command.  Every stream is seeded, so numpy.random
-    # loads against tomo's stand-in for secrets and no command imports hashlib
-    # or maps libcrypto; an exact experiment draws nothing and loads no
-    # numpy.random at all.  The stand-in leaves nothing behind: a later import
-    # gets the real secrets, and an unseeded SeedSequence still draws 128 bits
-    # from the operating system.
-    script = (
-        "import os, random, sys\n"
-        "from qtradeoff.cli import main\n"
-        "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
-        f"print(' '.join(m for m in {OPENSSL_MODULES!r} if m in sys.modules) or '-')\n"
-        "print('numpy.random' in sys.modules)\n"
-        "import secrets\n"
-        "print(len(secrets.token_hex(16)), secrets.compare_digest('ab', 'ab'),\n"
-        "      os.path.basename(secrets.__file__))\n"
-        "import numpy.random\n"
-        "draws = {numpy.random.SeedSequence().entropy for _ in range(4)}\n"
-        "print(len(draws), all(0 <= e < 2**128 for e in draws), max(draws).bit_length() > 64,\n"
-        "      isinstance(numpy.random.bit_generator.randbits.__self__, random.SystemRandom))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                         text=True, env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-4:] == [
-        "-", str(rng_loaded), "32 True secrets.py", "4 True True True"]
+    assert _fresh(script).stdout.split() == ["False", "False", "False", "True"]
 
 
 def test_experiment_falls_back_to_the_real_secrets(tmp_path):
@@ -557,51 +504,20 @@ def test_experiment_falls_back_to_the_real_secrets(tmp_path):
         "print(code, 'secrets' in sys.modules, sys.modules['secrets'].__name__)\n"
     )
     child = tmp_path / "child.csv"
-    res = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(child)],
-                         capture_output=True, text=True, env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
+    res = _fresh(script, *argv, "--out", str(child))
     assert res.stdout.split() == ["0", "True", "secrets"]
     own = tmp_path / "own.csv"
     assert cli.main(argv + ["--out", str(own)]) == 0
     assert child.read_bytes() == own.read_bytes()
 
 
-EXIT_FREEZE_ARGV = [
-    ["--command", "oracle", "--resolution", "100"],
-    ["--command", "experiment", "--theta", "1/4", "--shots", "2000", "--seed", "5",
-     "--bootstrap", "10", "--visibility", "0.96"],
-]
-
-
-@pytest.mark.parametrize("argv", EXIT_FREEZE_ARGV)
-def test_main_leaves_the_collector_unfrozen(tmp_path, argv):
+@pytest.mark.parametrize("row", list(PROCESS_CONTRACT))
+def test_main_leaves_the_collector_unfrozen(tmp_path, row):
     # The CLI freezes the collector at interpreter exit only; a caller's own
     # process goes on collecting every object.
     before = gc.get_freeze_count()
-    assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert cli.main(_contract_argv(row) + ["--out", str(tmp_path / "out.csv")]) == 0
     assert gc.get_freeze_count() == before
-
-
-@pytest.mark.parametrize("argv", EXIT_FREEZE_ARGV)
-def test_process_exit_freezes_the_collector(tmp_path, argv):
-    # atexit handlers run last in, first out, so a handler registered before
-    # the CLI's import runs after the CLI's gc.freeze and sees the objects it
-    # moved to the permanent generation.  The frozen exit writes the same
-    # bytes as a call in this process.
-    script = (
-        "import atexit, gc, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
-        "import qtradeoff.cli\n"
-        "sys.exit(qtradeoff.cli.main(sys.argv[1:]))\n"
-    )
-    child = tmp_path / "child.csv"
-    res = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(child)],
-                         capture_output=True, text=True, env=_src_env(), timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert int(res.stdout) > 0
-    own = tmp_path / "own.csv"
-    assert cli.main(argv + ["--out", str(own)]) == 0
-    assert child.read_bytes() == own.read_bytes()
 
 
 # Public names that nothing loads yet, kept for the work that will.
