@@ -433,7 +433,8 @@ def test_oracle_frontier_holds_one_chunk(monkeypatch, n, queries):
 # are named tuples, and every random stream is seeded, so numpy.random loads
 # against tomo's stand-in for secrets and nothing imports hashlib or maps
 # OpenSSL's libcrypto.
-NEVER_LOADED = ("fractions", "decimal", "dataclasses", "_hashlib", "hashlib", "hmac", "secrets")
+OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+NEVER_LOADED = ("fractions", "decimal", "dataclasses", *OPENSSL_MODULES)
 
 # The child of test_process_contract.  Its atexit handler, registered before
 # the CLI's import, runs after the CLI's gc.freeze (handlers run last in,
@@ -460,19 +461,74 @@ _CONTRACT_SCRIPT = (
 )
 
 
+@pytest.fixture(scope="module")
+def contract_run(tmp_path_factory):
+    """The child's report and CSV bytes for a row of PROCESS_CONTRACT, each
+    row run once in a fresh interpreter however many tests read it."""
+    runs = {}
+
+    def run(row):
+        if row not in runs:
+            child = tmp_path_factory.mktemp(row) / "child.csv"
+            res = _fresh(_CONTRACT_SCRIPT, *_contract_argv(row), "--out", str(child))
+            runs[row] = res.stdout.splitlines()[-6:], child.read_bytes()
+        return runs[row]
+
+    return run
+
+
+def _own_csv(tmp_path, row):
+    # The bytes of the row's command called in this process.
+    own = tmp_path / "own.csv"
+    assert cli.main(_contract_argv(row) + ["--out", str(own)]) == 0
+    return own.read_bytes()
+
+
 @pytest.mark.parametrize("row", list(PROCESS_CONTRACT))
-def test_process_contract(tmp_path, row):
-    argv = _contract_argv(row)
+def test_process_contract(tmp_path, contract_run, row):
     _, modules, rng_loaded = PROCESS_CONTRACT[row]
-    child = tmp_path / "child.csv"
-    res = _fresh(_CONTRACT_SCRIPT, *argv, "--out", str(child))
+    report, child = contract_run(row)
     loaded = ["qtradeoff"] + sorted(f"qtradeoff.{m}" for m in ["bound", "cli", *modules.split()])
-    assert res.stdout.splitlines()[-6:] == [
+    assert report == [
         " ".join(loaded), "-", str(rng_loaded), "32 True secrets.py", "4 True True True", "True"]
     # The frozen exit writes the bytes of a call in this process.
-    own = tmp_path / "own.csv"
-    assert cli.main(argv + ["--out", str(own)]) == 0
-    assert child.read_bytes() == own.read_bytes()
+    assert child == _own_csv(tmp_path, row)
+
+
+# The tests below read single columns of the rows above, from the same runs.
+@pytest.mark.parametrize("row", ["experiment-exact", "verify"], ids=["experiment", "verify"])
+def test_only_the_oracle_commands_load_the_oracle_module(contract_run, row):
+    # The grid oracles are compiled only by the commands that run them.
+    report, _ = contract_run(row)
+    assert ("qtradeoff.oracle" in report[0].split()) == (row == "verify")
+
+
+def test_experiment_loads_neither_dataclasses_nor_fractions(contract_run):
+    # An experiment builds its result types as named tuples and parses its
+    # angles with int and float.
+    report, _ = contract_run("experiment")
+    assert not {"dataclasses", "fractions", "decimal"} & set(report[1].split())
+
+
+@pytest.mark.parametrize("row", ["experiment", "verify", "experiment-exact"],
+                         ids=["experiment", "verify", "exact"])
+def test_commands_do_not_map_openssl(contract_run, row):
+    # Every stream is seeded, so numpy.random loads against tomo's stand-in
+    # for secrets and no command imports hashlib or maps libcrypto; an exact
+    # experiment draws nothing and loads no numpy.random at all.  The
+    # stand-in leaves the real secrets and 128-bit OS entropy behind.
+    report, _ = contract_run(row)
+    assert not set(OPENSSL_MODULES) & set(report[1].split())
+    assert report[2:5] == [str(row != "experiment-exact"), "32 True secrets.py",
+                           "4 True True True"]
+
+
+@pytest.mark.parametrize("row", ["oracle", "experiment"], ids=["argv0", "argv1"])
+def test_process_exit_freezes_the_collector(tmp_path, contract_run, row):
+    # The frozen exit writes the same bytes as a call in this process.
+    report, child = contract_run(row)
+    assert report[5] == "True"
+    assert child == _own_csv(tmp_path, row)
 
 
 def test_bound_loads_the_oracle_module_on_first_use_of_a_forwarded_name():
